@@ -7,15 +7,27 @@ and scores codes against a per-query lookup table (asymmetric distance
 computation), optionally re-ranking an overfetched candidate set with
 exact dot products.
 
-Searches read an immutable snapshot; ``add`` builds a new snapshot and
-swaps it in atomically, so concurrent readers never see torn state.
+Search works on integer rows of the snapshot: scores are one array over
+the rows, the top k is picked with ``argpartition`` and ordered by a sort
+on the scores, and ad ids are read only to order exact ties and to name
+the rows returned. Every result is ordered by descending score; rows with
+exactly equal scores order by ascending ad id, and all rows tied with the
+k-th score are ordered before the cut, so the result does not depend on
+row order.
+
+Searches read an immutable snapshot that holds the ids, vectors, PQ codes
+and the codebooks they were encoded with. Writers (``add``, ``add_many``,
+``train_pq``) build a new snapshot and swap it in with one assignment, so
+concurrent readers never score codes against another snapshot's
+codebooks. Writers are not synchronized with each other: callers that
+write from several threads must serialize the writes.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -181,10 +193,48 @@ class _Snapshot:
     ids: tuple[str, ...]
     vectors: np.ndarray  # [n x d] float32, unit norm
     codes: np.ndarray | None  # [n x M] uint8 when PQ is trained
+    codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
 
     @property
     def size(self) -> int:
         return len(self.ids)
+
+
+def _top_rows(
+    ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k best of ``rows`` (scored ``scores``), in rank order.
+
+    Descending score; exact ties break by ascending ``ids[row]``. Every
+    row tied with the k-th score is kept until the ties are ordered, so
+    a tie straddling the cut keeps the smallest ids. Returns the chosen
+    rows and their scores.
+    """
+    if k < len(scores):
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        # not ``>= kth``: NaN scores stay in and sort last, as in a full sort
+        keep = np.flatnonzero(~(scores < kth))
+    else:
+        keep = np.arange(len(scores))
+    # the sort need not be stable: each run of equal scores is put in id
+    # order below, which fixes the result whatever order the sort left
+    keep = keep[np.argsort(-scores[keep])]
+    ranked = rows[keep]
+    ranked_scores = scores[keep]
+    nan = np.isnan(ranked_scores)
+    tied = (ranked_scores[1:] == ranked_scores[:-1]) | (nan[1:] & nan[:-1])
+    if tied.any():
+        # a run of equal scores spans ranks edges[2i] .. edges[2i + 1]
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0]))))
+        for lo, hi in zip(edges[0::2], edges[1::2] + 1):
+            ranked[lo:hi] = sorted(ranked[lo:hi], key=ids.__getitem__)
+    return ranked[:k], ranked_scores[:k]
+
+
+def _hits(
+    ids: Sequence[str], rows: np.ndarray, scores: np.ndarray
+) -> list[tuple[str, float]]:
+    return [(ids[r], s) for r, s in zip(rows.tolist(), scores.tolist())]
 
 
 class AnnIndex:
@@ -196,17 +246,22 @@ class AnnIndex:
         if codebooks is not None and dim % codebooks.n_subspaces != 0:
             raise ValueError("dimension not divisible by the PQ subspace count")
         self.dim = dim
-        self.codebooks = codebooks
         self._snap = _Snapshot(
             (),
             np.zeros((0, dim), dtype=np.float32),
             np.zeros((0, codebooks.n_subspaces), dtype=np.uint8) if codebooks else None,
+            codebooks,
         )
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._snap.size
+
+    @property
+    def codebooks(self) -> PqCodebooks | None:
+        """The PQ codebooks of the current snapshot, or None before training."""
+        return self._snap.codebooks
 
     def ids(self) -> tuple[str, ...]:
         return self._snap.ids
@@ -226,42 +281,49 @@ class AnnIndex:
         Publication is a single snapshot swap, so readers never observe
         a half-applied add.
         """
-        unit = normalize(vector).astype(np.float32)
-        if unit.shape != (self.dim,):
-            raise ValueError(f"expected a {self.dim}-d vector, got {unit.shape}")
-        snap = self._snap
-        ids = list(snap.ids)
-        vectors = snap.vectors
-        codes = snap.codes
-        if ad_id in ids:
-            logger.warning("replacing existing index entry for ad %s", ad_id)
-            pos = ids.index(ad_id)
-            vectors = vectors.copy()
-            vectors[pos] = unit
-            if codes is not None:
-                codes = codes.copy()
-                codes[pos] = pq_encode(self.codebooks, unit[None, :].astype(np.float64))[0]
-        else:
-            ids.append(ad_id)
-            vectors = np.concatenate([vectors, unit[None, :]], axis=0)
-            if codes is not None:
-                new_code = pq_encode(self.codebooks, unit[None, :].astype(np.float64))
-                codes = np.concatenate([codes, new_code], axis=0)
-        self._snap = _Snapshot(tuple(ids), vectors, codes)
+        self.add_many([(ad_id, vector)])
 
     def add_many(self, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Add a batch with one snapshot swap, as if by ``add`` in order.
+
+        New ids append in first-seen order; a repeated id (already stored
+        or earlier in the batch) replaces the vector at its first position,
+        with one warning per repeat. A rejected vector aborts the whole
+        batch and leaves the index unchanged.
+        """
+        batch: dict[str, np.ndarray] = {}
         for ad_id, vector in pairs:
-            self.add(ad_id, vector)
+            unit = normalize(vector).astype(np.float32)
+            if unit.shape != (self.dim,):
+                raise ValueError(f"expected a {self.dim}-d vector, got {unit.shape}")
+            if ad_id in batch:
+                logger.warning("replacing existing index entry for ad %s", ad_id)
+            batch[ad_id] = unit
+        if not batch:
+            return
+        snap = self._snap
+        stored = set(batch).intersection(snap.ids)
+        # one pass over the stored ids, and only when the batch repeats some
+        row_of = {a: i for i, a in enumerate(snap.ids) if a in stored} if stored else {}
+        new_ids = tuple(a for a in batch if a not in stored)
+        row_of.update(zip(new_ids, range(snap.size, snap.size + len(new_ids))))
+        for ad_id in batch:
+            if ad_id in stored:
+                logger.warning("replacing existing index entry for ad %s", ad_id)
+        rows = np.fromiter((row_of[a] for a in batch), dtype=np.intp, count=len(batch))
+        vectors = np.concatenate(
+            [snap.vectors, np.empty((len(new_ids), self.dim), dtype=np.float32)]
+        )
+        vectors[rows] = np.stack(list(batch.values()))
+        codes = snap.codes
+        if codes is not None:
+            codes = np.concatenate(
+                [codes, np.empty((len(new_ids), codes.shape[1]), dtype=np.uint8)]
+            )
+            codes[rows] = pq_encode(snap.codebooks, vectors[rows].astype(np.float64))
+        self._snap = replace(snap, ids=snap.ids + new_ids, vectors=vectors, codes=codes)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _top_by_score(
-        ids: Sequence[str], scores: np.ndarray, k: int
-    ) -> list[tuple[str, float]]:
-        """Top-k by descending score; exact ties break by ascending ad id."""
-        order = np.lexsort((np.asarray(ids), -scores))[:k]
-        return [(ids[i], float(scores[i])) for i in order]
 
     def exact_topk(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Exhaustive inner-product search: the oracle for the PQ path."""
@@ -272,7 +334,7 @@ class AnnIndex:
             return []
         query = np.asarray(query, dtype=np.float64)
         scores = snap.vectors @ query
-        return self._top_by_score(snap.ids, scores, k)
+        return _hits(snap.ids, *_top_rows(snap.ids, np.arange(snap.size), scores, k))
 
     def train_pq(
         self,
@@ -290,9 +352,8 @@ class AnnIndex:
             iterations=iterations,
             seed=seed,
         )
-        self.codebooks = result.codebooks
-        codes = pq_encode(self.codebooks, snap.vectors.astype(np.float64))
-        self._snap = _Snapshot(snap.ids, snap.vectors, codes)
+        codes = pq_encode(result.codebooks, snap.vectors.astype(np.float64))
+        self._snap = replace(snap, codes=codes, codebooks=result.codebooks)
         return result
 
     def pq_search(
@@ -312,34 +373,34 @@ class AnnIndex:
         if overfetch_factor < 1:
             raise ValueError("overfetch_factor must be >= 1")
         snap = self._snap
-        if self.codebooks is None or snap.codes is None:
+        cb = snap.codebooks
+        if cb is None or snap.codes is None:
             logger.warning("PQ codebooks absent; falling back to exact search")
             return self.exact_topk(query, k)
         if snap.size == 0:
             return []
         query = np.asarray(query, dtype=np.float64)
-        cb = self.codebooks
         sub = cb.sub_dim
         # lookup[m, c] = dot(query subvector m, centroid c of subspace m)
         lookup = np.empty((cb.n_subspaces, cb.n_centroids), dtype=np.float64)
         for m in range(cb.n_subspaces):
             lookup[m] = cb.centroids[m].astype(np.float64) @ query[m * sub : (m + 1) * sub]
         approx = lookup[np.arange(cb.n_subspaces)[None, :], snap.codes].sum(axis=1)
-        pool = self._top_by_score(snap.ids, approx, k * overfetch_factor)
+        all_rows = np.arange(snap.size)
         if not rerank:
-            return pool[:k]
-        pool_ids = [ad_id for ad_id, _ in pool]
-        pos = {ad_id: i for i, ad_id in enumerate(snap.ids)}
-        rows = np.array([pos[a] for a in pool_ids], dtype=np.intp)
-        exact = snap.vectors[rows] @ query
-        return self._top_by_score(pool_ids, exact, k)
+            # the pool's first k under the same total order are the top k
+            return _hits(snap.ids, *_top_rows(snap.ids, all_rows, approx, k))
+        pool, _ = _top_rows(snap.ids, all_rows, approx, k * overfetch_factor)
+        exact = snap.vectors[pool] @ query
+        return _hits(snap.ids, *_top_rows(snap.ids, pool, exact, k))
 
     # ------------------------------------------------------------------
     # file format: little-endian header + codebooks + codes + vectors + ids
 
     def save(self, path: str | Path) -> None:
         snap = self._snap
-        has_pq = self.codebooks is not None
+        cb = snap.codebooks
+        has_pq = cb is not None
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(
@@ -347,13 +408,13 @@ class AnnIndex:
                     "<IIIIQ",
                     _FORMAT_VERSION,
                     self.dim,
-                    self.codebooks.n_subspaces if has_pq else 0,
-                    self.codebooks.n_centroids if has_pq else 0,
+                    cb.n_subspaces if has_pq else 0,
+                    cb.n_centroids if has_pq else 0,
                     snap.size,
                 )
             )
             if has_pq:
-                fh.write(self.codebooks.centroids.astype("<f4").tobytes())
+                fh.write(cb.centroids.astype("<f4").tobytes())
                 fh.write(snap.codes.tobytes())
             fh.write(snap.vectors.astype("<f4").tobytes())
             for ad_id in snap.ids:
@@ -389,7 +450,7 @@ class AnnIndex:
                 (length,) = struct.unpack("<I", fh.read(4))
                 ids.append(fh.read(length).decode("utf-8"))
         index = cls(dim, codebooks)
-        index._snap = _Snapshot(tuple(ids), vectors, codes)
+        index._snap = _Snapshot(tuple(ids), vectors, codes, codebooks)
         return index
 
 

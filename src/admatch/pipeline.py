@@ -231,26 +231,30 @@ def prerank(
     """Score candidates through the split path and keep the top N.
 
     The query partial is computed once per request. Candidates missing
-    from the precomputed ad-side table fall back to a full computation
-    with a warning. Ties order by ascending ad id.
+    from the precomputed ad-side table fall back to a full computation,
+    with one warning per request. Ties order by ascending ad id.
     """
     if not candidates:
         return []
     ordered = sorted(candidates)
     q_part = scorer.q_part(v_qu)
+    rows = np.array([part_rows.get(ad_id, -1) for ad_id in ordered], dtype=np.intp)
+    hit = rows >= 0
     a_parts = np.empty((len(ordered), parts.shape[1]))
-    for i, ad_id in enumerate(ordered):
-        row = part_rows.get(ad_id)
-        if row is None:
-            logger.warning(
-                "ad %s missing from the precomputed part table; computing directly",
-                ad_id,
-            )
+    a_parts[hit] = parts[rows[hit]]
+    misses = np.flatnonzero(~hit)
+    if misses.size:
+        missing = [ordered[i] for i in misses]
+        logger.warning(
+            "%d of %d candidates missing from the precomputed part table "
+            "(first: %s); computing them directly",
+            len(missing),
+            len(ordered),
+            ", ".join(missing[:5]),
+        )
+        for i, ad_id in zip(misses, missing):
             item = ad_item_from_descriptor(ads_by_id[ad_id], vocab)
-            v_a = model.ad_forward([item]).data[0]
-            a_parts[i] = scorer.a_part(v_a)
-        else:
-            a_parts[i] = parts[row]
+            a_parts[i] = scorer.a_part(model.ad_forward([item]).data[0])
     scores = scorer.score_from_parts(q_part, a_parts)
     for ad_id, score in zip(ordered, scores):
         candidates[ad_id].prerank_score = float(score)

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from admatch import annindex
 from admatch.annindex import (
     AnnIndex,
+    PqCodebooks,
     PqTrainingError,
     build_exact_index,
     export_ad_vectors,
@@ -37,6 +39,23 @@ def selection_topk_oracle(ids, vectors, query, k):
     return out
 
 
+def pq_search_oracle(ids, vectors, decoded, query, k, overfetch_factor, rerank):
+    """pq_search by its definition: the k * overfetch_factor best by ADC
+    score (the decoded vectors), then the k best of that pool exactly."""
+    pool = selection_topk_oracle(ids, decoded, query, k * overfetch_factor)
+    if not rerank:
+        return pool[:k]
+    by_id = dict(zip(ids, vectors))
+    pool_ids = [a for a, _ in pool]
+    return selection_topk_oracle(pool_ids, [by_id[a] for a in pool_ids], query, k)
+
+
+def tie_at(scores, k):
+    """Whether the k-th and (k+1)-th best of ``scores`` are equal."""
+    ranked = sorted(scores, reverse=True)
+    return k < len(ranked) and ranked[k - 1] == ranked[k]
+
+
 def random_unit(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -46,6 +65,25 @@ def filled_index(rng, n, d, prefix="ad") -> AnnIndex:
     index = AnnIndex(d)
     for i, v in enumerate(random_unit(rng, n, d)):
         index.add(f"{prefix}{i:04d}", v)
+    return index
+
+
+# centroids that are exact in float32 and whose products with a query of
+# quarters are exact, so the oracle's ADC scores equal the index's bit for
+# bit; 4 codes per subspace put many distinct vectors on one ADC score
+GRID_CODEBOOKS = PqCodebooks(
+    np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, 0.5]]] * 2, dtype=np.float32)
+)
+
+
+def tied_index(rng, n=60, copies=12) -> AnnIndex:
+    """PQ index on GRID_CODEBOOKS holding exact duplicate vectors, which tie
+    on every query, filled in an order unrelated to id order."""
+    vectors = random_unit(rng, n - copies, 4)
+    vectors = np.concatenate([vectors, vectors[rng.integers(0, n - copies, size=copies)]])
+    index = AnnIndex(4, GRID_CODEBOOKS)
+    for i in rng.permutation(n):
+        index.add(f"ad{i:03d}", vectors[i])
     return index
 
 
@@ -85,18 +123,43 @@ class TestExactSearch:
 
     def test_matches_selection_oracle(self):
         rng = np.random.default_rng(3)
-        index = filled_index(rng, 64, 6)
-        snap_ids = index.ids()
-        vectors = [index.vector_for(i) for i in snap_ids]
-        for _ in range(10):
-            q = random_unit(rng, 1, 6)[0]
-            k = int(rng.integers(1, 12))
-            got = index.exact_topk(q, k)
-            want = selection_topk_oracle(snap_ids, vectors, q, k)
-            assert [g[0] for g in got] == [w[0] for w in want]
-            np.testing.assert_allclose(
-                [g[1] for g in got], [w[1] for w in want], atol=1e-12
-            )
+        for index in (filled_index(rng, 64, 6), tied_index(rng)):
+            snap_ids = index.ids()
+            vectors = [index.vector_for(i) for i in snap_ids]
+            d = index.dim
+            queries = [random_unit(rng, 1, d)[0] for _ in range(6)] + vectors[-4:]
+            for q in queries:
+                for k in (*rng.integers(1, 12, size=2), 40, len(snap_ids), 500):
+                    got = index.exact_topk(q, int(k))
+                    want = selection_topk_oracle(snap_ids, vectors, q, k)
+                    assert [g[0] for g in got] == [w[0] for w in want]
+                    np.testing.assert_allclose(
+                        [g[1] for g in got], [w[1] for w in want], atol=1e-12
+                    )
+
+    def test_pq_search_matches_oracle_with_ties(self):
+        rng = np.random.default_rng(23)
+        straddles = {"k": 0, "pool": 0}
+        for _ in range(4):
+            index = tied_index(rng)
+            ids = index.ids()
+            vectors = [index.vector_for(i) for i in ids]
+            decoded = pq_decode(index.codebooks, index._snap.codes)
+            n = len(ids)
+            # quarters keep every score exact; the zero query ties everything
+            queries = [rng.integers(-4, 5, size=4) / 4.0 for _ in range(5)] + [np.zeros(4)]
+            for q in queries:
+                adc = decoded @ q
+                exact = np.array(vectors) @ q
+                for k, factor in ((1, 1), (3, 2), (7, 1), (10, 4), (25, 3), (n, 1), (n + 5, 2)):
+                    straddles["k"] += tie_at(exact, k)
+                    straddles["pool"] += tie_at(adc, k * factor)
+                    for rerank in (True, False):
+                        got = index.pq_search(q, k, overfetch_factor=factor, rerank=rerank)
+                        want = pq_search_oracle(ids, vectors, decoded, q, k, factor, rerank)
+                        assert got == want
+        # the inputs did put exact ties across both cuts
+        assert straddles["k"] > 0 and straddles["pool"] > 0
 
 
 class TestAdds:
@@ -129,6 +192,37 @@ class TestAdds:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
             AnnIndex(3).add("z", np.zeros(3))
+        index = AnnIndex(3)
+        with pytest.raises(DegenerateVectorError):
+            index.add_many([("a", np.ones(3)), ("z", np.zeros(3))])
+        assert len(index) == 0
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_add_many_saves_same_bytes_as_sequential_adds(self, tmp_path, caplog, trained):
+        rng = np.random.default_rng(21)
+        codebooks = None
+        if trained:
+            codebooks = pq_train(random_unit(rng, 64, 8), 2, 16, 5, seed=1).codebooks
+        vectors = rng.normal(size=(60, 8))
+        # ids repeat within the batch and against the prefilled entries
+        pairs = [(f"ad{int(i):03d}", v) for i, v in zip(rng.integers(0, 35, size=60), vectors)]
+        saved = []
+        for batched in (False, True):
+            index = AnnIndex(8, codebooks)
+            for ad_id, v in pairs[:10]:
+                index.add(ad_id, v)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                if batched:
+                    index.add_many(pairs[10:])
+                else:
+                    for ad_id, v in pairs[10:]:
+                        index.add(ad_id, v)
+            path = tmp_path / f"{batched}.idx"
+            index.save(path)
+            saved.append((path.read_bytes(), caplog.text.count("replacing")))
+        assert saved[0] == saved[1]
+        assert saved[0][1] > 0
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +366,25 @@ class TestPqSearch:
 
 
 class TestConcurrentReads:
+    def test_search_during_retrain_reads_one_snapshot(self, monkeypatch):
+        rng = np.random.default_rng(78)
+        index = filled_index(rng, 60, 8)
+        index.train_pq(n_subspaces=2, n_centroids=16, iterations=5, seed=1)
+        q = random_unit(rng, 1, 8)[0]
+        before = index.pq_search(q, 5, rerank=False)
+        seen = []
+        encode = annindex.pq_encode
+
+        def search_then_encode(codebooks, vectors):
+            # a reader that runs after training, before the new codes exist
+            seen.append(index.pq_search(q, 5, rerank=False))
+            return encode(codebooks, vectors)
+
+        monkeypatch.setattr(annindex, "pq_encode", search_then_encode)
+        index.train_pq(n_subspaces=2, n_centroids=16, iterations=5, seed=2)
+        assert seen == [before]
+        assert index.pq_search(q, 5, rerank=False) != before
+
     def test_searches_never_see_torn_state_during_adds(self):
         import threading
 

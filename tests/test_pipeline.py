@@ -171,15 +171,21 @@ class TestPrerank:
         records, ads, vocab, model, ann, scorer, parts, rows, ads_by_id = self._setup(world)
         request = request_from_record(records[0], vocab, ENCODER.behavior_window)
         v_qu = model.qu_forward([request]).data[0]
-        victim = ads[3].item_id
-        rows = {a: i for a, i in rows.items() if a != victim}
-        candidates = {victim: Candidate(victim, {"keyword"})}
+        victims = [ads[i].item_id for i in (3, 9, 11)]
+        rows = {a: i for a, i in rows.items() if a not in victims}
+        served = victims + [ads[i].item_id for i in (4, 20)]
+        candidates = {a: Candidate(a, {"keyword"}) for a in served}
         with caplog.at_level(logging.WARNING):
             got = prerank(candidates, v_qu, scorer, rows, parts, model, ads_by_id, vocab, 5)
-        assert "missing" in caplog.text
+        # one warning per request, naming the miss count and the first ids
+        warnings = [r.getMessage() for r in caplog.records if "missing" in r.getMessage()]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("3 of 5 candidates")
+        assert all(a in warnings[0] for a in victims)
         ids_all, vectors = compute_ad_vectors(model, ads, vocab)
-        direct = scorer.score_direct(v_qu, vectors[ids_all.index(victim)][None, :])[0]
-        assert got[0].prerank_score == pytest.approx(direct, abs=1e-9)
+        direct = scorer.score_direct(v_qu, vectors[[ids_all.index(a) for a in served]])
+        scores = {c.ad_id: c.prerank_score for c in got}
+        assert [scores[a] for a in served] == pytest.approx(direct, abs=1e-9)
 
     def test_empty_candidates(self, world):
         records, ads, vocab, model, ann, scorer, parts, rows, ads_by_id = self._setup(world)
