@@ -21,26 +21,28 @@ and the codebooks they were encoded with. Writers (``add``, ``add_many``,
 concurrent readers never score codes against another snapshot's
 codebooks. Writers are not synchronized with each other: callers that
 write from several threads must serialize the writes.
+
+The index stores the vectors it is given and knows nothing of the model
+(``pipeline.build_exact_index`` encodes a catalog into it); index files
+use the checked framing of ``admatch.artifact``.
 """
 
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import artifact
 from .autodiff import DegenerateVectorError
-from .data import AdDescriptor, Vocabulary, ad_item_from_descriptor
-from .model import MatchingModel
 
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"ADMIDX01"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class PqTrainingError(ValueError):
@@ -395,102 +397,26 @@ class AnnIndex:
         return _hits(snap.ids, *_top_rows(snap.ids, pool, exact, k))
 
     # ------------------------------------------------------------------
-    # file format: little-endian header + codebooks + codes + vectors + ids
+    # file format: header (dim, M, K, count), codebooks, codes, vectors, ids
 
     def save(self, path: str | Path) -> None:
         snap = self._snap
         cb = snap.codebooks
-        has_pq = cb is not None
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IIIIQ",
-                    _FORMAT_VERSION,
-                    self.dim,
-                    cb.n_subspaces if has_pq else 0,
-                    cb.n_centroids if has_pq else 0,
-                    snap.size,
-                )
-            )
-            if has_pq:
-                fh.write(cb.centroids.astype("<f4").tobytes())
-                fh.write(snap.codes.tobytes())
-            fh.write(snap.vectors.astype("<f4").tobytes())
-            for ad_id in snap.ids:
-                raw = ad_id.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
+        pq = () if cb is None else (cb.centroids.astype(np.float32), snap.codes)
+        shape = (0, 0) if cb is None else (cb.n_subspaces, cb.n_centroids)
+        header = np.array((self.dim, *shape, snap.size), "<u8")
+        artifact.write(path, _MAGIC, _FORMAT_VERSION, (header, *pq, snap.vectors), snap.ids)
 
     @classmethod
     def load(cls, path: str | Path) -> "AnnIndex":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise ValueError(f"not an index file (magic {magic!r})")
-            version, dim, m_sub, k_cent, count = struct.unpack("<IIIIQ", fh.read(24))
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"unsupported index version {version}")
-            codebooks = None
-            codes = None
-            if m_sub:
-                sub = dim // m_sub
-                cb = np.frombuffer(
-                    fh.read(4 * m_sub * k_cent * sub), dtype="<f4"
-                ).reshape(m_sub, k_cent, sub)
-                codebooks = PqCodebooks(cb.copy())
-                codes = np.frombuffer(fh.read(count * m_sub), dtype=np.uint8).reshape(
-                    count, m_sub
-                ).copy()
-            vectors = np.frombuffer(fh.read(4 * count * dim), dtype="<f4").reshape(
-                count, dim
-            ).copy()
-            ids = []
-            for _ in range(count):
-                (length,) = struct.unpack("<I", fh.read(4))
-                ids.append(fh.read(length).decode("utf-8"))
+        frame = artifact.Reader(path, _MAGIC, _FORMAT_VERSION, "index")
+        dim, m_sub, k_cent, count = frame.array("<u8", (4,)).tolist()
+        codebooks = codes = None
+        if m_sub:
+            codebooks = PqCodebooks(frame.array("<f4", (m_sub, k_cent, dim // m_sub)))
+            codes = frame.array(np.uint8, (count, m_sub))
+        vectors = frame.array("<f4", (count, dim))
+        ids = frame.ids(count)
         index = cls(dim, codebooks)
         index._snap = _Snapshot(tuple(ids), vectors, codes, codebooks)
         return index
-
-
-# ----------------------------------------------------------------------
-# offline export
-
-
-def export_ad_vectors(
-    model: MatchingModel,
-    ads: Sequence[AdDescriptor],
-    vocab: Vocabulary,
-    batch_size: int = 512,
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Offline ad-tower inference: yields (ad_id, unit-norm vector).
-
-    Ads whose encoder output has zero norm are skipped with a warning;
-    the inner product against these normalized vectors equals cosine
-    against the raw tower outputs.
-    """
-    for lo in range(0, len(ads), batch_size):
-        chunk = ads[lo : lo + batch_size]
-        items = [ad_item_from_descriptor(a, vocab) for a in chunk]
-        raw = model.ad_forward(items).data
-        norms = np.linalg.norm(raw, axis=1)
-        for descriptor, row, norm in zip(chunk, raw, norms):
-            if norm == 0.0:
-                logger.warning(
-                    "skipping ad %s: degenerate zero-norm encoder output",
-                    descriptor.item_id,
-                )
-                continue
-            yield descriptor.item_id, row / norm
-
-
-def build_exact_index(
-    model: MatchingModel,
-    ads: Sequence[AdDescriptor],
-    vocab: Vocabulary,
-) -> AnnIndex:
-    """Export all ad vectors into a fresh exact-mode index."""
-    index = AnnIndex(model.config.d)
-    index.add_many(export_ad_vectors(model, ads, vocab))
-    return index

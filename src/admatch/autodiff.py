@@ -511,17 +511,6 @@ def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
     return out
 
 
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two 1-d vectors as a scalar tensor."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.data.shape != v.data.shape:
-        raise ShapeError(
-            f"cosine needs equal 1-d shapes, got {u.data.shape} x {v.data.shape}"
-        )
-    row = cosine_rows(reshape(u, (1, -1)), reshape(v, (1, -1)))
-    return reshape(row, ())
-
-
 @dataclass
 class ParamEntry:
     """One named parameter: value tensor, trainability, frozen rows."""

@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annindex import AnnIndex, build_exact_index
+from .annindex import AnnIndex
 from .data import (
     AdDescriptor,
     DatasetSplit,
     GeneratorConfig,
     PlantedOracle,
     Vocabulary,
-    ad_item_from_descriptor,
     build_vocab,
     generate_synthetic,
     make_instances,
@@ -46,6 +45,8 @@ from .evaluation import (
 from .model import EncoderConfig, MatchingModel, QueryRequest, PAD_BEHAVIOR, VARIANTS
 from .pipeline import (
     PipelineConfig,
+    build_exact_index,
+    compute_ad_vectors,
     precompute_ad_parts,
     load_ad_parts,
     save_ad_parts,
@@ -333,9 +334,8 @@ def _cmd_add_ad(args) -> int:
     if raw.startswith("@"):
         raw = Path(raw[1:]).read_text()
     descriptor = AdDescriptor(**json.loads(raw))
-    item = ad_item_from_descriptor(descriptor, vocab)
-    vector = model.ad_forward([item]).data[0]
-    index.add(descriptor.item_id, vector)
+    _, vectors = compute_ad_vectors(model, [descriptor], vocab)
+    index.add(descriptor.item_id, vectors[0])
     index.save(args.out)
     print(json.dumps({"ad_id": descriptor.item_id, "entries": len(index)}, sort_keys=True))
     return 0

@@ -1,5 +1,8 @@
-"""Two-stage matching simulator: multi-path retrieval, split pre-ranking,
-top-N selection, and log-derived metrics.
+"""Two-stage matching simulator: catalog encoding, multi-path retrieval,
+split pre-ranking, top-N selection, and log-derived metrics.
+
+``compute_ad_vectors`` is the one catalog encoder: the exported vector
+index, the ad-parts table and the split check all read its output.
 
 Retrieval unions an exact-match bidword lookup with the vector index;
 candidates carry their path provenance through pre-ranking into the
@@ -13,13 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import artifact
 from .data import (
     AdDescriptor,
     LogRecord,
@@ -29,6 +32,7 @@ from .data import (
     request_from_record,
 )
 from .annindex import AnnIndex
+from .autodiff import Tensor
 from .model import MatchingModel, apply_activation
 
 logger = logging.getLogger(__name__)
@@ -37,7 +41,7 @@ KEYWORD_PATH = "keyword"
 VECTOR_PATH = "vector"
 
 _PARTS_MAGIC = b"ADMPRT01"
-_PARTS_VERSION = 1
+_PARTS_VERSION = 2
 
 
 @dataclass
@@ -102,20 +106,10 @@ class PrerankScorer:
     def a_part(self, v_a: np.ndarray) -> np.ndarray:
         return v_a @ self.w_ad
 
-    def _finish(self, pre_activation: np.ndarray) -> np.ndarray:
-        hidden = apply_activation(self.activation, pre_activation)
+    def score_from_parts(self, q_part: np.ndarray, a_parts: np.ndarray) -> np.ndarray:
+        hidden = apply_activation(self.activation, q_part[None, :] + a_parts)
         logit = hidden @ self.w_out + self.b_out
         return 1.0 / (1.0 + np.exp(-logit))
-
-    def score_from_parts(self, q_part: np.ndarray, a_parts: np.ndarray) -> np.ndarray:
-        return self._finish(q_part[None, :] + a_parts)
-
-    def score_direct(self, v_qu: np.ndarray, v_a: np.ndarray) -> np.ndarray:
-        """Unsplit reference path over a [n x d] block of ad vectors."""
-        pre = np.concatenate(
-            [np.tile(v_qu, (v_a.shape[0], 1)), v_a], axis=1
-        ) @ np.concatenate([self.w_query, self.w_ad], axis=0) + self.bias
-        return self._finish(pre)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +132,27 @@ def compute_ad_vectors(
     return ids, matrix
 
 
+def build_exact_index(
+    model: MatchingModel, ads: Sequence[AdDescriptor], vocab: Vocabulary
+) -> AnnIndex:
+    """Export all ad vectors into a fresh exact-mode index.
+
+    Ads whose encoder output has zero norm are skipped with a warning;
+    the inner product against the stored unit vectors equals cosine
+    against the raw tower outputs.
+    """
+    ids, vectors = compute_ad_vectors(model, ads, vocab)
+    pairs = []
+    for ad_id, row, norm in zip(ids, vectors, np.linalg.norm(vectors, axis=1)):
+        if norm == 0.0:
+            logger.warning("skipping ad %s: degenerate zero-norm encoder output", ad_id)
+        else:
+            pairs.append((ad_id, row / norm))
+    index = AnnIndex(model.config.d)
+    index.add_many(pairs)
+    return index
+
+
 def precompute_ad_parts(
     model: MatchingModel, ads: Sequence[AdDescriptor], vocab: Vocabulary
 ) -> tuple[list[str], np.ndarray]:
@@ -148,32 +163,16 @@ def precompute_ad_parts(
 
 
 def save_ad_parts(ids: Sequence[str], parts: np.ndarray, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_PARTS_MAGIC)
-        fh.write(struct.pack("<IIQ", _PARTS_VERSION, parts.shape[1], len(ids)))
-        fh.write(parts.astype("<f8").tobytes())
-        for ad_id in ids:
-            raw = ad_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    header = np.array((parts.shape[1], len(ids)), "<u8")
+    arrays = (header, np.asarray(parts, "<f8"))
+    artifact.write(path, _PARTS_MAGIC, _PARTS_VERSION, arrays, ids)
 
 
 def load_ad_parts(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _PARTS_MAGIC:
-            raise ValueError(f"not an ad-parts file (magic {magic!r})")
-        version, width, count = struct.unpack("<IIQ", fh.read(16))
-        if version != _PARTS_VERSION:
-            raise ValueError(f"unsupported ad-parts version {version}")
-        parts = np.frombuffer(fh.read(8 * width * count), dtype="<f8").reshape(
-            count, width
-        ).copy()
-        ids = []
-        for _ in range(count):
-            (length,) = struct.unpack("<I", fh.read(4))
-            ids.append(fh.read(length).decode("utf-8"))
-    return ids, parts
+    frame = artifact.Reader(path, _PARTS_MAGIC, _PARTS_VERSION, "ad-parts")
+    width, count = frame.array("<u8", (2,)).tolist()
+    parts = frame.array("<f8", (count, width))
+    return frame.ids(count), parts
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +230,9 @@ def prerank(
     """Score candidates through the split path and keep the top N.
 
     The query partial is computed once per request. Candidates missing
-    from the precomputed ad-side table fall back to a full computation,
-    with one warning per request. Ties order by ascending ad id.
+    from the precomputed ad-side table are encoded together in one
+    fallback batch, with one warning per request. Ties order by ascending
+    ad id.
     """
     if not candidates:
         return []
@@ -252,9 +252,8 @@ def prerank(
             len(ordered),
             ", ".join(missing[:5]),
         )
-        for i, ad_id in zip(misses, missing):
-            item = ad_item_from_descriptor(ads_by_id[ad_id], vocab)
-            a_parts[i] = scorer.a_part(model.ad_forward([item]).data[0])
+        _, vectors = compute_ad_vectors(model, [ads_by_id[a] for a in missing], vocab)
+        a_parts[misses] = scorer.a_part(vectors)
     scores = scorer.score_from_parts(q_part, a_parts)
     for ad_id, score in zip(ordered, scores):
         candidates[ad_id].prerank_score = float(score)
@@ -330,24 +329,17 @@ def simulate(
 
     Clicks come from the planted oracle; each presented-and-clicked ad
     accrues its per-ad cost. When ``verify_split`` is on, every scored
-    candidate is also scored through the unsplit head and the maximum
-    absolute deviation is reported in the metrics.
+    candidate is also scored by the trained head, ``model.prerank_prob``,
+    and the maximum absolute deviation is reported in the metrics.
     """
     bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
     ads_by_id = {ad.item_id: ad for ad in ads}
     cost_by_id = {ad.item_id: ad.cost for ad in ads}
     scorer = PrerankScorer(model)
-    part_ids: Sequence[str]
-    if ad_parts is None:
-        part_ids, parts = precompute_ad_parts(model, ads, vocab)
-    else:
-        part_ids, parts = ad_parts
+    encoded = ads if config.verify_split or ad_parts is None else []
+    vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
+    part_ids, parts = (vector_ids, scorer.a_part(vectors)) if ad_parts is None else ad_parts
     part_rows = {ad_id: i for i, ad_id in enumerate(part_ids)}
-
-    vector_ids: list[str] = []
-    vectors = np.zeros((0, model.config.d))
-    if config.verify_split:
-        vector_ids, vectors = compute_ad_vectors(model, ads, vocab)
     vector_rows = {ad_id: i for i, ad_id in enumerate(vector_ids)}
 
     m = model.config.behavior_window
@@ -393,9 +385,11 @@ def simulate(
             ordered = sorted(candidates)
             rows = [vector_rows[a] for a in ordered if a in vector_rows]
             if len(rows) == len(ordered):
-                direct = scorer.score_direct(v_qu, vectors[rows])
+                head = model.prerank_prob(
+                    Tensor(np.tile(v_qu, (len(rows), 1))), Tensor(vectors[rows])
+                ).data
                 split = np.array([candidates[a].prerank_score for a in ordered])
-                split_dev = max(split_dev, float(np.abs(direct - split).max()))
+                split_dev = max(split_dev, float(np.abs(head - split).max()))
         if not selected:
             continue
         draws = rng.random(size=len(selected))

@@ -139,16 +139,20 @@ def _validation_aucs(
     instances: Sequence[ImpressionInstance],
     config: TrainConfig,
 ) -> tuple[float | None, float | None]:
-    from .evaluation import auc  # local import: evaluation harnesses import us
+    from .evaluation import UndefinedAucError, auc  # local: evaluation imports us
 
     if not instances:
         return None, None
     labels = np.array([i.label for i in instances])
     preds = model.predict(instances, gamma=config.gamma)
-    auc_r = (
-        auc(preds["retrieval"], labels) if config.mode != "SINGLE_PRERANK" else None
-    )
-    auc_p = auc(preds["prerank"], labels) if config.mode != "SINGLE_RETRIEVAL" else None
+    try:
+        auc_r = (
+            auc(preds["retrieval"], labels) if config.mode != "SINGLE_PRERANK" else None
+        )
+        auc_p = auc(preds["prerank"], labels) if config.mode != "SINGLE_RETRIEVAL" else None
+    except UndefinedAucError:
+        # a single-class validation set: no signal for either head
+        return None, None
     return auc_r, auc_p
 
 

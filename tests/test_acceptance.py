@@ -176,7 +176,7 @@ def test_criterion_2_split_identity(planted_small):
         data["validation"][:300],
         TrainConfig(batch_size=128, max_epochs=1, patience=1, seed=707),
     )
-    from admatch.annindex import build_exact_index
+    from admatch.pipeline import build_exact_index
 
     index = build_exact_index(result.model, data["ads"], data["vocab"])
     sim = simulate(
@@ -400,7 +400,7 @@ def test_criterion_8_vector_path_pr_lift(planted_small):
         data["validation"][:400],
         TrainConfig(batch_size=128, max_epochs=2, patience=2, seed=808),
     )
-    from admatch.annindex import build_exact_index
+    from admatch.pipeline import build_exact_index
 
     index = build_exact_index(result.model, data["ads"], data["vocab"])
     index.train_pq(n_subspaces=4, n_centroids=64, iterations=10, seed=808)

@@ -2,6 +2,10 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +15,11 @@ from admatch.annindex import (
     AnnIndex,
     PqCodebooks,
     PqTrainingError,
-    build_exact_index,
-    export_ad_vectors,
     pq_decode,
     pq_encode,
     pq_train,
 )
 from admatch.autodiff import DegenerateVectorError
-from admatch.data import GeneratorConfig, build_vocab, generate_synthetic
-from admatch.model import EncoderConfig, MatchingModel
 
 
 def selection_topk_oracle(ids, vectors, query, k):
@@ -452,68 +452,17 @@ class TestIndexFile:
             AnnIndex.load(path)
 
 
-@pytest.fixture(scope="module")
-def small_world():
-    cfg = GeneratorConfig(seed=33, n_users=20, days=2, n_items=120, n_categories=4)
-    records, ads, _ = generate_synthetic(cfg)
-    vocab = build_vocab(records, top_k=5000)
-    model = MatchingModel(
-        EncoderConfig(
-            item_dim=8, shop_dim=4, brand_dim=4, term_dim=8, profile_dim=4,
-            gru_hidden=8, attention_hidden=8, tower_dims=(12, 8), prerank_hidden=8,
-        ),
-        vocab.sizes,
-        seed=33,
-    )
-    return model, ads, vocab
-
-
-class TestExport:
-    def test_exported_vectors_unit_norm_and_deterministic(self, small_world):
-        model, ads, vocab = small_world
-        pairs = list(export_ad_vectors(model, ads, vocab))
-        again = list(export_ad_vectors(model, ads, vocab))
-        assert len(pairs) == len(ads)
-        for (ad_id, vec), (ad_id2, vec2) in zip(pairs, again):
-            assert ad_id == ad_id2
-            assert np.array_equal(vec, vec2)
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
-
-    def test_normalized_dot_equals_raw_cosine(self, small_world):
-        model, ads, vocab = small_world
-        from admatch.data import ad_item_from_descriptor
-
-        raw = model.ad_forward([ad_item_from_descriptor(a, vocab) for a in ads[:10]]).data
-        pairs = dict(list(export_ad_vectors(model, ads[:10], vocab)))
-        rng = np.random.default_rng(0)
-        q = rng.normal(size=model.config.d)
-        q_unit = q / np.linalg.norm(q)
-        for a, raw_row in zip(ads[:10], raw):
-            cos = float(np.dot(q, raw_row) / (np.linalg.norm(q) * np.linalg.norm(raw_row)))
-            dot = float(np.dot(q_unit, pairs[a.item_id]))
-            assert abs(cos - dot) < 1e-9
-
-    def test_degenerate_ad_skipped_with_warning(self, small_world, caplog):
-        model, ads, vocab = small_world
-        rigged = MatchingModel(
-            EncoderConfig(
-                item_dim=8, shop_dim=4, brand_dim=4, term_dim=8, profile_dim=4,
-                gru_hidden=8, attention_hidden=8, tower_dims=(12, 8), prerank_hidden=8,
-                activation="relu",
-            ),
-            vocab.sizes,
-            seed=33,
+class TestLayering:
+    def test_import_pulls_in_neither_model_nor_data(self):
+        # a fresh interpreter: this test process has imported everything
+        code = (
+            "import sys, admatch.annindex; "
+            "print(sorted({'admatch.model', 'admatch.data'} & set(sys.modules)))"
         )
-        names = rigged.tower_param_names("ad")
-        rigged.params[names[2]].data[...] = 0.0
-        rigged.params[names[3]].data[...] = -1.0
-        with caplog.at_level(logging.WARNING):
-            pairs = list(export_ad_vectors(rigged, ads[:5], vocab))
-        assert pairs == []
-        assert "zero-norm" in caplog.text
-
-    def test_build_exact_index(self, small_world):
-        model, ads, vocab = small_world
-        index = build_exact_index(model, ads, vocab)
-        assert len(index) == len(ads)
-        assert index.dim == model.config.d
+        src = str(Path(annindex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -5,9 +5,10 @@ import logging
 import numpy as np
 import pytest
 
-from admatch.annindex import build_exact_index
+from admatch.autodiff import Tensor
 from admatch.data import (
     GeneratorConfig,
+    ad_item_from_descriptor,
     build_vocab,
     generate_synthetic,
     request_from_record,
@@ -18,6 +19,7 @@ from admatch.pipeline import (
     Candidate,
     PipelineConfig,
     PrerankScorer,
+    build_exact_index,
     compute_ad_vectors,
     load_ad_parts,
     metrics_from_counts,
@@ -55,6 +57,19 @@ def world():
     index = build_exact_index(model, ads, vocab)
     index.train_pq(n_subspaces=4, n_centroids=32, iterations=10, seed=71)
     return records, ads, oracle, vocab, model, index
+
+
+def head_scores(model, v_qu, vectors):
+    """The trained pre-rank head on one query against [n x d] ad vectors."""
+    return model.prerank_prob(
+        Tensor(np.tile(v_qu, (len(vectors), 1))), Tensor(vectors)
+    ).data
+
+
+def stored_vectors(index):
+    """The index's stored vectors, read back through exact_topk on the basis."""
+    cols = [dict(index.exact_topk(e, len(index))) for e in np.eye(index.dim)]
+    return {a: np.array([col[a] for col in cols]) for a in index.ids()}
 
 
 class TestBidwordIndex:
@@ -154,7 +169,7 @@ class TestPrerank:
             candidates = {a: Candidate(a, {"vector"}) for a in ids}
             prerank(candidates, v_qu, scorer, rows, parts, model, ads_by_id, vocab, 10)
             split = np.array([candidates[a].prerank_score for a in ids])
-            direct = scorer.score_direct(v_qu, vectors)
+            direct = head_scores(model, v_qu, vectors)
             worst = max(worst, float(np.abs(split - direct).max()))
         assert worst < 1e-9
 
@@ -183,7 +198,7 @@ class TestPrerank:
         assert warnings[0].startswith("3 of 5 candidates")
         assert all(a in warnings[0] for a in victims)
         ids_all, vectors = compute_ad_vectors(model, ads, vocab)
-        direct = scorer.score_direct(v_qu, vectors[[ids_all.index(a) for a in served]])
+        direct = head_scores(model, v_qu, vectors[[ids_all.index(a) for a in served]])
         scores = {c.ad_id: c.prerank_score for c in got}
         assert [scores[a] for a in served] == pytest.approx(direct, abs=1e-9)
 
@@ -235,6 +250,75 @@ class TestAdParts:
         path.write_bytes(b"WRONGMAG" + b"\0" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_ad_parts(path)
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    cfg = GeneratorConfig(seed=33, n_users=20, days=2, n_items=120, n_categories=4)
+    records, ads, _ = generate_synthetic(cfg)
+    vocab = build_vocab(records, top_k=5000)
+    model = MatchingModel(
+        EncoderConfig(
+            item_dim=8, shop_dim=4, brand_dim=4, term_dim=8, profile_dim=4,
+            gru_hidden=8, attention_hidden=8, tower_dims=(12, 8), prerank_hidden=8,
+        ),
+        vocab.sizes,
+        seed=33,
+    )
+    return model, ads, vocab
+
+
+# the index stores float32: one rounding per component of a unit vector
+FLOAT32_TOL = 8 * np.finfo(np.float32).eps
+
+
+class TestExport:
+    def test_exported_vectors_unit_norm_and_deterministic(self, small_world):
+        model, ads, vocab = small_world
+        pairs = stored_vectors(build_exact_index(model, ads, vocab))
+        again = stored_vectors(build_exact_index(model, ads, vocab))
+        assert len(pairs) == len(ads)
+        assert list(pairs) == list(again) == [a.item_id for a in ads]
+        for ad_id, vec in pairs.items():
+            assert np.array_equal(vec, again[ad_id])
+            assert abs(np.linalg.norm(vec) - 1.0) < FLOAT32_TOL
+
+    def test_normalized_dot_equals_raw_cosine(self, small_world):
+        model, ads, vocab = small_world
+        raw = model.ad_forward([ad_item_from_descriptor(a, vocab) for a in ads[:10]]).data
+        index = build_exact_index(model, ads[:10], vocab)
+        rng = np.random.default_rng(0)
+        q = rng.normal(size=model.config.d)
+        q_unit = q / np.linalg.norm(q)
+        dots = dict(index.exact_topk(q_unit, len(index)))
+        for a, raw_row in zip(ads[:10], raw):
+            cos = float(np.dot(q, raw_row) / (np.linalg.norm(q) * np.linalg.norm(raw_row)))
+            assert abs(cos - dots[a.item_id]) < FLOAT32_TOL
+
+    def test_degenerate_ad_skipped_with_warning(self, small_world, caplog):
+        model, ads, vocab = small_world
+        rigged = MatchingModel(
+            EncoderConfig(
+                item_dim=8, shop_dim=4, brand_dim=4, term_dim=8, profile_dim=4,
+                gru_hidden=8, attention_hidden=8, tower_dims=(12, 8), prerank_hidden=8,
+                activation="relu",
+            ),
+            vocab.sizes,
+            seed=33,
+        )
+        names = rigged.tower_param_names("ad")
+        rigged.params[names[2]].data[...] = 0.0
+        rigged.params[names[3]].data[...] = -1.0
+        with caplog.at_level(logging.WARNING):
+            index = build_exact_index(rigged, ads[:5], vocab)
+        assert len(index) == 0
+        assert "zero-norm" in caplog.text
+
+    def test_build_exact_index(self, small_world):
+        model, ads, vocab = small_world
+        index = build_exact_index(model, ads, vocab)
+        assert len(index) == len(ads)
+        assert index.dim == model.config.d
 
 
 class TestMetrics:

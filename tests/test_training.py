@@ -169,6 +169,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(model, tr, va, cfg)
 
+    @pytest.mark.parametrize("mode", ["JOINT", "SINGLE_RETRIEVAL", "SINGLE_PRERANK"])
+    def test_single_class_validation_keeps_latest_parameters(self, small_sets, mode):
+        tr, va, _, sizes = small_sets
+        negatives = [i for i in va if i.label == 0][:64]
+        model = MatchingModel(SMALL_ENCODER, sizes, seed=12)
+        cfg = TrainConfig(batch_size=128, max_epochs=2, patience=1, mode=mode, seed=12)
+        result = train(model, tr[:256], negatives, cfg)
+        assert [(s.val_auc_retrieval, s.val_auc_prerank) for s in result.history] == [
+            (None, None),
+            (None, None),
+        ]
+        assert result.best_epoch == 2
+
     def test_empty_training_set_rejected(self, small_sets):
         _, va, _, sizes = small_sets
         model = MatchingModel(SMALL_ENCODER, sizes, seed=9)
