@@ -1,11 +1,12 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
 The op set is exactly what the matching model needs: matmul, broadcast
-arithmetic, activations, row softmax, embedding gathers, column
-concat/slice, reductions, row-wise cosine, and clipping. Every op
-computes its value eagerly with numpy; while a Tape is active it also
-records a closure that routes the output gradient back to its inputs.
-With no active tape, ops are plain forward evaluation (inference mode).
+arithmetic, activations, softmax over an axis, embedding gathers and
+padded segment sums, concatenation and slicing along an axis,
+reductions, row-wise cosine, and clipping. Every op computes its value
+eagerly with numpy; while a Tape is active it also records a closure
+that routes the output gradient back to its inputs. With no active
+tape, ops are plain forward evaluation (inference mode).
 
 All arithmetic is float64. Tapes are per-thread: distinct tapes may run
 concurrently over shared read-only parameter values, but gradient
@@ -82,7 +83,7 @@ class Tape:
                 f"backward root must be scalar, got shape {root.data.shape}"
             )
         self._spent = True
-        root._accumulate(np.ones_like(root.data))
+        root._accumulate(np.ones_like(root.data), fresh=True)
         for fn in reversed(self._records):
             fn()
         self._records.clear()
@@ -107,10 +108,18 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to the gradient; the first gradient is stored, not added.
+
+        ``fresh`` says no other tensor will ever accumulate into g's
+        memory: g is a new array, or a view of the gradient of a tensor
+        whose backward has already run. Such a g is kept as it is;
+        anything else (a shared array, a read-only broadcast) is copied.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -167,10 +176,11 @@ def add(a, b) -> Tensor:
         g = out.grad
         if g is None:
             return
+        # out is done, so one operand may keep g; the other takes a copy
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape), fresh=not a.requires_grad)
 
     _record(out, backward)
     return out
@@ -185,9 +195,9 @@ def sub(a, b) -> Tensor:
         if g is None:
             return
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
     _record(out, backward)
     return out
@@ -200,7 +210,7 @@ def neg(a) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and a.requires_grad:
-            a._accumulate(-g)
+            a._accumulate(-g, fresh=True)
 
     _record(out, backward)
     return out
@@ -215,9 +225,9 @@ def mul(a, b) -> Tensor:
         if g is None:
             return
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     _record(out, backward)
     return out
@@ -237,28 +247,28 @@ def matmul(a, b) -> Tensor:
         if g is None:
             return
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, fresh=True)
 
     _record(out, backward)
     return out
 
 
 def sigmoid(x) -> Tensor:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+    overflows; both branches share e = exp(-|x|)."""
     x = as_tensor(x)
     d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    y[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0, e)
+    y /= 1.0 + e
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g * y * (1.0 - y))
+            x._accumulate(g * y * (1.0 - y), fresh=True)
 
     _record(out, backward)
     return out
@@ -272,7 +282,7 @@ def tanh(x) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g * (1.0 - y * y))
+            x._accumulate(g * (1.0 - y * y), fresh=True)
 
     _record(out, backward)
     return out
@@ -285,25 +295,25 @@ def relu(x) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g * (x.data > 0))
+            x._accumulate(g * (x.data > 0), fresh=True)
 
     _record(out, backward)
     return out
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis, stabilized by a row-max subtraction."""
+def softmax(x, axis: int = -1) -> Tensor:
+    """Softmax over one axis, stabilized by subtracting the max along it."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - inner))
+            inner = (g * y).sum(axis=axis, keepdims=True)
+            x._accumulate(y * (g - inner), fresh=True)
 
     _record(out, backward)
     return out
@@ -316,7 +326,7 @@ def log(x) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g / x.data)
+            x._accumulate(g / x.data, fresh=True)
 
     _record(out, backward)
     return out
@@ -331,7 +341,7 @@ def clip(x, lo: float, hi: float) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * mask, fresh=True)
 
     _record(out, backward)
     return out
@@ -345,6 +355,20 @@ def sum_all(x) -> Tensor:
         g = out.grad
         if g is not None and x.requires_grad:
             x._accumulate(np.broadcast_to(g, x.data.shape))
+
+    _record(out, backward)
+    return out
+
+
+def sum_axis(x, axis: int) -> Tensor:
+    """Sum over one axis, which is dropped from the shape."""
+    x = as_tensor(x)
+    out = Tensor(x.data.sum(axis=axis), requires_grad=x.requires_grad)
+
+    def backward() -> None:
+        g = out.grad
+        if g is not None and x.requires_grad:
+            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     _record(out, backward)
     return out
@@ -373,65 +397,93 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def backward() -> None:
         g = out.grad
         if g is not None and x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
+            x._accumulate(g.reshape(x.data.shape), fresh=True)
 
     _record(out, backward)
     return out
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-d tensors along axis 1."""
+def _axis(ndim: int, axis: int) -> int:
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} out of range for {ndim} dimensions")
+    return axis % ndim
+
+
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Concatenate tensors along one axis; their other axes must match."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of an empty tensor list")
-    rows = tensors[0].data.shape[0]
+    first = tensors[0].data.shape
+    ax = _axis(len(first), axis)
     for t in tensors:
-        if t.data.ndim != 2 or t.data.shape[0] != rows:
+        shape = t.data.shape
+        if len(shape) != len(first) or shape[:ax] + shape[ax + 1 :] != (
+            first[:ax] + first[ax + 1 :]
+        ):
             raise ShapeError(
-                f"concat_cols needs 2-d tensors with {rows} rows, got {t.data.shape}"
+                f"concat along axis {axis} needs matching shapes, "
+                f"got {first} and {shape}"
             )
     out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=1),
+        np.concatenate([t.data for t in tensors], axis=ax),
         requires_grad=any(t.requires_grad for t in tensors),
     )
-    widths = [t.data.shape[1] for t in tensors]
+    sizes = [t.data.shape[ax] for t in tensors]
 
     def backward() -> None:
         g = out.grad
         if g is None:
             return
         offset = 0
-        for t, w in zip(tensors, widths):
+        for t, n in zip(tensors, sizes):
             if t.requires_grad:
-                t._accumulate(g[:, offset : offset + w])
-            offset += w
+                part = (slice(None),) * ax + (slice(offset, offset + n),)
+                t._accumulate(g[part], fresh=True)
+            offset += n
 
     _record(out, backward)
     return out
 
 
-def take_cols(x, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a 2-d tensor."""
+def take(x, start: int, stop: int, axis: int) -> Tensor:
+    """Entries [start, stop) along one axis."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_cols needs a 2-d tensor, got {x.data.shape}")
-    out = Tensor(x.data[:, start:stop].copy(), requires_grad=x.requires_grad)
+    index = (slice(None),) * _axis(x.data.ndim, axis) + (slice(start, stop),)
+    out = Tensor(x.data[index].copy(), requires_grad=x.requires_grad)
 
     def backward() -> None:
         g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        x._accumulate(full)
+        if g is not None and x.requires_grad:
+            # add into the slice in place, without a full-size temporary
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[index] += g
 
     _record(out, backward)
     return out
 
 
 def _check_ids(ids: np.ndarray, rows: int) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+    # numpy would wrap a negative id silently; viewed unsigned, it is huge
+    if ids.size and ids.view(np.uintp).max() >= rows:
         raise IndexError(f"row id out of range [0, {rows}) in embedding gather")
+
+
+def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """table.grad[idx[i]] += g[i] for every i, in order.
+
+    One 1-d ``np.add.at`` over flat element offsets: each element gets
+    the same additions in the same order as a row-wise scatter, so the
+    result is bit-identical to it, without the row-wise slow path.
+    """
+    if table.grad is None:
+        table.grad = np.zeros(table.data.shape)
+    elif not table.grad.flags.c_contiguous:
+        table.grad = np.ascontiguousarray(table.grad)  # so reshape is a view
+    width = table.data.shape[1]
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(table.grad.reshape(-1), flat, g.reshape(-1))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -444,39 +496,36 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def backward() -> None:
         g = out.grad
-        if g is None or not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if g is not None and table.requires_grad:
+            _scatter_rows(table, idx, g)
 
     _record(out, backward)
     return out
 
 
-def gather_sum(table: Tensor, id_lists: Sequence[Sequence[int]]) -> Tensor:
-    """Per-row sums of table rows: out[r] = sum(table[i] for i in id_lists[r]).
+def segment_sum(table: Tensor, ids) -> Tensor:
+    """Per-row sums of table rows over a zero-padded id array: for
+    [rows x L] ids, out[r] = sum(table[i] for i in ids[r] if i != 0).
 
-    Empty lists yield a zero row, which is how all-pad multivalued
-    features contribute nothing.
+    Id 0 is the pad id. Its slots add nothing and receive no gradient,
+    so variable-length lists padded to a common width L sum exactly their
+    own ids, and an all-pad row is a zero row. L may be 0.
     """
-    lengths = [len(lst) for lst in id_lists]
-    flat = np.fromiter(
-        (i for lst in id_lists for i in lst), dtype=np.intp, count=sum(lengths)
-    )
-    _check_ids(flat, table.data.shape[0])
-    owners = np.repeat(np.arange(len(id_lists), dtype=np.intp), lengths)
-    data = np.zeros((len(id_lists), table.data.shape[1]))
-    np.add.at(data, owners, table.data[flat])
-    out = Tensor(data, requires_grad=table.requires_grad)
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim != 2:
+        raise ShapeError(f"segment_sum needs [rows x L] ids, got shape {idx.shape}")
+    _check_ids(idx, table.data.shape[0])
+    slots = idx.T  # slot-major: the sum runs over contiguous [n x d] blocks
+    rows = table.data[slots]
+    rows[slots == 0] = 0.0
+    out = Tensor(rows.sum(axis=0), requires_grad=table.requires_grad)
 
     def backward() -> None:
         g = out.grad
         if g is None or not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, flat, g[owners])
+        real = slots != 0
+        _scatter_rows(table, slots[real], g[np.nonzero(real)[1]])
 
     _record(out, backward)
     return out
@@ -503,9 +552,11 @@ def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
         gcol = g[:, None]
         inv = (1.0 / (nu * nv))[:, None]
         if u.requires_grad:
-            u._accumulate(gcol * (v.data * inv - (c / (nu * nu))[:, None] * u.data))
+            gu = gcol * (v.data * inv - (c / (nu * nu))[:, None] * u.data)
+            u._accumulate(gu, fresh=True)
         if v.requires_grad:
-            v._accumulate(gcol * (u.data * inv - (c / (nv * nv))[:, None] * v.data))
+            gv = gcol * (u.data * inv - (c / (nv * nv))[:, None] * v.data)
+            v._accumulate(gv, fresh=True)
 
     _record(out, backward)
     return out

@@ -57,6 +57,8 @@ from .training import MODES, TrainConfig, train, write_history_csv
 
 logger = logging.getLogger(__name__)
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
 
 def _parse_config_file(path: str) -> dict[str, str]:
     overrides: dict[str, str] = {}
@@ -417,6 +419,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value defaults file (flags override)")
+        p.add_argument(
+            "--log-level",
+            choices=LOG_LEVELS,
+            help="threshold for admatch log messages (default: the root logger's)",
+        )
+        p.add_argument(
+            "--debug",
+            action="store_true",
+            help="re-raise errors with a traceback instead of a one-line message",
+        )
         p.set_defaults(func=func)
         registry[name] = p
         return p
@@ -546,9 +558,13 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
+    # NOTSET defers to the root logger, as if the flag did not exist
+    logging.getLogger("admatch").setLevel(args.log_level or logging.NOTSET)
     try:
         return args.func(args)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

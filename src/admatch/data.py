@@ -21,7 +21,7 @@ import datetime
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -60,6 +60,30 @@ class BehaviorEvent:
     title_terms: list[str]
     query_terms: list[str]
 
+    # explicit fields: dataclasses.asdict (a recursive deep copy) and
+    # **vars(...) cost several times more, and the generator and the JSONL
+    # writer call these once per event of every record
+
+    def copy(self) -> "BehaviorEvent":
+        return BehaviorEvent(
+            self.timestamp,
+            self.item_id,
+            self.shop_id,
+            self.brand_id,
+            list(self.title_terms),
+            list(self.query_terms),
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "timestamp": self.timestamp,
+            "item_id": self.item_id,
+            "shop_id": self.shop_id,
+            "brand_id": self.brand_id,
+            "title_terms": list(self.title_terms),
+            "query_terms": list(self.query_terms),
+        }
+
 
 @dataclass
 class AdDescriptor:
@@ -71,6 +95,16 @@ class AdDescriptor:
     title_terms: list[str]
     bid_keywords: list[str]
     cost: float
+
+    def to_dict(self) -> dict:
+        return {
+            "item_id": self.item_id,
+            "shop_id": self.shop_id,
+            "brand_id": self.brand_id,
+            "title_terms": list(self.title_terms),
+            "bid_keywords": list(self.bid_keywords),
+            "cost": self.cost,
+        }
 
 
 @dataclass
@@ -86,7 +120,15 @@ class LogRecord:
     day: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "user_id": self.user_id,
+            "timestamp": self.timestamp,
+            "query_terms": list(self.query_terms),
+            "behavior_items": [ev.to_dict() for ev in self.behavior_items],
+            "ad": self.ad.to_dict(),
+            "clicked": self.clicked,
+            "day": self.day,
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LogRecord":
@@ -115,7 +157,7 @@ def read_log_records(path: str | Path) -> list[LogRecord]:
 
 
 def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
-    write_jsonl((asdict(a) for a in ads), path)
+    write_jsonl(ads, path)
 
 
 def read_ads(path: str | Path) -> list[AdDescriptor]:
@@ -559,8 +601,7 @@ def generate_synthetic(
                         timestamp=ts,
                         query_terms=query_terms,
                         behavior_items=[
-                            BehaviorEvent(**asdict(ev))
-                            for ev in history[-cfg.history_len :]
+                            ev.copy() for ev in history[-cfg.history_len :]
                         ],
                         ad=_ad_descriptor(ad),
                         clicked=clicked,

@@ -6,13 +6,18 @@ layers to d-dimensional vectors. Head 1 scores retrieval relevance as
 sigmoid(gamma * cosine); head 2 scores pre-rank click probability with a
 small fully connected net over the concatenated tower outputs. Both heads
 train with binary cross-entropy, optionally blended into one joint loss.
+
+The towers read columnar id arrays (``RequestColumns``, ``AdColumns``,
+``InstanceBatch``), packed from the input dataclasses with every id
+validated once; the behavior encoder works on the whole window at once.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,6 +27,9 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 
 SPACES = ("item_id", "shop_id", "brand_id", "term_id", "profile_id")
+
+# the single-valued id spaces of a behavior or an ad, in packing order
+_ITEM_SHOP_BRAND = ("item_id", "shop_id", "brand_id")
 
 VARIANTS = (
     "DNN",
@@ -86,6 +94,57 @@ class ImpressionInstance:
     request: QueryRequest
     ad: AdItem
     label: int
+
+
+class _Columns:
+    """Equal-length columns; indexing selects the same rows from each."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, rows):
+        picked = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
+        return type(self)(**picked)
+
+
+@dataclass(frozen=True, eq=False)
+class RequestColumns(_Columns):
+    """Query-tower inputs of B requests as validated id arrays.
+
+    Id lists are zero-padded to the longest list in the pack (id 0 is
+    the pad id); the window arrays are [B x m], oldest step first.
+    """
+
+    query_terms: np.ndarray  # [B x Lq]
+    profile_ids: np.ndarray  # [B x Lp]
+    item_ids: np.ndarray  # [B x m]
+    shop_ids: np.ndarray  # [B x m]
+    brand_ids: np.ndarray  # [B x m]
+    title_terms: np.ndarray  # [B x m x Lt]
+    source_query_terms: np.ndarray  # [B x m x Ls]
+
+
+@dataclass(frozen=True, eq=False)
+class AdColumns(_Columns):
+    """Ad-tower inputs of B ads as validated id arrays."""
+
+    item_ids: np.ndarray  # [B]
+    shop_ids: np.ndarray  # [B]
+    brand_ids: np.ndarray  # [B]
+    title_terms: np.ndarray  # [B x La], zero-padded
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBatch(_Columns):
+    """Labeled instances in columnar form; made by ``MatchingModel.pack``.
+
+    Training packs its instance list once and indexes mini-batches out
+    of it, so no step rebuilds arrays from Python objects.
+    """
+
+    requests: RequestColumns
+    ads: AdColumns
+    labels: np.ndarray  # [B] float64, each 0 or 1
 
 
 @dataclass
@@ -240,7 +299,7 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("empty batch")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     return labels
 
@@ -264,6 +323,9 @@ class MatchingModel:
             raise ValueError(f"vocab_sizes missing spaces {missing}")
         self.config = config
         self.vocab_sizes = {s: int(vocab_sizes[s]) for s in SPACES}
+        self._item_shop_brand_sizes = np.array(
+            [[self.vocab_sizes[s]] for s in _ITEM_SHOP_BRAND], dtype=np.uintp
+        )
         if any(v < 1 for v in self.vocab_sizes.values()):
             raise ValueError("every space needs at least the pad row")
         self.params = ParamStore()
@@ -346,62 +408,124 @@ class MatchingModel:
         return (f"{prefix}1/W", f"{prefix}1/b", f"{prefix}2/W", f"{prefix}2/b")
 
     # ------------------------------------------------------------------
-    # embedding layer
+    # packing: Python objects -> validated columnar id arrays
 
-    def _validate_ids(self, space: str, ids: np.ndarray) -> None:
+    def _vocab_error(
+        self, space: str, column: str, ids: np.ndarray
+    ) -> VocabularyError:
         size = self.vocab_sizes[space]
-        if ids.size and (ids.min() < 0 or ids.max() >= size):
-            bad = int(ids.min() if ids.min() < 0 else ids.max())
-            raise VocabularyError(
-                f"id {bad} out of range for space '{space}' (vocab size {size})"
-            )
+        bad = ids[(ids < 0) | (ids >= size)][0]
+        return VocabularyError(
+            f"id {bad} out of range for space '{space}' (vocab size {size}) "
+            f"in column '{column}'"
+        )
 
-    def _embed_ids(self, space: str, ids: Sequence[int]) -> Tensor:
-        idx = np.asarray(ids, dtype=np.intp)
-        self._validate_ids(space, idx)
-        return ad.gather_rows(self.params[f"emb/{space}"], idx)
-
-    def _embed_id_lists(self, space: str, lists: Sequence[Sequence[int]]) -> Tensor:
-        flat = np.fromiter(
-            (i for lst in lists for i in lst),
+    def _item_shop_brand_ids(
+        self, owner: str, items: Sequence[BehaviorItem] | Sequence[AdItem]
+    ) -> np.ndarray:
+        """Checked [3 x n] item, shop and brand ids of behaviors or ads."""
+        ids = np.array(
+            [
+                [it.item_id for it in items],
+                [it.shop_id for it in items],
+                [it.brand_id for it in items],
+            ],
             dtype=np.intp,
-            count=sum(len(lst) for lst in lists),
+        ).reshape(3, len(items))
+        # viewed unsigned, a negative id is larger than any vocabulary size
+        bad = (ids.view(np.uintp) >= self._item_shop_brand_sizes).any(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            space = _ITEM_SHOP_BRAND[row]
+            raise self._vocab_error(space, f"{owner} {space}", ids[row])
+        return ids
+
+    def _padded_ids(
+        self, space: str, column: str, lists: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """[len(lists) x L] checked ids, each list left-aligned and padded
+        with the pad id 0 to the longest one's length L."""
+        n = len(lists)
+        width = max(map(len, lists), default=0)
+        flat = np.fromiter(chain.from_iterable(lists), np.intp)
+        if flat.size and flat.view(np.uintp).max() >= self.vocab_sizes[space]:
+            raise self._vocab_error(space, column, flat)
+        if flat.size == n * width:  # every list is full: nothing to pad
+            return flat.reshape(n, width)
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=n)
+        out = np.zeros((n, width), dtype=np.intp)
+        out[np.arange(width) < lengths[:, None]] = flat
+        return out
+
+    def _pack_requests(
+        self, requests: Sequence[QueryRequest] | RequestColumns
+    ) -> RequestColumns:
+        if isinstance(requests, RequestColumns):
+            return requests
+        m = self.config.behavior_window
+        for r in requests:
+            if len(r.behaviors) != m:
+                raise ValueError(
+                    f"request has {len(r.behaviors)} behavior slots, expected {m}"
+                )
+        n = len(requests)
+        behaviors = [b for r in requests for b in r.behaviors]
+        items, shops, brands = self._item_shop_brand_ids("behavior", behaviors)
+
+        def window_lists(column: str, lists) -> np.ndarray:
+            ids = self._padded_ids("term_id", column, lists)
+            return ids.reshape(n, m, ids.shape[1])
+
+        return RequestColumns(
+            query_terms=self._padded_ids(
+                "term_id", "query_term_ids", [r.query_term_ids for r in requests]
+            ),
+            profile_ids=self._padded_ids(
+                "profile_id", "profile_ids", [r.profile_ids for r in requests]
+            ),
+            item_ids=items.reshape(n, m),
+            shop_ids=shops.reshape(n, m),
+            brand_ids=brands.reshape(n, m),
+            title_terms=window_lists(
+                "behavior title_term_ids", [b.title_term_ids for b in behaviors]
+            ),
+            source_query_terms=window_lists(
+                "behavior query_term_ids", [b.query_term_ids for b in behaviors]
+            ),
         )
-        self._validate_ids(space, flat)
-        return ad.gather_sum(self.params[f"emb/{space}"], lists)
 
-    def _embed_behaviors_step(self, items: Sequence[BehaviorItem]) -> Tensor:
-        return ad.concat_cols(
-            [
-                self._embed_ids("item_id", [it.item_id for it in items]),
-                self._embed_ids("shop_id", [it.shop_id for it in items]),
-                self._embed_ids("brand_id", [it.brand_id for it in items]),
-                self._embed_id_lists("term_id", [it.title_term_ids for it in items]),
-                self._embed_id_lists("term_id", [it.query_term_ids for it in items]),
-            ]
+    def _pack_ads(self, ads: Sequence[AdItem] | AdColumns) -> AdColumns:
+        if isinstance(ads, AdColumns):
+            return ads
+        items, shops, brands = self._item_shop_brand_ids("ad", ads)
+        return AdColumns(
+            item_ids=items,
+            shop_ids=shops,
+            brand_ids=brands,
+            title_terms=self._padded_ids(
+                "term_id", "ad title_term_ids", [a.title_term_ids for a in ads]
+            ),
         )
 
-    def _embed_ads(self, ads: Sequence[AdItem]) -> Tensor:
-        return ad.concat_cols(
-            [
-                self._embed_ids("item_id", [a.item_id for a in ads]),
-                self._embed_ids("shop_id", [a.shop_id for a in ads]),
-                self._embed_ids("brand_id", [a.brand_id for a in ads]),
-                self._embed_id_lists("term_id", [a.title_term_ids for a in ads]),
-            ]
-        )
+    def pack(
+        self, instances: Sequence[ImpressionInstance] | InstanceBatch
+    ) -> InstanceBatch:
+        """Columnar batch of instances, every id and label validated once.
 
-    def embed_item(self, item: BehaviorItem | AdItem) -> Tensor:
-        """Concatenated per-space embedding of one item, as a 1-d tensor.
-
-        Multivalued spaces (title terms, source-query terms) are summed
-        before concatenation; pad ids contribute zero.
+        Raises VocabularyError naming the space and column of an id
+        outside its vocabulary. A packed batch is returned unchanged, so
+        every entry point below accepts either form.
         """
-        if isinstance(item, BehaviorItem):
-            row = self._embed_behaviors_step([item])
-        else:
-            row = self._embed_ads([item])
-        return ad.reshape(row, (-1,))
+        if isinstance(instances, InstanceBatch):
+            return instances
+        labels = np.array([i.label for i in instances], dtype=np.float64)
+        if labels.size:
+            _check_labels(labels)
+        return InstanceBatch(
+            requests=self._pack_requests([i.request for i in instances]),
+            ads=self._pack_ads([i.ad for i in instances]),
+            labels=labels,
+        )
 
     # ------------------------------------------------------------------
     # behavior-sequence encoders
@@ -409,77 +533,126 @@ class MatchingModel:
     def _act(self, x: Tensor) -> Tensor:
         return ad.relu(x) if self.config.activation == "relu" else ad.tanh(x)
 
-    def _gru_states(self, steps: Sequence[Tensor]) -> list[Tensor]:
+    def _embed_behaviors(self, req: RequestColumns, time_major: bool = True) -> Tensor:
+        """Embeddings of all m*B window slots in one gather or segment sum
+        per id space: [m*B x e_b], row t*B + b when time-major (so step t
+        is a contiguous row block), row b*m + t otherwise."""
         p = self.params
-        batch = steps[0].shape[0]
-        h = Tensor(np.zeros((batch, self.config.gru_hidden)))
-        states = []
-        for x in steps:
-            z = ad.sigmoid(x @ p["gru/Wz"] + h @ p["gru/Uz"] + p["gru/bz"])
-            r = ad.sigmoid(x @ p["gru/Wr"] + h @ p["gru/Ur"] + p["gru/br"])
-            n = ad.tanh(x @ p["gru/Wn"] + ad.mul(r, h) @ p["gru/Un"] + p["gru/bn"])
-            h = ad.add(ad.mul(1.0 - z, h), ad.mul(z, n))
+        rows = req.item_ids.size
+
+        def flat(ids: np.ndarray) -> np.ndarray:
+            # [B x m (x L)] -> [m*B (x L)]
+            ordered = ids.swapaxes(0, 1) if time_major else ids
+            return ordered.reshape(rows, *ids.shape[2:])
+
+        term = p["emb/term_id"]
+        return ad.concat(
+            [
+                ad.gather_rows(p["emb/item_id"], flat(req.item_ids)),
+                ad.gather_rows(p["emb/shop_id"], flat(req.shop_ids)),
+                ad.gather_rows(p["emb/brand_id"], flat(req.brand_ids)),
+                ad.segment_sum(term, flat(req.title_terms)),
+                ad.segment_sum(term, flat(req.source_query_terms)),
+            ],
+            axis=1,
+        )
+
+    def _embed_ads(self, ads: AdColumns) -> Tensor:
+        p = self.params
+        return ad.concat(
+            [
+                ad.gather_rows(p["emb/item_id"], ads.item_ids),
+                ad.gather_rows(p["emb/shop_id"], ads.shop_ids),
+                ad.gather_rows(p["emb/brand_id"], ads.brand_ids),
+                ad.segment_sum(p["emb/term_id"], ads.title_terms),
+            ],
+            axis=1,
+        )
+
+    def _gru_states(self, x: Tensor, batch: int) -> list[Tensor]:
+        """GRU states per step over time-major inputs x [m*B x e_b].
+
+        The input projections x@W + b run once for the whole window; only
+        the h@U recurrence runs per step. h starts at zero, so the first
+        step has no recurrent terms.
+        """
+        p = self.params
+        proj = {g: x @ p[f"gru/W{g}"] + p[f"gru/b{g}"] for g in ("z", "r", "n")}
+        states: list[Tensor] = []
+        h: Tensor | None = None
+        for t in range(x.shape[0] // batch):
+            rows = (t * batch, (t + 1) * batch)
+            xz = ad.take(proj["z"], *rows, axis=0)
+            xn = ad.take(proj["n"], *rows, axis=0)
+            if h is None:
+                h = ad.mul(ad.sigmoid(xz), ad.tanh(xn))
+            else:
+                xr = ad.take(proj["r"], *rows, axis=0)
+                z = ad.sigmoid(xz + h @ p["gru/Uz"])
+                r = ad.sigmoid(xr + h @ p["gru/Ur"])
+                n = ad.tanh(xn + ad.mul(r, h) @ p["gru/Un"])
+                # (1 - z) * h + z * n
+                h = ad.add(h, ad.mul(z, ad.sub(n, h)))
             states.append(h)
         return states
 
-    def attention_weights(self, states: Sequence[Tensor], query_emb: Tensor) -> Tensor:
+    def attention_weights(self, states: Tensor, query_emb: Tensor) -> Tensor:
         """Softmax credit over behavior states, keyed on the query embedding.
 
-        Each state is scored by a two-layer net on concat(state, query);
-        the returned [batch x m] weights are non-negative and sum to 1
-        per row.
+        ``states`` holds the m window steps time-major, [m*B x s]; each is
+        scored by a two-layer net on concat(state, query), computed as
+        state @ W1[:s] + (query @ W1[s:] + b1) so the query side runs once
+        per request. The returned [m x B] weights are non-negative and
+        each column sums to 1.
         """
         p = self.params
-        logits = []
-        for state in states:
-            x = ad.concat_cols([state, query_emb])
-            hidden = self._act(x @ p["attn/W1"] + p["attn/b1"])
-            logits.append(hidden @ p["attn/W2"])
-        return ad.softmax(ad.concat_cols(logits))
+        batch = query_emb.shape[0]
+        m = states.shape[0] // batch
+        s = states.shape[1]
+        w1 = p["attn/W1"]
+        state_part = ad.reshape(states @ ad.take(w1, 0, s, axis=0), (m, batch, -1))
+        query_part = query_emb @ ad.take(w1, s, w1.shape[0], axis=0) + p["attn/b1"]
+        hidden = self._act(ad.add(state_part, query_part))
+        logits = ad.reshape(hidden, (m * batch, -1)) @ p["attn/W2"]
+        return ad.softmax(ad.reshape(logits, (m, batch)), axis=0)
 
-    def _attentive_sum(self, states: Sequence[Tensor], query_emb: Tensor) -> Tensor:
+    def _attentive_sum(self, states: Tensor, query_emb: Tensor) -> Tensor:
         weights = self.attention_weights(states, query_emb)
-        total: Tensor | None = None
-        for t, state in enumerate(states):
-            term = ad.mul(ad.take_cols(weights, t, t + 1), state)
-            total = term if total is None else ad.add(total, term)
-        return total
+        m, batch = weights.shape
+        weighted = ad.mul(
+            ad.reshape(weights, (m, batch, 1)), ad.reshape(states, (m, batch, -1))
+        )
+        return ad.sum_axis(weighted, 0)
 
-    def _encode_behaviors(
-        self, requests: Sequence[QueryRequest], query_emb: Tensor
-    ) -> Tensor:
+    def _encode_behaviors(self, req: RequestColumns, query_emb: Tensor) -> Tensor:
         cfg = self.config
         m = cfg.behavior_window
-        for r in requests:
-            if len(r.behaviors) != m:
-                raise ValueError(
-                    f"request has {len(r.behaviors)} behavior slots, expected {m}"
-                )
-        steps = [
-            self._embed_behaviors_step([r.behaviors[t] for r in requests])
-            for t in range(m)
-        ]
+        batch = len(req)
+        if cfg.variant == "CONCATENATE_DNN":
+            # batch-major rows reshape straight into concat(step 1, ..., step m)
+            x = self._embed_behaviors(req, time_major=False)
+            stacked = ad.reshape(x, (batch, m * cfg.behavior_embed_dim))
+            return self._act(stacked @ self.params["concat/W"] + self.params["concat/b"])
+        x = self._embed_behaviors(req)
         if cfg.variant == "DNN":
-            total = steps[0]
-            for x in steps[1:]:
-                total = ad.add(total, x)
-            return ad.mul(total, 1.0 / m)
+            steps = ad.reshape(x, (m, batch, cfg.behavior_embed_dim))
+            return ad.mul(ad.sum_axis(steps, 0), 1.0 / m)
         if cfg.variant == "ATTENTION_DNN":
-            return self._attentive_sum(steps, query_emb)
+            return self._attentive_sum(x, query_emb)
+        states = self._gru_states(x, batch)
         if cfg.variant == "GRU_RNN":
-            return self._gru_states(steps)[-1]
-        if cfg.variant == "ATTENTION_GRU_RNN":
-            return self._attentive_sum(self._gru_states(steps), query_emb)
-        # CONCATENATE_DNN
-        stacked = ad.concat_cols(steps)
-        return self._act(stacked @ self.params["concat/W"] + self.params["concat/b"])
+            return states[-1]
+        return self._attentive_sum(ad.concat(states, axis=0), query_emb)
 
-    def encode_behaviors(self, requests: Sequence[QueryRequest]) -> Tensor:
+    def _query_embedding(self, req: RequestColumns) -> Tensor:
+        return ad.segment_sum(self.params["emb/term_id"], req.query_terms)
+
+    def encode_behaviors(
+        self, requests: Sequence[QueryRequest] | RequestColumns
+    ) -> Tensor:
         """Variant-dispatched behavior encoding h, one row per request."""
-        query_emb = self._embed_id_lists(
-            "term_id", [r.query_term_ids for r in requests]
-        )
-        return self._encode_behaviors(requests, query_emb)
+        req = self._pack_requests(requests)
+        return self._encode_behaviors(req, self._query_embedding(req))
 
     # ------------------------------------------------------------------
     # towers
@@ -488,26 +661,23 @@ class MatchingModel:
         w1, b1, w2, b2 = (self.params[n] for n in self.tower_param_names(side))
         return self._act(self._act(x @ w1 + b1) @ w2 + b2)
 
-    def qu_forward(self, requests: Sequence[QueryRequest]) -> Tensor:
+    def qu_forward(self, requests: Sequence[QueryRequest] | RequestColumns) -> Tensor:
         """Query-tower outputs V_qu, shape [batch x d]."""
-        if not requests:
+        if not len(requests):
             raise ValueError("empty request batch")
-        query_emb = self._embed_id_lists(
-            "term_id", [r.query_term_ids for r in requests]
-        )
-        profile_emb = self._embed_id_lists(
-            "profile_id", [r.profile_ids for r in requests]
-        )
-        h = self._encode_behaviors(requests, query_emb)
-        x = ad.concat_cols([query_emb, profile_emb, h])
+        req = self._pack_requests(requests)
+        query_emb = self._query_embedding(req)
+        profile_emb = ad.segment_sum(self.params["emb/profile_id"], req.profile_ids)
+        h = self._encode_behaviors(req, query_emb)
+        x = ad.concat([query_emb, profile_emb, h], axis=1)
         x = self._act(x @ self.params["qu_proj/W"] + self.params["qu_proj/b"])
         return self._tower(x, "qu")
 
-    def ad_forward(self, ads: Sequence[AdItem]) -> Tensor:
+    def ad_forward(self, ads: Sequence[AdItem] | AdColumns) -> Tensor:
         """Ad-tower outputs V_a, shape [batch x d]."""
-        if not ads:
+        if not len(ads):
             raise ValueError("empty ad batch")
-        x = self._embed_ads(ads)
+        x = self._embed_ads(self._pack_ads(ads))
         x = self._act(x @ self.params["ad_proj/W"] + self.params["ad_proj/b"])
         return self._tower(x, "ad")
 
@@ -532,7 +702,7 @@ class MatchingModel:
     def prerank_prob(self, v_qu: Tensor, v_a: Tensor) -> Tensor:
         """Click probability from the lightweight interaction net, per row."""
         p = self.params
-        x = ad.concat_cols([v_qu, v_a])
+        x = ad.concat([v_qu, v_a], axis=1)
         hidden = self._act(x @ p["prerank/W1"] + p["prerank/b1"])
         logit = hidden @ p["prerank/W2"] + p["prerank/b2"]
         return ad.sigmoid(ad.reshape(logit, (-1,)))
@@ -542,19 +712,19 @@ class MatchingModel:
         return _bce(self.prerank_prob(v_qu, v_a), labels)
 
     def towers_forward(
-        self, instances: Sequence[ImpressionInstance]
+        self, instances: Sequence[ImpressionInstance] | InstanceBatch
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         """One shared forward pass up to both tower outputs."""
-        if not instances:
+        if not len(instances):
             raise ValueError("empty batch")
-        v_qu = self.qu_forward([i.request for i in instances])
-        v_a = self.ad_forward([i.ad for i in instances])
-        labels = np.array([i.label for i in instances], dtype=np.float64)
-        return v_qu, v_a, labels
+        batch = self.pack(instances)
+        v_qu = self.qu_forward(batch.requests)
+        v_a = self.ad_forward(batch.ads)
+        return v_qu, v_a, batch.labels
 
     def joint_loss(
         self,
-        instances: Sequence[ImpressionInstance],
+        instances: Sequence[ImpressionInstance] | InstanceBatch,
         alpha: float | None = None,
         gamma: float | None = None,
     ) -> Tensor:
@@ -569,7 +739,7 @@ class MatchingModel:
 
     def loss_for_mode(
         self,
-        instances: Sequence[ImpressionInstance],
+        instances: Sequence[ImpressionInstance] | InstanceBatch,
         mode: str,
         alpha: float | None = None,
         gamma: float | None = None,
@@ -588,17 +758,18 @@ class MatchingModel:
 
     def predict(
         self,
-        instances: Sequence[ImpressionInstance],
+        instances: Sequence[ImpressionInstance] | InstanceBatch,
         gamma: float | None = None,
         batch_size: int = 512,
     ) -> dict[str, np.ndarray]:
         """Tape-free scores for both heads over a list of instances."""
+        batch = self.pack(instances)
         retrieval: list[np.ndarray] = []
         prerank: list[np.ndarray] = []
-        for lo in range(0, len(instances), batch_size):
-            chunk = instances[lo : lo + batch_size]
-            v_qu = self.qu_forward([i.request for i in chunk])
-            v_a = self.ad_forward([i.ad for i in chunk])
+        for lo in range(0, len(batch), batch_size):
+            chunk = batch[lo : lo + batch_size]
+            v_qu = self.qu_forward(chunk.requests)
+            v_a = self.ad_forward(chunk.ads)
             retrieval.append(self.retrieval_prob(v_qu, v_a, gamma).data)
             prerank.append(self.prerank_prob(v_qu, v_a).data)
         return {

@@ -3,7 +3,8 @@
 Training is bitwise reproducible: batch order is a seeded shuffle, one
 optimizer step runs per batch, and the best-validation checkpoint is
 restored at the end. Reserved pad embedding rows are pinned to zero
-through every step.
+through every step. The instance lists are packed into columnar batches
+once per call; each step slices its mini-batch out of the packed store.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape
-from .model import ImpressionInstance, MatchingModel
+from .model import ImpressionInstance, InstanceBatch, MatchingModel
 
 MODES = ("JOINT", "SINGLE_RETRIEVAL", "SINGLE_PRERANK")
 
@@ -136,15 +137,15 @@ def _selection_key(stats: EpochStats, mode: str):
 
 def _validation_aucs(
     model: MatchingModel,
-    instances: Sequence[ImpressionInstance],
+    batch: InstanceBatch,
     config: TrainConfig,
 ) -> tuple[float | None, float | None]:
     from .evaluation import UndefinedAucError, auc  # local: evaluation imports us
 
-    if not instances:
+    if not len(batch):
         return None, None
-    labels = np.array([i.label for i in instances])
-    preds = model.predict(instances, gamma=config.gamma)
+    labels = batch.labels
+    preds = model.predict(batch, gamma=config.gamma)
     try:
         auc_r = (
             auc(preds["retrieval"], labels) if config.mode != "SINGLE_PRERANK" else None
@@ -158,8 +159,8 @@ def _validation_aucs(
 
 def train(
     model: MatchingModel,
-    train_instances: Sequence[ImpressionInstance],
-    val_instances: Sequence[ImpressionInstance],
+    train_instances: Sequence[ImpressionInstance] | InstanceBatch,
+    val_instances: Sequence[ImpressionInstance] | InstanceBatch,
     config: TrainConfig,
 ) -> TrainResult:
     """Run seeded mini-batch training and restore the best checkpoint.
@@ -169,6 +170,8 @@ def train(
     """
     if not train_instances:
         raise ValueError("empty training set")
+    store = model.pack(train_instances)
+    val_batch = model.pack(val_instances)
     rng = np.random.default_rng(config.seed)
     optimizer = Adam.from_config(model.params, config)
     history: list[EpochStats] = []
@@ -176,18 +179,18 @@ def train(
     best_epoch = 0
     best_arrays = model.params.arrays()
     stale = 0
-    n = len(train_instances)
+    n = len(store)
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         batch_losses = []
         for lo in range(0, n, config.batch_size):
-            batch = [train_instances[i] for i in order[lo : lo + config.batch_size]]
+            batch = store[order[lo : lo + config.batch_size]]
             model.params.zero_grads()
             with Tape() as tape:
                 loss = model.loss_for_mode(batch, config.mode, config.alpha, config.gamma)
                 value = loss.item()
                 if not np.isfinite(value):
-                    positives = sum(i.label for i in batch)
+                    positives = int(batch.labels.sum())
                     raise TrainingDivergedError(
                         f"non-finite loss {value!r} at epoch {epoch}, batch "
                         f"offset {lo} (size {len(batch)}, positives {positives})"
@@ -195,7 +198,7 @@ def train(
                 tape.backward(loss)
             optimizer.step()
             batch_losses.append(value)
-        auc_r, auc_p = _validation_aucs(model, val_instances, config)
+        auc_r, auc_p = _validation_aucs(model, val_batch, config)
         stats = EpochStats(epoch, float(np.mean(batch_losses)), auc_r, auc_p)
         history.append(stats)
         key = _selection_key(stats, config.mode)

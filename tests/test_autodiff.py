@@ -1,5 +1,7 @@
 """Tensor op semantics and gradient correctness for the autodiff core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,24 @@ class TestActivations:
     def test_sigmoid_no_overflow(self):
         out = ad.sigmoid(Tensor([-1000.0, 1000.0]))
         assert np.isfinite(out.data).all()
+
+    def test_sigmoid_equals_two_branch_formula_bit_for_bit(self):
+        grid = np.array(
+            [0.0, -0.0, 1e3, -1e3, 1e-300, -1e-300, 1.0, -1.0, 36.7, -36.7, 745.2,
+             -745.2]
+        )
+        grid = np.concatenate([grid, np.linspace(-50.0, 50.0, 1001)])
+        pos = grid >= 0
+        expected = np.empty_like(grid)
+        with np.errstate(over="ignore"):
+            expected[pos] = 1.0 / (1.0 + np.exp(-grid[pos]))
+            e = np.exp(grid[~pos])
+            expected[~pos] = e / (1.0 + e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = ad.sigmoid(Tensor(grid)).data
+        assert got.tobytes() == expected.tobytes()
 
     def test_relu(self):
         out = ad.relu(Tensor([-1.0, 0.0, 2.5]))
@@ -202,6 +222,16 @@ class TestBackwardBasics:
         assert x.grad is None
 
 
+def _add_then_reuse_operands(s):
+    # both operands of the add get more gradient after the add's backward
+    # has run (from p, recorded earlier), so neither may share the other's
+    # gradient buffer
+    u, v = ad.tanh(s["a"]), ad.tanh(s["a2"])
+    p = ad.mul(u, v)
+    summed = ad.mul(ad.add(u, v), np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+    return ad.add(ad.sum_all(summed), ad.sum_all(p))
+
+
 def _op_cases():
     rng = np.random.default_rng(42)
 
@@ -210,6 +240,7 @@ def _op_cases():
 
     yield case("matmul", lambda s: ad.sum_all(ad.matmul(s["a"], s["b"])))
     yield case("add_broadcast", lambda s: ad.sum_all(ad.tanh(ad.add(s["a"], s["row"]))))
+    yield case("add_reused_operands", _add_then_reuse_operands)
     yield case("sub", lambda s: ad.sum_all(ad.sigmoid(ad.sub(s["a"], s["a2"]))))
     yield case("mul_broadcast", lambda s: ad.sum_all(ad.mul(s["a"], s["col"])))
     yield case("neg", lambda s: ad.sum_all(ad.neg(ad.tanh(s["a"]))))
@@ -217,6 +248,11 @@ def _op_cases():
     yield case("tanh", lambda s: ad.sum_all(ad.tanh(s["a"])))
     yield case("relu", lambda s: ad.sum_all(ad.relu(s["a"])))
     yield case("softmax", lambda s: ad.sum_all(ad.mul(ad.softmax(s["a"]), s["a2"])))
+    yield case(
+        "softmax_axis",
+        lambda s: ad.sum_all(ad.mul(ad.softmax(s["a"], axis=0), s["a2"])),
+    )
+    yield case("sum_axis", lambda s: ad.sum_all(ad.tanh(ad.sum_axis(s["a"], 0))))
     yield case("log", lambda s: ad.sum_all(ad.log(ad.add(ad.sigmoid(s["a"]), 0.5))))
     yield case("clip", lambda s: ad.sum_all(ad.clip(s["a"], -0.4, 0.4)))
     yield case("mean_all", lambda s: ad.mean_all(ad.mul(s["a"], s["a"])))
@@ -224,8 +260,23 @@ def _op_cases():
         "concat_take",
         lambda s: ad.sum_all(
             ad.mul(
-                ad.take_cols(ad.concat_cols([s["a"], s["a2"]]), 2, 6),
-                ad.concat_cols([s["a"], s["a2"]]).data[:, 2:6] * 0 + 1.5,
+                ad.take(ad.concat([s["a"], s["a2"]], axis=1), 2, 6, axis=1),
+                np.full((3, 4), 1.5),
+            )
+        ),
+    )
+    yield case(
+        "take_rows",
+        lambda s: ad.sum_all(ad.tanh(ad.take(ad.mul(s["a"], s["a2"]), 1, 3, axis=0))),
+    )
+    yield case(
+        "concat_rows",
+        lambda s: ad.sum_all(
+            ad.mul(
+                ad.tanh(
+                    ad.concat([s["a"], ad.reshape(s["row"], (1, 4)), s["a2"]], axis=0)
+                ),
+                np.linspace(-1.0, 1.0, 28).reshape(7, 4),
             )
         ),
     )
@@ -235,9 +286,9 @@ def _op_cases():
         lambda s: ad.sum_all(ad.tanh(ad.gather_rows(s["table"], [0, 2, 2, 1]))),
     )
     yield case(
-        "gather_sum",
+        "segment_sum",
         lambda s: ad.sum_all(
-            ad.tanh(ad.gather_sum(s["table"], [[0, 1], [], [2, 2, 1]]))
+            ad.tanh(ad.segment_sum(s["table"], [[3, 1, 0], [0, 0, 0], [2, 2, 1]]))
         ),
     )
     yield case(
@@ -303,18 +354,43 @@ class TestParamStore:
 
 
 class TestGatherOps:
-    def test_gather_sum_empty_list_is_zero_row(self):
+    def test_segment_sum_all_pad_row_is_zero_row(self):
+        # the pad row holds non-zero values here: pad slots must not read it
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        out = ad.gather_sum(table, [[], [1, 2]])
+        out = ad.segment_sum(table, [[0, 0], [1, 2]])
         np.testing.assert_array_equal(out.data[0], [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(out.data[1], table.data[1] + table.data[2])
+        assert ad.segment_sum(table, np.zeros((2, 0), dtype=int)).data.shape == (2, 3)
+
+    def test_segment_sum_pad_slots_get_no_gradient(self):
+        store = ParamStore()
+        store.add("table", np.ones((4, 2)))
+        store.zero_grads()
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.segment_sum(store["table"], [[0, 3], [3, 0]])))
+        np.testing.assert_array_equal(
+            store["table"].grad, [[0, 0], [0, 0], [0, 0], [2, 2]]
+        )
 
     def test_gather_rows_out_of_range(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         with pytest.raises(IndexError):
             ad.gather_rows(table, [0, 3])
         with pytest.raises(IndexError):
-            ad.gather_sum(table, [[-1]])
+            ad.segment_sum(table, [[-1]])
+
+    def test_gather_backward_equals_row_scatter_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        table = Tensor(rng.normal(size=(50, 16)), requires_grad=True)
+        table.grad = rng.normal(size=(50, 16))
+        ids = rng.integers(0, 50, size=768)
+        g = rng.normal(size=(768, 16))
+        expected = table.grad.copy()
+        np.add.at(expected, ids, g)
+        with Tape() as tape:
+            # d/d(rows) of sum(rows * g) is exactly g
+            tape.backward(ad.sum_all(ad.mul(ad.gather_rows(table, ids), g)))
+        assert table.grad.tobytes() == expected.tobytes()
 
     def test_repeated_ids_accumulate(self):
         store = ParamStore()

@@ -1,6 +1,7 @@
 """CLI behavior: determinism, the full recipe, config files, errors."""
 
 import json
+import logging
 
 import pytest
 
@@ -172,9 +173,40 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_debug_reraises_with_traceback(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="missing.jsonl"):
+            main([
+                "build-vocab", "--logs", str(tmp_path / "missing.jsonl"),
+                "--out", str(tmp_path / "v.tsv"), "--debug",
+            ])
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestLogLevel:
+    GEN_TINY = ["gen-data", "--users", "2", "--days", "1", "--items", "16"]
+
+    def admatch_records(self, caplog, tmp_path, *flags):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            assert main([*self.GEN_TINY, "--out-dir", str(tmp_path), *flags]) == 0
+        return [r for r in caplog.records if r.name.startswith("admatch")]
+
+    def test_default_leaves_info_messages_on(self, tmp_path, caplog):
+        records = self.admatch_records(caplog, tmp_path)
+        assert any(r.levelno == logging.INFO for r in records)
+
+    def test_warning_level_silences_info(self, tmp_path, caplog):
+        assert self.admatch_records(caplog, tmp_path, "--log-level", "WARNING") == []
+        # the threshold does not outlive the call
+        assert self.admatch_records(caplog, tmp_path)
+
+    def test_unknown_level_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.GEN_TINY, "--out-dir", str(tmp_path), "--log-level", "LOUD"])
+        assert exc.value.code == 2
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 """Model semantics: embeddings, encoders, heads, losses, checkpointing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from admatch import autodiff as ad
 from admatch.autodiff import DegenerateVectorError, Tape, Tensor, grad_check
 from admatch.model import (
     PAD_BEHAVIOR,
+    VARIANTS,
     AdItem,
     BehaviorItem,
     EncoderConfig,
@@ -88,18 +90,27 @@ def make_batch(rng, n, m=3):
     ]
 
 
+def embed_item(model, item):
+    """One item's embedding row through the towers' packing and embedding
+    path; a behavior fills every slot of a request's window."""
+    if isinstance(item, BehaviorItem):
+        req = QueryRequest((), (), (item,) * model.config.behavior_window)
+        return model._embed_behaviors(model._pack_requests([req])).data[-1]
+    return model._embed_ads(model._pack_ads([item])).data[0]
+
+
 class TestEmbedItem:
     def test_title_terms_summed(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
         table = model.params["emb/term_id"].data
         item = AdItem(item_id=1, shop_id=1, brand_id=1, title_term_ids=(2, 5))
-        out = model.embed_item(item).data
+        out = embed_item(model, item)
         title_slot = out[4 + 3 + 3 : 4 + 3 + 3 + 4]
         np.testing.assert_allclose(title_slot, table[2] + table[5], atol=0)
 
     def test_all_pad_behavior_is_zero(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
-        out = model.embed_item(PAD_BEHAVIOR).data
+        out = embed_item(model, PAD_BEHAVIOR)
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_random_item_matches_row_sum_oracle(self):
@@ -118,13 +129,13 @@ class TestEmbedItem:
                 p["emb/term_id"].data[7] + p["emb/term_id"].data[2],
             ]
         )
-        np.testing.assert_allclose(model.embed_item(item).data, expected, atol=0)
+        np.testing.assert_allclose(embed_item(model, item), expected, atol=0)
 
     def test_out_of_range_id_names_space(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
         bad = AdItem(item_id=99, shop_id=1, brand_id=1, title_term_ids=())
         with pytest.raises(VocabularyError, match="item_id"):
-            model.embed_item(bad)
+            embed_item(model, bad)
 
     def test_pad_rows_zero_after_init(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=3)
@@ -167,7 +178,7 @@ class TestEncoders:
         rng = np.random.default_rng(5)
         req = make_request(rng)
         h = model.encode_behaviors([req]).data[0]
-        embeds = [model.embed_item(b).data for b in req.behaviors]
+        embeds = [embed_item(model, b) for b in req.behaviors]
         np.testing.assert_allclose(h, np.mean(embeds, axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["DNN", "ATTENTION_DNN"])
@@ -176,7 +187,7 @@ class TestEncoders:
         b = BehaviorItem(2, 1, 3, (4, 5), (1,))
         req = QueryRequest((2, 3), (1,), (b, b, b))
         h = model.encode_behaviors([req]).data[0]
-        np.testing.assert_allclose(h, model.embed_item(b).data, atol=1e-12)
+        np.testing.assert_allclose(h, embed_item(model, b), atol=1e-12)
 
     def test_gru_matches_hand_unrolled_oracle(self):
         cfg = tiny_config(variant="GRU_RNN", behavior_window=2)
@@ -237,33 +248,31 @@ class TestEncoders:
 
 
 class TestAttention:
+    # states are stacked time-major, [m*B x s]; weights come back [m x B]
+
     def test_identical_states_give_uniform_weights(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=15)
-        state = Tensor(np.tile([[0.3, -0.2, 0.1, 0.4, 0.0]], (2, 1)))
+        state = np.tile([[0.3, -0.2, 0.1, 0.4, 0.0]], (2, 1))
         q = Tensor(np.ones((2, 4)) * 0.2)
-        w = model.attention_weights([state, state, state], q).data
-        np.testing.assert_allclose(w, np.full((2, 3), 1 / 3), atol=1e-12)
+        w = model.attention_weights(Tensor(np.concatenate([state] * 3)), q).data
+        np.testing.assert_allclose(w, np.full((3, 2), 1 / 3), atol=1e-12)
 
     def test_weights_sum_to_one_and_nonnegative(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=16)
         rng = np.random.default_rng(17)
-        states = [Tensor(rng.normal(size=(5, 5))) for _ in range(3)]
+        states = Tensor(np.concatenate([rng.normal(size=(5, 5)) for _ in range(3)]))
         q = Tensor(rng.normal(size=(5, 4)))
         w = model.attention_weights(states, q).data
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
         assert (w >= 0).all()
 
     def test_attentive_output_is_convex_combination(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=18)
         rng = np.random.default_rng(19)
-        reqs = [make_request(rng) for _ in range(3)]
-        q = model._embed_id_lists("term_id", [r.query_term_ids for r in reqs])
-        steps = [
-            model._embed_behaviors_step([r.behaviors[t] for r in reqs])
-            for t in range(3)
-        ]
-        states = model._gru_states(steps)
-        h = model._attentive_sum(states, q).data
+        reqs = model._pack_requests([make_request(rng) for _ in range(3)])
+        q = model._query_embedding(reqs)
+        states = model._gru_states(model._embed_behaviors(reqs), len(reqs))
+        h = model._attentive_sum(ad.concat(states, axis=0), q).data
         stacked = np.stack([s.data for s in states])
         assert (h >= stacked.min(axis=0) - 1e-12).all()
         assert (h <= stacked.max(axis=0) + 1e-12).all()
@@ -507,6 +516,88 @@ def test_joint_loss_grad_check_attentive_gru(share):
     batch = make_batch(rng, 4)
     err = grad_check(lambda s: model.joint_loss(batch), model.params, epsilon=1e-5)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize(
+    "variant", [v for v in VARIANTS if v != "ATTENTION_GRU_RNN"]
+)
+def test_joint_loss_grad_check_other_variants(variant):
+    model = MatchingModel(tiny_config(variant=variant), VOCAB, seed=46)
+    boost_embeddings(model)
+    rng = np.random.default_rng(47)
+    batch = make_batch(rng, 4)
+    err = grad_check(lambda s: model.joint_loss(batch), model.params, epsilon=1e-5)
+    assert err < 1e-4
+
+
+def _with_request(inst, **changes):
+    request = dataclasses.replace(inst.request, **changes)
+    return dataclasses.replace(inst, request=request)
+
+
+def _with_behavior(inst, **changes):
+    behaviors = list(inst.request.behaviors)
+    behaviors[-1] = dataclasses.replace(behaviors[-1], **changes)
+    return _with_request(inst, behaviors=tuple(behaviors))
+
+
+def _with_ad(inst, **changes):
+    return dataclasses.replace(inst, ad=dataclasses.replace(inst.ad, **changes))
+
+
+# (space the bad id belongs to, instance edit putting it in one column)
+BAD_ID_COLUMNS = {
+    "query_term_ids": ("term_id", lambda i, b: _with_request(i, query_term_ids=(1, b))),
+    "profile_ids": ("profile_id", lambda i, b: _with_request(i, profile_ids=(b,))),
+    "behavior item_id": ("item_id", lambda i, b: _with_behavior(i, item_id=b)),
+    "behavior shop_id": ("shop_id", lambda i, b: _with_behavior(i, shop_id=b)),
+    "behavior brand_id": ("brand_id", lambda i, b: _with_behavior(i, brand_id=b)),
+    "behavior title_term_ids": (
+        "term_id", lambda i, b: _with_behavior(i, title_term_ids=(b,))
+    ),
+    "behavior query_term_ids": (
+        "term_id", lambda i, b: _with_behavior(i, query_term_ids=(2, b))
+    ),
+    "ad item_id": ("item_id", lambda i, b: _with_ad(i, item_id=b)),
+    "ad shop_id": ("shop_id", lambda i, b: _with_ad(i, shop_id=b)),
+    "ad brand_id": ("brand_id", lambda i, b: _with_ad(i, brand_id=b)),
+    "ad title_term_ids": ("term_id", lambda i, b: _with_ad(i, title_term_ids=(b, 1))),
+}
+
+
+class TestPacking:
+    @pytest.mark.parametrize("column", list(BAD_ID_COLUMNS))
+    def test_out_of_range_id_names_space_at_packing(self, column):
+        model = MatchingModel(tiny_config(), VOCAB, seed=48)
+        space, edit = BAD_ID_COLUMNS[column]
+        rng = np.random.default_rng(49)
+        good = make_batch(rng, 3)
+        model.pack(good)
+        for bad in (VOCAB[space], -1):
+            batch = good[:1] + [edit(good[1], bad)] + good[2:]
+            with pytest.raises(VocabularyError, match=f"'{space}'.*'{column}'"):
+                model.pack(batch)
+
+    def test_sliced_batch_loss_equals_packing_the_slice(self):
+        model = MatchingModel(tiny_config(), VOCAB, seed=50)
+        rng = np.random.default_rng(51)
+        instances = make_batch(rng, 12)
+        store = model.pack(instances)
+        for rows in ([7, 2, 11], [0], list(range(12))[::-1], [5, 5, 3]):
+            sliced = model.joint_loss(store[np.array(rows)]).item()
+            direct = model.joint_loss([instances[r] for r in rows]).item()
+            assert sliced == direct
+
+    def test_packed_batch_passes_through(self):
+        model = MatchingModel(tiny_config(), VOCAB, seed=52)
+        store = model.pack(make_batch(np.random.default_rng(53), 4))
+        assert model.pack(store) is store
+
+    def test_bad_label_rejected_at_packing(self):
+        model = MatchingModel(tiny_config(), VOCAB, seed=54)
+        inst = make_batch(np.random.default_rng(55), 2)
+        with pytest.raises(ValueError, match="labels"):
+            model.pack([inst[0], dataclasses.replace(inst[1], label=2)])
 
 
 class TestCheckpoint:
