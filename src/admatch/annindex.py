@@ -268,14 +268,6 @@ class AnnIndex:
     def ids(self) -> tuple[str, ...]:
         return self._snap.ids
 
-    def vector_for(self, ad_id: str) -> np.ndarray:
-        snap = self._snap
-        try:
-            pos = snap.ids.index(ad_id)
-        except ValueError:
-            raise KeyError(f"ad {ad_id!r} not in index") from None
-        return snap.vectors[pos].astype(np.float64)
-
     def add(self, ad_id: str, vector: np.ndarray) -> None:
         """Normalize, store, and (when PQ is trained) encode one vector.
 

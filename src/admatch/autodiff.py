@@ -605,9 +605,6 @@ class ParamStore:
     def entry(self, name: str) -> ParamEntry:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -2,7 +2,8 @@
 
 Each subcommand is a thin orchestration of one module operation. All
 artifacts live at explicit paths, --seed is threaded everywhere, and a
-key=value config file can supply defaults (flags win). Logs go to
+key=value config file can supply defaults (flags win). A flag that fills
+a config dataclass takes its default from that dataclass. Logs go to
 stderr, data to files, machine-readable summaries to stdout.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,14 @@ from .evaluation import (
     sweep_table,
     sweep_to_csv,
 )
-from .model import EncoderConfig, MatchingModel, QueryRequest, PAD_BEHAVIOR, VARIANTS
+from .model import (
+    ACTIVATIONS,
+    PAD_BEHAVIOR,
+    VARIANTS,
+    EncoderConfig,
+    MatchingModel,
+    QueryRequest,
+)
 from .pipeline import (
     PipelineConfig,
     build_exact_index,
@@ -96,37 +105,45 @@ def _comma_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _flag_values(cls, args: argparse.Namespace) -> dict:
+    """The parsed flags named after fields of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    t1, d = (int(x) for x in _comma_list(args.tower_dims))
-    return EncoderConfig(
-        variant=args.variant,
-        behavior_window=args.behavior_window,
-        item_dim=args.item_dim,
-        shop_dim=args.shop_dim,
-        brand_dim=args.brand_dim,
-        term_dim=args.term_dim,
-        profile_dim=args.profile_dim,
-        gru_hidden=args.gru_hidden,
-        attention_hidden=args.attention_hidden,
-        tower_dims=(t1, d),
-        prerank_hidden=args.prerank_hidden,
-        share_tower=args.share_tower,
-        activation=args.activation,
-        gamma=args.gamma,
-        alpha=args.alpha,
-    )
+    values = _flag_values(EncoderConfig, args)
+    values["tower_dims"] = tuple(int(x) for x in _comma_list(args.tower_dims))
+    return EncoderConfig(**values)
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        mode=args.mode,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
+    return TrainConfig(**_flag_values(TrainConfig, args))
+
+
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
+    return GeneratorConfig(
         seed=args.seed,
+        n_users=args.users,
+        n_items=args.items,
+        n_categories=args.categories,
+        days=args.days,
+        impressions_per_user_day=args.impressions_per_user_day,
+        p_hi=args.p_hi,
+        p_lo=args.p_lo,
+        head_query_prob=args.head_query_prob,
+        confuser_prob=args.confuser_prob,
+    )
+
+
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    return PipelineConfig(
+        paths=tuple(_comma_list(args.paths)),
+        top_n=args.top_n,
+        k_vector=args.k_vector,
+        overfetch_factor=args.overfetch,
+        rerank=not args.no_rerank,
+        seed=args.seed,
+        verify_split=not args.no_verify_split,
     )
 
 
@@ -150,37 +167,43 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab", required=True, help="vocabulary TSV file")
     p.add_argument("--train-days", required=True, help="three comma-separated days")
     p.add_argument("--test-day", required=True, help="held-out test day")
-    p.add_argument("--validation-fraction", type=float, default=0.05)
+    p.add_argument(
+        "--validation-fraction", type=float, default=DatasetSplit.validation_fraction
+    )
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default="ATTENTION_GRU_RNN")
-    p.add_argument("--behavior-window", type=int, default=6)
-    p.add_argument("--item-dim", type=int, default=16)
-    p.add_argument("--shop-dim", type=int, default=8)
-    p.add_argument("--brand-dim", type=int, default=8)
-    p.add_argument("--term-dim", type=int, default=16)
-    p.add_argument("--profile-dim", type=int, default=8)
-    p.add_argument("--gru-hidden", type=int, default=32)
-    p.add_argument("--attention-hidden", type=int, default=32)
-    p.add_argument("--tower-dims", default="128,128", help="two widths, e.g. 128,128")
-    p.add_argument("--prerank-hidden", type=int, default=64)
+    p.add_argument("--variant", choices=VARIANTS, default=EncoderConfig.variant)
+    p.add_argument("--behavior-window", type=int, default=EncoderConfig.behavior_window)
+    p.add_argument("--item-dim", type=int, default=EncoderConfig.item_dim)
+    p.add_argument("--shop-dim", type=int, default=EncoderConfig.shop_dim)
+    p.add_argument("--brand-dim", type=int, default=EncoderConfig.brand_dim)
+    p.add_argument("--term-dim", type=int, default=EncoderConfig.term_dim)
+    p.add_argument("--profile-dim", type=int, default=EncoderConfig.profile_dim)
+    p.add_argument("--gru-hidden", type=int, default=EncoderConfig.gru_hidden)
+    p.add_argument("--attention-hidden", type=int, default=EncoderConfig.attention_hidden)
+    p.add_argument(
+        "--tower-dims",
+        default=",".join(map(str, EncoderConfig.tower_dims)),
+        help="two widths, e.g. 128,128",
+    )
+    p.add_argument("--prerank-hidden", type=int, default=EncoderConfig.prerank_hidden)
     share = p.add_mutually_exclusive_group()
     share.add_argument("--share-tower", dest="share_tower", action="store_true")
     share.add_argument("--no-share-tower", dest="share_tower", action="store_false")
-    p.set_defaults(share_tower=True)
-    p.add_argument("--activation", choices=("relu", "tanh"), default="tanh")
-    p.add_argument("--gamma", type=float, default=6.0)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.set_defaults(share_tower=EncoderConfig.share_tower)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=EncoderConfig.activation)
+    p.add_argument("--gamma", type=float, default=EncoderConfig.gamma)
+    p.add_argument("--alpha", type=float, default=EncoderConfig.alpha)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=MODES, default="JOINT")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--max-epochs", type=int, default=10)
-    p.add_argument("--patience", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +211,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        n_users=args.users,
-        n_items=args.items,
-        n_categories=args.categories,
-        days=args.days,
-        impressions_per_user_day=args.impressions_per_user_day,
-        p_hi=args.p_hi,
-        p_lo=args.p_lo,
-        head_query_prob=args.head_query_prob,
-        confuser_prob=args.confuser_prob,
-    )
-    records, ads, oracle = generate_synthetic(cfg)
+    records, ads, oracle = generate_synthetic(_generator_config(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(records, out / "logs.jsonl")
@@ -255,7 +266,7 @@ def _cmd_eval(args) -> int:
         )
     )
     instances = sets[args.split]
-    aucs = model_aucs(model, instances, gamma=model.config.gamma)
+    aucs = model_aucs(model, instances)
     payload = {"split": args.split, "instances": len(instances), **aucs}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True))
@@ -388,15 +399,7 @@ def _cmd_simulate(args) -> int:
     oracle = PlantedOracle.load(args.oracle)
     ann_index = AnnIndex.load(args.index) if args.index else None
     ad_parts = load_ad_parts(args.ad_parts) if args.ad_parts else None
-    config = PipelineConfig(
-        paths=tuple(_comma_list(args.paths)),
-        top_n=args.top_n,
-        k_vector=args.k_vector,
-        overfetch_factor=args.overfetch,
-        rerank=not args.no_rerank,
-        seed=args.seed,
-        verify_split=not args.no_verify_split,
-    )
+    config = _pipeline_config(args)
     result = simulate(records, model, vocab, ann_index, ads, oracle, config, ad_parts)
     write_simulation(result, args.out_dir)
     print(json.dumps(result.metrics, sort_keys=True))
@@ -435,16 +438,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub("gen-data", _cmd_gen_data, "generate synthetic impression logs")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--users", type=int, default=400)
-    p.add_argument("--items", type=int, default=600)
-    p.add_argument("--categories", type=int, default=8)
-    p.add_argument("--days", type=int, default=4)
-    p.add_argument("--impressions-per-user-day", type=int, default=12)
-    p.add_argument("--p-hi", type=float, default=0.6)
-    p.add_argument("--p-lo", type=float, default=0.05)
-    p.add_argument("--head-query-prob", type=float, default=0.3)
-    p.add_argument("--confuser-prob", type=float, default=0.35)
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
+    p.add_argument("--users", type=int, default=GeneratorConfig.n_users)
+    p.add_argument("--items", type=int, default=GeneratorConfig.n_items)
+    p.add_argument("--categories", type=int, default=GeneratorConfig.n_categories)
+    p.add_argument("--days", type=int, default=GeneratorConfig.days)
+    p.add_argument(
+        "--impressions-per-user-day",
+        type=int,
+        default=GeneratorConfig.impressions_per_user_day,
+    )
+    p.add_argument("--p-hi", type=float, default=GeneratorConfig.p_hi)
+    p.add_argument("--p-lo", type=float, default=GeneratorConfig.p_lo)
+    p.add_argument("--head-query-prob", type=float, default=GeneratorConfig.head_query_prob)
+    p.add_argument("--confuser-prob", type=float, default=GeneratorConfig.confuser_prob)
 
     p = sub("build-vocab", _cmd_build_vocab, "build token vocabularies from logs")
     p.add_argument("--logs", required=True)
@@ -527,13 +534,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--index")
     p.add_argument("--ad-parts")
     p.add_argument("--days", help="restrict the replay to these days")
-    p.add_argument("--paths", default="keyword,vector")
-    p.add_argument("--top-n", type=int, default=200)
-    p.add_argument("--k-vector", type=int, default=500)
-    p.add_argument("--overfetch", type=int, default=10)
+    p.add_argument("--paths", default=",".join(PipelineConfig.paths))
+    p.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
+    p.add_argument("--k-vector", type=int, default=PipelineConfig.k_vector)
+    p.add_argument("--overfetch", type=int, default=PipelineConfig.overfetch_factor)
     p.add_argument("--no-rerank", action="store_true")
     p.add_argument("--no-verify-split", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out-dir", required=True)
 
     return parser, registry

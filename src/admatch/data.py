@@ -524,13 +524,6 @@ def _ad_descriptor(item: dict) -> AdDescriptor:
     )
 
 
-def ad_catalog(cfg: GeneratorConfig) -> list[AdDescriptor]:
-    """The full ad repository of the synthetic world (every item)."""
-    rng = np.random.default_rng(cfg.seed)
-    world = _build_world(cfg, rng)
-    return [_ad_descriptor(item) for item in world.items]
-
-
 def generate_synthetic(
     cfg: GeneratorConfig,
 ) -> tuple[list[LogRecord], list[AdDescriptor], PlantedOracle]:

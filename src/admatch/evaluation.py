@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EncoderConfig, ImpressionInstance, MatchingModel, VARIANTS
+from .model import EncoderConfig, ImpressionInstance, InstanceBatch, MatchingModel, VARIANTS
 
 
 class UndefinedAucError(ValueError):
@@ -58,9 +58,6 @@ class PredictionStats:
     minimum: float
     maximum: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.mean, self.variance, self.minimum, self.maximum)
-
 
 def prediction_stats(values) -> PredictionStats:
     values = np.asarray(values, dtype=np.float64)
@@ -75,18 +72,35 @@ def prediction_stats(values) -> PredictionStats:
     )
 
 
+def head_aucs(
+    model: MatchingModel,
+    instances: Sequence[ImpressionInstance] | InstanceBatch,
+    mode: str = "JOINT",
+    gamma: float | None = None,
+) -> tuple[dict[str, np.ndarray], dict[str, float | None]]:
+    """Both heads' predictions, and the AUC of each head ``mode`` trains.
+
+    A head the mode does not train gets None. Raises UndefinedAucError
+    when the instances hold a single class.
+    """
+    batch = model.pack(instances)
+    preds = model.predict(batch, gamma=gamma)
+    trained = {"retrieval": mode != "SINGLE_PRERANK", "prerank": mode != "SINGLE_RETRIEVAL"}
+    aucs = {
+        head: auc(scores, batch.labels) if trained[head] else None
+        for head, scores in preds.items()
+    }
+    return preds, aucs
+
+
 def model_aucs(
     model: MatchingModel,
     instances: Sequence[ImpressionInstance],
     gamma: float | None = None,
 ) -> dict[str, float]:
     """Test AUC of both heads on a labeled instance set."""
-    labels = np.array([i.label for i in instances])
-    preds = model.predict(instances, gamma=gamma)
-    return {
-        "retrieval_auc": auc(preds["retrieval"], labels),
-        "prerank_auc": auc(preds["prerank"], labels),
-    }
+    _, aucs = head_aucs(model, instances, gamma=gamma)
+    return {"retrieval_auc": aucs["retrieval"], "prerank_auc": aucs["prerank"]}
 
 
 # ----------------------------------------------------------------------
@@ -112,12 +126,14 @@ def gamma_sweep(
     """Train one model per gamma under identical seeds and data.
 
     Each row reports the retrieval-head prediction statistics and AUC on
-    the test set.
+    the test set. The training mode must train the retrieval head.
     """
     from .training import train
 
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma values must be positive")
+    if train_config.mode == "SINGLE_PRERANK":
+        raise ValueError("a gamma sweep needs a mode that trains the retrieval head")
     rows = []
     for gamma in gammas:
         model = MatchingModel(
@@ -125,15 +141,13 @@ def gamma_sweep(
             vocab_sizes,
             seed=train_config.seed,
         )
-        cfg = replace(train_config, gamma=float(gamma))
-        result = train(model, train_instances, val_instances, cfg)
-        preds = result.model.predict(test_instances, gamma=float(gamma))["retrieval"]
-        labels = np.array([i.label for i in test_instances])
+        result = train(model, train_instances, val_instances, train_config)
+        preds, aucs = head_aucs(result.model, test_instances, train_config.mode)
         rows.append(
             GammaSweepRow(
                 gamma=float(gamma),
-                stats=prediction_stats(preds),
-                auc=auc(preds, labels),
+                stats=prediction_stats(preds["retrieval"]),
+                auc=aucs["retrieval"],
             )
         )
     return rows
@@ -200,18 +214,12 @@ def ablation_suite(
     under one seed/data regime, and flag the directional orderings."""
     from .training import train
 
-    test_labels = np.array([i.label for i in test_instances])
-
     def run(cfg: EncoderConfig, mode: str) -> AblationRow:
         model = MatchingModel(cfg, vocab_sizes, seed=train_config.seed)
-        tcfg = replace(train_config, mode=mode, gamma=cfg.gamma, alpha=cfg.alpha)
+        tcfg = replace(train_config, mode=mode)
         result = train(model, train_instances, val_instances, tcfg)
-        preds = result.model.predict(test_instances, gamma=cfg.gamma)
-        auc_r = (
-            auc(preds["retrieval"], test_labels) if mode != "SINGLE_PRERANK" else None
-        )
-        auc_p = auc(preds["prerank"], test_labels) if mode != "SINGLE_RETRIEVAL" else None
-        return AblationRow(label="", retrieval_auc=auc_r, prerank_auc=auc_p)
+        _, aucs = head_aucs(result.model, test_instances, mode)
+        return AblationRow("", aucs["retrieval"], aucs["prerank"])
 
     variant_rows = []
     by_variant: dict[str, AblationRow] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -154,7 +154,8 @@ class EncoderConfig:
     The behavior-sequence encoder variant, all layer widths, the tower
     activation, the retrieval sharpness ``gamma`` and the joint-loss
     blend ``alpha`` are config knobs; ``tower_dims`` ends in the common
-    output dimension d of both towers.
+    output dimension d of both towers. This is the one home of alpha and
+    gamma: training, evaluation and serving all read them from here.
     """
 
     variant: str = "ATTENTION_GRU_RNN"
@@ -226,32 +227,6 @@ class EncoderConfig:
         if self.variant in ("DNN", "ATTENTION_DNN"):
             return self.behavior_embed_dim
         return self.gru_hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "behavior_window": self.behavior_window,
-            "item_dim": self.item_dim,
-            "shop_dim": self.shop_dim,
-            "brand_dim": self.brand_dim,
-            "term_dim": self.term_dim,
-            "profile_dim": self.profile_dim,
-            "gru_hidden": self.gru_hidden,
-            "attention_hidden": self.attention_hidden,
-            "tower_dims": list(self.tower_dims),
-            "prerank_hidden": self.prerank_hidden,
-            "share_tower": self.share_tower,
-            "activation": self.activation,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "EncoderConfig":
-        kwargs = dict(payload)
-        if "tower_dims" in kwargs:
-            kwargs["tower_dims"] = tuple(kwargs["tower_dims"])
-        return cls(**kwargs)
 
 
 def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
@@ -647,13 +622,6 @@ class MatchingModel:
     def _query_embedding(self, req: RequestColumns) -> Tensor:
         return ad.segment_sum(self.params["emb/term_id"], req.query_terms)
 
-    def encode_behaviors(
-        self, requests: Sequence[QueryRequest] | RequestColumns
-    ) -> Tensor:
-        """Variant-dispatched behavior encoding h, one row per request."""
-        req = self._pack_requests(requests)
-        return self._encode_behaviors(req, self._query_embedding(req))
-
     # ------------------------------------------------------------------
     # towers
 
@@ -793,7 +761,7 @@ class MatchingModel:
             }
         payload = {
             "format_version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab_sizes": self.vocab_sizes,
             "params": params,
         }
@@ -805,7 +773,7 @@ class MatchingModel:
         version = payload.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
-        config = EncoderConfig.from_dict(payload["config"])
+        config = EncoderConfig(**payload["config"])
         model = cls(config, payload["vocab_sizes"], seed=0)
         arrays = {}
         for name, entry in payload["params"].items():

@@ -334,7 +334,6 @@ def simulate(
     """
     bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
     ads_by_id = {ad.item_id: ad for ad in ads}
-    cost_by_id = {ad.item_id: ad.cost for ad in ads}
     scorer = PrerankScorer(model)
     encoded = ads if config.verify_split or ad_parts is None else []
     vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
@@ -398,7 +397,7 @@ def simulate(
             was_clicked = int(draw < p_click)
             presents += 1
             clicks += was_clicked
-            ad_cost = cost_by_id[cand.ad_id]
+            ad_cost = ads_by_id[cand.ad_id].cost
             if was_clicked:
                 cost_total += ad_cost
             impressions.append(

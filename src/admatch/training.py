@@ -28,12 +28,11 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Optimization knobs; alpha/gamma here override the model config."""
+    """Optimization knobs. The loss blend alpha and the retrieval
+    sharpness gamma are the model's: ``EncoderConfig`` holds them."""
 
     batch_size: int = 128
     mode: str = "JOINT"
-    alpha: float = 0.5
-    gamma: float = 6.0
     learning_rate: float = 3e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -136,25 +135,16 @@ def _selection_key(stats: EpochStats, mode: str):
 
 
 def _validation_aucs(
-    model: MatchingModel,
-    batch: InstanceBatch,
-    config: TrainConfig,
+    model: MatchingModel, batch: InstanceBatch, mode: str
 ) -> tuple[float | None, float | None]:
-    from .evaluation import UndefinedAucError, auc  # local: evaluation imports us
+    from .evaluation import UndefinedAucError, head_aucs  # local: evaluation imports us
 
-    if not len(batch):
-        return None, None
-    labels = batch.labels
-    preds = model.predict(batch, gamma=config.gamma)
     try:
-        auc_r = (
-            auc(preds["retrieval"], labels) if config.mode != "SINGLE_PRERANK" else None
-        )
-        auc_p = auc(preds["prerank"], labels) if config.mode != "SINGLE_RETRIEVAL" else None
+        _, aucs = head_aucs(model, batch, mode)
     except UndefinedAucError:
-        # a single-class validation set: no signal for either head
+        # an empty or single-class validation set: no signal for either head
         return None, None
-    return auc_r, auc_p
+    return aucs["retrieval"], aucs["prerank"]
 
 
 def train(
@@ -165,7 +155,8 @@ def train(
 ) -> TrainResult:
     """Run seeded mini-batch training and restore the best checkpoint.
 
-    Raises TrainingDivergedError with batch diagnostics if the loss
+    The loss and the validation AUCs use the model config's alpha and
+    gamma. Raises TrainingDivergedError with batch diagnostics if the loss
     becomes non-finite.
     """
     if not train_instances:
@@ -187,7 +178,7 @@ def train(
             batch = store[order[lo : lo + config.batch_size]]
             model.params.zero_grads()
             with Tape() as tape:
-                loss = model.loss_for_mode(batch, config.mode, config.alpha, config.gamma)
+                loss = model.loss_for_mode(batch, config.mode)
                 value = loss.item()
                 if not np.isfinite(value):
                     positives = int(batch.labels.sum())
@@ -198,7 +189,7 @@ def train(
                 tape.backward(loss)
             optimizer.step()
             batch_losses.append(value)
-        auc_r, auc_p = _validation_aucs(model, val_batch, config)
+        auc_r, auc_p = _validation_aucs(model, val_batch, config.mode)
         stats = EpochStats(epoch, float(np.mean(batch_losses)), auc_r, auc_p)
         history.append(stats)
         key = _selection_key(stats, config.mode)

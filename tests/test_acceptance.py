@@ -343,7 +343,7 @@ def test_criterion_6_directional_orderings(planted_50k):
         )
         cfg = TrainConfig(batch_size=128, max_epochs=8, patience=2, seed=606)
         result = train(model, data["train"], data["validation"], cfg)
-        results[label] = model_aucs(result.model, data["test"], gamma=cfg.gamma)
+        results[label] = model_aucs(result.model, data["test"], gamma=model.config.gamma)
     att = results["attentive"]["retrieval_auc"]
     dnn = results["dnn"]["retrieval_auc"]
     non_share = results["attentive-non-share"]["retrieval_auc"]

@@ -22,6 +22,13 @@ from admatch.annindex import (
 from admatch.autodiff import DegenerateVectorError
 
 
+def stored_vectors(index):
+    """Every stored vector by ad id, read back through ``exact_topk``: the
+    basis query e_j scores each ad with its j-th component."""
+    columns = [dict(index.exact_topk(e, len(index))) for e in np.eye(index.dim)]
+    return {ad_id: np.array([col[ad_id] for col in columns]) for ad_id in index.ids()}
+
+
 def selection_topk_oracle(ids, vectors, query, k):
     """Independent O(nK) top-k: repeated scan for the best remaining."""
     scores = {i: float(np.dot(v, query)) for i, v in zip(ids, vectors)}
@@ -91,7 +98,7 @@ class TestExactSearch:
     def test_stored_vector_ranks_first_with_unit_score(self):
         rng = np.random.default_rng(1)
         index = filled_index(rng, 30, 8)
-        target = index.vector_for("ad0007")
+        target = stored_vectors(index)["ad0007"]
         top = index.exact_topk(target, 3)
         assert top[0][0] == "ad0007"
         assert top[0][1] == pytest.approx(1.0, abs=1e-6)
@@ -125,7 +132,8 @@ class TestExactSearch:
         rng = np.random.default_rng(3)
         for index in (filled_index(rng, 64, 6), tied_index(rng)):
             snap_ids = index.ids()
-            vectors = [index.vector_for(i) for i in snap_ids]
+            stored = stored_vectors(index)
+            vectors = [stored[i] for i in snap_ids]
             d = index.dim
             queries = [random_unit(rng, 1, d)[0] for _ in range(6)] + vectors[-4:]
             for q in queries:
@@ -143,7 +151,8 @@ class TestExactSearch:
         for _ in range(4):
             index = tied_index(rng)
             ids = index.ids()
-            vectors = [index.vector_for(i) for i in ids]
+            stored = stored_vectors(index)
+            vectors = [stored[i] for i in ids]
             decoded = pq_decode(index.codebooks, index._snap.codes)
             n = len(ids)
             # quarters keep every score exact; the zero query ties everything

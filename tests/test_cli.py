@@ -5,7 +5,12 @@ import logging
 
 import pytest
 
+from admatch import cli
 from admatch.cli import main
+from admatch.data import GeneratorConfig
+from admatch.model import EncoderConfig
+from admatch.pipeline import PipelineConfig
+from admatch.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -209,7 +214,49 @@ class TestLogLevel:
         assert exc.value.code == 2
 
 
+def parsed_defaults(subparser):
+    """A subcommand's parsed flags when only its required ones are given."""
+    argv = []
+    for action in subparser._actions:
+        if action.required:
+            argv += [action.option_strings[0], "x"]
+    return subparser.parse_args(argv)
+
+
+MODEL_CONFIGS = [(cli._encoder_config, EncoderConfig), (cli._train_config, TrainConfig)]
+
+
+class TestDefaults:
+    CONFIGS = {
+        "gen-data": [(cli._generator_config, GeneratorConfig)],
+        "train": MODEL_CONFIGS,
+        "gamma-sweep": MODEL_CONFIGS,
+        "ablation": MODEL_CONFIGS,
+        "simulate": [(cli._pipeline_config, PipelineConfig)],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        _, registry = cli.build_parser()
+        args = parsed_defaults(registry[command])
+        for build, config_class in self.CONFIGS[command]:
+            assert build(args) == config_class()
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("raw, expected", [("false", False), ("true", True)])
+    def test_share_tower_key(self, tmp_path, monkeypatch, raw, expected):
+        built = []
+        monkeypatch.setattr(
+            cli, "_cmd_train", lambda args: built.append(cli._encoder_config(args)) or 0
+        )
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"share-tower = {raw}\n")
+        argv = ["train", "--config", str(cfg), "--logs", "x", "--vocab", "x", *SPLIT,
+                "--checkpoint-out", "x"]
+        assert main(argv) == 0
+        assert [c.share_tower for c in built] == [expected]
+
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("users = 7\nseed = 3\ndays = 2\nimpressions-per-user-day = 2\n")

@@ -15,7 +15,6 @@ from admatch.data import (
     LogRecord,
     PlantedOracle,
     Vocabulary,
-    ad_catalog,
     build_vocab,
     generate_synthetic,
     make_instances,
@@ -269,8 +268,12 @@ class TestGenerator:
 
     def test_ad_catalog_matches_generated_ads(self):
         cfg = GeneratorConfig(seed=9, n_users=5, days=1)
-        _, ads, _ = generate_synthetic(cfg)
-        assert ad_catalog(cfg) == ads
+        records, ads, oracle = generate_synthetic(cfg)
+        # one ad per item of the world, and every logged ad is one of them
+        assert [a.item_id for a in ads] == list(oracle.item_categories)
+        assert len(ads) == cfg.n_items
+        by_id = {a.item_id: a for a in ads}
+        assert all(by_id[r.ad.item_id] == r.ad for r in records)
 
     def test_oracle_click_prob(self):
         cfg = GeneratorConfig(seed=10, n_users=5, days=1)

@@ -98,7 +98,8 @@ class TestPredictionStats:
             prediction_stats([])
 
     def test_tuple_shape(self):
-        assert prediction_stats([1.0]).as_tuple() == (1.0, 0.0, 1.0, 1.0)
+        s = prediction_stats([1.0])
+        assert (s.mean, s.variance, s.minimum, s.maximum) == (1.0, 0.0, 1.0, 1.0)
 
 
 SMALL_ENCODER = EncoderConfig(
@@ -141,7 +142,7 @@ class TestGammaSweep:
         from dataclasses import replace
 
         model = MatchingModel(replace(SMALL_ENCODER, gamma=6.0), sizes, seed=3)
-        result = train(model, tr, va, replace(tcfg, gamma=6.0))
+        result = train(model, tr, va, tcfg)
         preds = result.model.predict(te, gamma=6.0)["retrieval"]
         labels = np.array([i.label for i in te])
         assert rows[0].auc == auc(preds, labels)
@@ -157,6 +158,12 @@ class TestGammaSweep:
         tr, va, te, sizes = small_data
         with pytest.raises(ValueError):
             gamma_sweep(tr, va, te, sizes, SMALL_ENCODER, TrainConfig(), [0.0])
+
+    def test_rejects_mode_without_retrieval_head(self, small_data):
+        tr, va, te, sizes = small_data
+        tcfg = TrainConfig(mode="SINGLE_PRERANK")
+        with pytest.raises(ValueError, match="retrieval head"):
+            gamma_sweep(tr, va, te, sizes, SMALL_ENCODER, tcfg, [1.0, 6.0])
 
     def test_csv_and_table_output(self, tmp_path):
         rows = [

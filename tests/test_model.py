@@ -1,6 +1,7 @@
 """Model semantics: embeddings, encoders, heads, losses, checkpointing."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ def embed_item(model, item):
     return model._embed_ads(model._pack_ads([item])).data[0]
 
 
+def encode_behaviors(model, requests):
+    """Behavior encodings h, one row per request, packed and encoded as
+    the query tower does it."""
+    req = model._pack_requests(requests)
+    return model._encode_behaviors(req, model._query_embedding(req))
+
+
 class TestEmbedItem:
     def test_title_terms_summed(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
@@ -177,7 +185,7 @@ class TestEncoders:
         model = MatchingModel(tiny_config(variant="DNN"), VOCAB, seed=4)
         rng = np.random.default_rng(5)
         req = make_request(rng)
-        h = model.encode_behaviors([req]).data[0]
+        h = encode_behaviors(model, [req]).data[0]
         embeds = [embed_item(model, b) for b in req.behaviors]
         np.testing.assert_allclose(h, np.mean(embeds, axis=0), atol=1e-12)
 
@@ -186,7 +194,7 @@ class TestEncoders:
         model = MatchingModel(tiny_config(variant=variant), VOCAB, seed=6)
         b = BehaviorItem(2, 1, 3, (4, 5), (1,))
         req = QueryRequest((2, 3), (1,), (b, b, b))
-        h = model.encode_behaviors([req]).data[0]
+        h = encode_behaviors(model, [req]).data[0]
         np.testing.assert_allclose(h, embed_item(model, b), atol=1e-12)
 
     def test_gru_matches_hand_unrolled_oracle(self):
@@ -197,7 +205,7 @@ class TestEncoders:
         arrays = {name: e.value.data for name, e in model.params.items()}
         xs = [embed_oracle(arrays, b) for b in req.behaviors]
         expected = gru_oracle(arrays, xs, cfg.gru_hidden)[-1]
-        got = model.encode_behaviors([req]).data[0]
+        got = encode_behaviors(model, [req]).data[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_attentive_gru_matches_hand_unrolled_oracle(self):
@@ -218,7 +226,7 @@ class TestEncoders:
         e = np.exp(logits - logits.max())
         w = e / e.sum()
         expected = w[0] * states[0] + w[1] * states[1]
-        got = model.encode_behaviors([req]).data[0]
+        got = encode_behaviors(model, [req]).data[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_concatenate_dnn_shape_and_determinism(self):
@@ -226,8 +234,8 @@ class TestEncoders:
         model = MatchingModel(cfg, VOCAB, seed=11)
         rng = np.random.default_rng(12)
         req = make_request(rng)
-        h1 = model.encode_behaviors([req]).data
-        h2 = model.encode_behaviors([req]).data
+        h1 = encode_behaviors(model, [req]).data
+        h2 = encode_behaviors(model, [req]).data
         assert h1.shape == (1, cfg.gru_hidden)
         np.testing.assert_array_equal(h1, h2)
 
@@ -235,16 +243,16 @@ class TestEncoders:
         model = MatchingModel(tiny_config(), VOCAB, seed=13)
         rng = np.random.default_rng(14)
         reqs = [make_request(rng) for _ in range(4)]
-        batched = model.encode_behaviors(reqs).data
+        batched = encode_behaviors(model, reqs).data
         for i, r in enumerate(reqs):
-            single = model.encode_behaviors([r]).data[0]
+            single = encode_behaviors(model, [r]).data[0]
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     def test_wrong_window_length_rejected(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=13)
         req = QueryRequest((1,), (), (PAD_BEHAVIOR,))
         with pytest.raises(ValueError, match="behavior slots"):
-            model.encode_behaviors([req])
+            encode_behaviors(model, [req])
 
 
 class TestAttention:
@@ -652,4 +660,5 @@ class TestConfigValidation:
 
     def test_round_trips_through_dict(self):
         cfg = tiny_config(variant="GRU_RNN", share_tower=False, activation="tanh")
-        assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+        payload = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert EncoderConfig(**payload) == cfg

@@ -104,7 +104,10 @@ class TestRetrieve:
         _, ads, _, _, model, ann = world
         bidx = BidwordIndex.build(ads)
         target = ads[0]
-        query_vector = ann.vector_for(target.item_id)
+        # the target's stored vector, one basis query per component
+        query_vector = np.array(
+            [dict(ann.exact_topk(e, len(ann)))[target.item_id] for e in np.eye(ann.dim)]
+        )
         got = retrieve(
             target.bid_keywords[0], query_vector, bidx, ann, k_vector=len(ann)
         )

@@ -1,5 +1,7 @@
 """Optimizer behavior, training-loop reproducibility, and mode semantics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestTrainLoop:
         assert 1 <= result.best_epoch <= 3
         best = result.history[result.best_epoch - 1]
         labels = np.array([i.label for i in va])
-        preds = result.model.predict(va, gamma=cfg.gamma)
+        preds = result.model.predict(va)
         assert auc(preds["prerank"], labels) == best.val_auc_prerank
         assert auc(preds["retrieval"], labels) == best.val_auc_retrieval
         write_history_csv(result.history, tmp_path / "history.csv")
@@ -227,21 +229,29 @@ class TestModeSemantics:
         for name, entry in joint.params.items():
             assert np.array_equal(entry.value.data, single.params[name].data), name
 
-    def test_single_prerank_ignores_gamma(self, small_sets, tmp_path):
+    def test_single_prerank_ignores_gamma(self, small_sets):
         tr, va, _, sizes = small_sets
+        cfg = TrainConfig(
+            batch_size=128, max_epochs=2, patience=5, seed=13, mode="SINGLE_PRERANK"
+        )
         outs = []
         for gamma in (1.0, 9.0):
-            model = MatchingModel(SMALL_ENCODER, sizes, seed=13)
-            cfg = TrainConfig(
-                batch_size=128, max_epochs=2, patience=5, seed=13,
-                mode="SINGLE_PRERANK", gamma=gamma,
-            )
+            model = MatchingModel(replace(SMALL_ENCODER, gamma=gamma), sizes, seed=13)
             result = train(model, tr[:512], va[:128], cfg)
-            path = tmp_path / f"g{gamma}.json"
-            result.model.save(path)
-            outs.append(path.read_bytes())
+            outs.append(result.model.params.arrays())
             assert all(s.val_auc_retrieval is None for s in result.history)
-        assert outs[0] == outs[1]
+        assert outs[0].keys() == outs[1].keys()
+        for name, array in outs[0].items():
+            assert np.array_equal(array, outs[1][name]), name
+
+    def test_joint_training_follows_the_model_gamma(self, small_sets):
+        tr, va, _, sizes = small_sets
+        cfg = TrainConfig(batch_size=128, max_epochs=1, patience=5, seed=14)
+        outs = []
+        for gamma in (1.0, 9.0):
+            model = MatchingModel(replace(SMALL_ENCODER, gamma=gamma), sizes, seed=14)
+            outs.append(train(model, tr[:512], va[:128], cfg).model.params.arrays())
+        assert any(not np.array_equal(array, outs[1][name]) for name, array in outs[0].items())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +275,6 @@ class TestPlantedSignal:
         cfg = TrainConfig(batch_size=128, max_epochs=3, patience=5, seed=42)
         result = train(model, tr, va, cfg)
         labels = np.array([i.label for i in te])
-        preds = result.model.predict(te, gamma=cfg.gamma)
+        preds = result.model.predict(te)
         score = auc(preds["retrieval"], labels)
         assert abs(score - 0.5) < 0.06
