@@ -30,6 +30,7 @@ use the checked framing of ``admatch.artifact``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,6 +44,14 @@ logger = logging.getLogger(__name__)
 
 _MAGIC = b"ADMIDX01"
 _FORMAT_VERSION = 2
+
+# PQ and search defaults, read by the CLI and the pipeline
+PQ_SUBSPACES = 16
+PQ_CENTROIDS = 256
+PQ_ITERATIONS = 25
+PQ_SEED = 0
+OVERFETCH_FACTOR = 10
+RERANK = True
 
 
 class PqTrainingError(ValueError):
@@ -123,10 +132,10 @@ class PqTrainResult:
 
 def pq_train(
     vectors: np.ndarray,
-    n_subspaces: int = 16,
-    n_centroids: int = 256,
-    iterations: int = 25,
-    seed: int = 0,
+    n_subspaces: int = PQ_SUBSPACES,
+    n_centroids: int = PQ_CENTROIDS,
+    iterations: int = PQ_ITERATIONS,
+    seed: int = PQ_SEED,
 ) -> PqTrainResult:
     """Train per-subspace k-means codebooks on [n x d] vectors."""
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -182,11 +191,17 @@ def pq_decode(codebooks: PqCodebooks, codes: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
+def degenerate_norm(norm: float) -> bool:
+    """The one test for stored and query vectors: is the norm zero or
+    non-finite (as a NaN or infinite element makes it)?"""
+    return not 0.0 < norm < math.inf
+
+
 def normalize(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise DegenerateVectorError("cannot index a zero-norm vector")
+    if degenerate_norm(norm):
+        raise DegenerateVectorError(f"cannot index a zero-norm or non-finite vector: {norm}")
     return vector / norm
 
 
@@ -332,10 +347,10 @@ class AnnIndex:
 
     def train_pq(
         self,
-        n_subspaces: int = 16,
-        n_centroids: int = 256,
-        iterations: int = 25,
-        seed: int = 0,
+        n_subspaces: int = PQ_SUBSPACES,
+        n_centroids: int = PQ_CENTROIDS,
+        iterations: int = PQ_ITERATIONS,
+        seed: int = PQ_SEED,
     ) -> PqTrainResult:
         """(Re)train codebooks on the stored vectors and encode them all."""
         snap = self._snap
@@ -354,8 +369,8 @@ class AnnIndex:
         self,
         query: np.ndarray,
         k: int,
-        overfetch_factor: int = 10,
-        rerank: bool = True,
+        overfetch_factor: int = OVERFETCH_FACTOR,
+        rerank: bool = RERANK,
     ) -> list[tuple[str, float]]:
         """ADC search: subspace lookup tables score the codes; the top
         k * overfetch_factor candidates are optionally re-ranked exactly.

@@ -564,15 +564,14 @@ def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
 
 @dataclass
 class ParamEntry:
-    """One named parameter: value tensor, trainability, frozen rows."""
+    """One named parameter: value tensor and frozen rows."""
 
     value: Tensor
-    trainable: bool
     frozen_rows: tuple[int, ...]
 
 
 class ParamStore:
-    """Named parameter tensors with persistent gradient buffers.
+    """Named trainable parameter tensors with persistent gradient buffers.
 
     Gradient buffers always exist and match the value shape. Rows listed
     in ``frozen_rows`` are zeroed at registration and are kept at zero
@@ -582,21 +581,15 @@ class ParamStore:
     def __init__(self) -> None:
         self._entries: dict[str, ParamEntry] = {}
 
-    def add(
-        self,
-        name: str,
-        value,
-        trainable: bool = True,
-        frozen_rows: Sequence[int] = (),
-    ) -> Tensor:
+    def add(self, name: str, value, frozen_rows: Sequence[int] = ()) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(value, dtype=np.float64)
         for r in frozen_rows:
             arr[r] = 0.0
-        t = Tensor(arr, requires_grad=trainable)
+        t = Tensor(arr, requires_grad=True)
         t.grad = np.zeros_like(arr)
-        self._entries[name] = ParamEntry(t, bool(trainable), tuple(frozen_rows))
+        self._entries[name] = ParamEntry(t, tuple(frozen_rows))
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -616,11 +609,7 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for entry in self._entries.values():
-            grad = entry.value.grad
-            if grad is None:
-                entry.value.grad = np.zeros_like(entry.value.data)
-            else:
-                grad[...] = 0.0
+            entry.value.grad[...] = 0.0
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Copies of all parameter values, keyed by name."""
@@ -653,7 +642,7 @@ def grad_check(
     """Compare reverse-mode gradients against central finite differences.
 
     ``f`` must be a deterministic scalar-valued function of the store.
-    For each trainable entry the error is ||a - n|| / (||a|| + ||n||)
+    For each entry the error is ||a - n|| / (||a|| + ||n||)
     over the flattened gradient; the worst entry's error is returned.
     The denominator is floored at 1e-8: gradients below that are not
     resolvable by central differences at the permitted epsilon range,
@@ -672,14 +661,10 @@ def grad_check(
     with Tape() as tape:
         out = f(store)
         tape.backward(out)
-    analytic = {
-        name: e.value.grad.copy() for name, e in store.items() if e.trainable
-    }
+    analytic = {name: e.value.grad.copy() for name, e in store.items()}
 
     worst = 0.0
     for name, entry in store.items():
-        if not entry.trainable:
-            continue
         arr = entry.value.data
         numeric = np.zeros_like(arr)
         flat = arr.reshape(-1)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .annindex import AnnIndex
+from . import __version__, annindex
+from .annindex import AnnIndex, degenerate_norm
 from .data import (
     AdDescriptor,
     DatasetSplit,
@@ -366,8 +366,8 @@ def _cmd_search(args) -> int:
     )
     v_qu = model.qu_forward([request]).data[0]
     norm = float(np.linalg.norm(v_qu))
-    if norm == 0.0:
-        raise ValueError("query encoded to a zero vector")
+    if degenerate_norm(norm):
+        raise ValueError("query encoded to a zero-norm or non-finite vector")
     unit = v_qu / norm
     if args.exact:
         hits = index.exact_topk(unit, args.k)
@@ -493,11 +493,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("build-index", _cmd_build_index, "train PQ codebooks over a vector file")
     p.add_argument("--vectors", required=True, help="index file from export-vectors")
     p.add_argument("--out", required=True)
-    p.add_argument("--pq-m", type=int, default=16)
-    p.add_argument("--pq-k", type=int, default=256)
-    p.add_argument("--pq-iterations", type=int, default=25)
+    p.add_argument("--pq-m", type=int, default=annindex.PQ_SUBSPACES)
+    p.add_argument("--pq-k", type=int, default=annindex.PQ_CENTROIDS)
+    p.add_argument("--pq-iterations", type=int, default=annindex.PQ_ITERATIONS)
     p.add_argument("--no-pq", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=annindex.PQ_SEED)
 
     p = sub("add-ad", _cmd_add_ad, "encode one ad and add it to an index")
     p.add_argument("--index", required=True)
@@ -512,7 +512,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--vocab", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--overfetch", type=int, default=10)
+    p.add_argument("--overfetch", type=int, default=annindex.OVERFETCH_FACTOR)
     p.add_argument("--exact", action="store_true")
 
     p = sub(

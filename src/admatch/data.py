@@ -31,6 +31,7 @@ from .model import (
     PAD_BEHAVIOR,
     AdItem,
     BehaviorItem,
+    EncoderConfig,
     ImpressionInstance,
     QueryRequest,
     SPACES,
@@ -292,7 +293,9 @@ def request_from_record(record: LogRecord, vocab: Vocabulary, m: int) -> QueryRe
 
 
 def make_instances(
-    records: Iterable[LogRecord], vocab: Vocabulary, m: int = 6
+    records: Iterable[LogRecord],
+    vocab: Vocabulary,
+    m: int = EncoderConfig.behavior_window,
 ) -> Iterator[ImpressionInstance]:
     """Labeled training instances, one per impression record."""
     if m < 1:

@@ -45,6 +45,9 @@ PROB_CLIP = 1e-12
 
 CHECKPOINT_VERSION = 1
 
+# rows per tape-free forward pass when scoring or encoding many inputs
+INFERENCE_CHUNK = 512
+
 
 class VocabularyError(ValueError):
     """An id is outside the vocabulary of its embedding space."""
@@ -661,11 +664,9 @@ class MatchingModel:
             raise ValueError(f"gamma must be positive, got {g}")
         return ad.sigmoid(ad.mul(ad.cosine_rows(v_qu, v_a), g))
 
-    def retrieval_loss(
-        self, v_qu: Tensor, v_a: Tensor, labels, gamma: float | None = None
-    ) -> Tensor:
+    def retrieval_loss(self, v_qu: Tensor, v_a: Tensor, labels) -> Tensor:
         labels = _check_labels(labels)
-        return _bce(self.retrieval_prob(v_qu, v_a, gamma), labels)
+        return _bce(self.retrieval_prob(v_qu, v_a), labels)
 
     def prerank_prob(self, v_qu: Tensor, v_a: Tensor) -> Tensor:
         """Click probability from the lightweight interaction net, per row."""
@@ -690,33 +691,23 @@ class MatchingModel:
         v_a = self.ad_forward(batch.ads)
         return v_qu, v_a, batch.labels
 
-    def joint_loss(
-        self,
-        instances: Sequence[ImpressionInstance] | InstanceBatch,
-        alpha: float | None = None,
-        gamma: float | None = None,
-    ) -> Tensor:
+    def joint_loss(self, instances: Sequence[ImpressionInstance] | InstanceBatch) -> Tensor:
         """alpha * retrieval loss + (1 - alpha) * pre-rank loss, one forward."""
-        a = self.config.alpha if alpha is None else alpha
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
+        a = self.config.alpha
         v_qu, v_a, labels = self.towers_forward(instances)
-        c_v = self.retrieval_loss(v_qu, v_a, labels, gamma)
+        c_v = self.retrieval_loss(v_qu, v_a, labels)
         c_r = self.prerank_loss(v_qu, v_a, labels)
         return ad.add(ad.mul(c_v, a), ad.mul(c_r, 1.0 - a))
 
     def loss_for_mode(
-        self,
-        instances: Sequence[ImpressionInstance] | InstanceBatch,
-        mode: str,
-        alpha: float | None = None,
-        gamma: float | None = None,
+        self, instances: Sequence[ImpressionInstance] | InstanceBatch, mode: str
     ) -> Tensor:
+        """The training loss of ``mode``, at the config's alpha and gamma."""
         if mode == "JOINT":
-            return self.joint_loss(instances, alpha, gamma)
+            return self.joint_loss(instances)
         v_qu, v_a, labels = self.towers_forward(instances)
         if mode == "SINGLE_RETRIEVAL":
-            return self.retrieval_loss(v_qu, v_a, labels, gamma)
+            return self.retrieval_loss(v_qu, v_a, labels)
         if mode == "SINGLE_PRERANK":
             return self.prerank_loss(v_qu, v_a, labels)
         raise ValueError(f"unknown training mode {mode!r}")
@@ -728,14 +719,13 @@ class MatchingModel:
         self,
         instances: Sequence[ImpressionInstance] | InstanceBatch,
         gamma: float | None = None,
-        batch_size: int = 512,
     ) -> dict[str, np.ndarray]:
         """Tape-free scores for both heads over a list of instances."""
         batch = self.pack(instances)
         retrieval: list[np.ndarray] = []
         prerank: list[np.ndarray] = []
-        for lo in range(0, len(batch), batch_size):
-            chunk = batch[lo : lo + batch_size]
+        for lo in range(0, len(batch), INFERENCE_CHUNK):
+            chunk = batch[lo : lo + INFERENCE_CHUNK]
             v_qu = self.qu_forward(chunk.requests)
             v_a = self.ad_forward(chunk.ads)
             retrieval.append(self.retrieval_prob(v_qu, v_a, gamma).data)
@@ -756,7 +746,8 @@ class MatchingModel:
             params[name] = {
                 "shape": list(arr.shape),
                 "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-                "trainable": entry.trainable,
+                # every parameter trains; the key keeps the checkpoint format
+                "trainable": True,
                 "frozen_rows": list(entry.frozen_rows),
             }
         payload = {

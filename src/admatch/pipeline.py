@@ -30,18 +30,24 @@ from .data import (
     Vocabulary,
     ad_item_from_descriptor,
     request_from_record,
+    write_jsonl,
 )
-from .annindex import AnnIndex
+from .annindex import OVERFETCH_FACTOR, RERANK, AnnIndex, degenerate_norm
 from .autodiff import Tensor
-from .model import MatchingModel, apply_activation
+from .model import INFERENCE_CHUNK, MatchingModel, apply_activation
 
 logger = logging.getLogger(__name__)
 
 KEYWORD_PATH = "keyword"
 VECTOR_PATH = "vector"
+PATHS = (KEYWORD_PATH, VECTOR_PATH)
 
 _PARTS_MAGIC = b"ADMPRT01"
 _PARTS_VERSION = 2
+
+
+class CatalogMismatchError(ValueError):
+    """The replay's index, ad catalog and oracle do not cover the same ads."""
 
 
 @dataclass
@@ -120,14 +126,13 @@ def compute_ad_vectors(
     model: MatchingModel,
     ads: Sequence[AdDescriptor],
     vocab: Vocabulary,
-    batch_size: int = 512,
 ) -> tuple[list[str], np.ndarray]:
     """Raw (un-normalized) ad tower outputs for the whole catalog."""
     ids = [ad.item_id for ad in ads]
     rows = []
-    for lo in range(0, len(ads), batch_size):
-        chunk = [ad_item_from_descriptor(a, vocab) for a in ads[lo : lo + batch_size]]
-        rows.append(model.ad_forward(chunk).data)
+    for lo in range(0, len(ads), INFERENCE_CHUNK):
+        items = [ad_item_from_descriptor(a, vocab) for a in ads[lo : lo + INFERENCE_CHUNK]]
+        rows.append(model.ad_forward(items).data)
     matrix = np.concatenate(rows, axis=0) if rows else np.zeros((0, model.config.d))
     return ids, matrix
 
@@ -137,15 +142,17 @@ def build_exact_index(
 ) -> AnnIndex:
     """Export all ad vectors into a fresh exact-mode index.
 
-    Ads whose encoder output has zero norm are skipped with a warning;
-    the inner product against the stored unit vectors equals cosine
-    against the raw tower outputs.
+    Ads whose encoder output has a zero or non-finite norm are skipped
+    with a warning; the inner product against the stored unit vectors
+    equals cosine against the raw tower outputs.
     """
     ids, vectors = compute_ad_vectors(model, ads, vocab)
     pairs = []
     for ad_id, row, norm in zip(ids, vectors, np.linalg.norm(vectors, axis=1)):
-        if norm == 0.0:
-            logger.warning("skipping ad %s: degenerate zero-norm encoder output", ad_id)
+        if degenerate_norm(norm):
+            logger.warning(
+                "skipping ad %s: degenerate zero-norm or non-finite encoder output", ad_id
+            )
         else:
             pairs.append((ad_id, row / norm))
     index = AnnIndex(model.config.d)
@@ -185,15 +192,16 @@ def retrieve(
     bidword_index: BidwordIndex | None,
     ann_index: AnnIndex | None,
     k_vector: int,
-    paths: Sequence[str] = (KEYWORD_PATH, VECTOR_PATH),
-    overfetch_factor: int = 10,
-    rerank: bool = True,
+    paths: Sequence[str] = PATHS,
+    overfetch_factor: int = OVERFETCH_FACTOR,
+    rerank: bool = RERANK,
 ) -> dict[str, Candidate]:
     """Union of the enabled retrieval paths, deduped by ad id.
 
     The keyword path is an exact match of the normalized query string
     against bid keywords; the vector path searches the ANN index with
-    the normalized query vector. An empty result is a valid outcome.
+    the normalized query vector (skipped, with a warning, when its norm
+    is zero or non-finite). An empty result is a valid outcome.
     """
     candidates: dict[str, Candidate] = {}
     if KEYWORD_PATH in paths and bidword_index is not None:
@@ -201,8 +209,10 @@ def retrieve(
             candidates[ad_id] = Candidate(ad_id, {KEYWORD_PATH})
     if VECTOR_PATH in paths and ann_index is not None and query_vector is not None:
         norm = float(np.linalg.norm(query_vector))
-        if norm == 0.0:
-            logger.warning("degenerate zero-norm query vector; skipping vector path")
+        if degenerate_norm(norm):
+            logger.warning(
+                "degenerate zero-norm or non-finite query vector; skipping vector path"
+            )
         else:
             unit = query_vector / norm
             for ad_id, score in ann_index.pq_search(
@@ -267,16 +277,16 @@ def prerank(
 
 @dataclass
 class PipelineConfig:
-    paths: tuple[str, ...] = (KEYWORD_PATH, VECTOR_PATH)
+    paths: tuple[str, ...] = PATHS
     top_n: int = 200
     k_vector: int = 500
-    overfetch_factor: int = 10
-    rerank: bool = True
+    overfetch_factor: int = OVERFETCH_FACTOR
+    rerank: bool = RERANK
     seed: int = 0
     verify_split: bool = True
 
     def __post_init__(self) -> None:
-        unknown = set(self.paths) - {KEYWORD_PATH, VECTOR_PATH}
+        unknown = set(self.paths) - set(PATHS)
         if unknown:
             raise ValueError(f"unknown retrieval paths {sorted(unknown)}")
         if not self.paths:
@@ -315,6 +325,14 @@ class SimulationResult:
     metrics: dict
 
 
+def _refuse_missing(ids: Iterable[str], source: str, known: Mapping, what: str) -> None:
+    missing = [a for a in ids if a not in known]
+    if missing:
+        raise CatalogMismatchError(
+            f"{source} lacks {len(missing)} of the {what} ads; first: {', '.join(missing[:5])}"
+        )
+
+
 def simulate(
     records: Sequence[LogRecord],
     model: MatchingModel,
@@ -331,9 +349,15 @@ def simulate(
     accrues its per-ad cost. When ``verify_split`` is on, every scored
     candidate is also scored by the trained head, ``model.prerank_prob``,
     and the maximum absolute deviation is reported in the metrics.
+
+    Raises CatalogMismatchError before the replay when the index holds
+    an ad missing from ``ads``, or ``oracle`` does not know a catalog ad.
     """
-    bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
     ads_by_id = {ad.item_id: ad for ad in ads}
+    if ann_index is not None:
+        _refuse_missing(ann_index.ids(), "the ad catalog", ads_by_id, "indexed")
+    _refuse_missing(ads_by_id, "the oracle", oracle.item_categories, "catalog")
+    bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
     scorer = PrerankScorer(model)
     encoded = ads if config.verify_split or ad_parts is None else []
     vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
@@ -346,8 +370,8 @@ def simulate(
     v_qu_all = np.zeros((0, model.config.d))
     if requests:
         chunks = [
-            model.qu_forward(requests[lo : lo + 512]).data
-            for lo in range(0, len(requests), 512)
+            model.qu_forward(requests[lo : lo + INFERENCE_CHUNK]).data
+            for lo in range(0, len(requests), INFERENCE_CHUNK)
         ]
         v_qu_all = np.concatenate(chunks, axis=0)
 
@@ -426,8 +450,5 @@ def simulate(
 def write_simulation(result: SimulationResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "impressions.jsonl", "w") as fh:
-        for row in result.impressions:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(result.impressions, out / "impressions.jsonl")
     (out / "metrics.json").write_text(json.dumps(result.metrics, sort_keys=True, indent=2))

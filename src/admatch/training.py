@@ -21,6 +21,11 @@ from .model import ImpressionInstance, InstanceBatch, MatchingModel
 
 MODES = ("JOINT", "SINGLE_RETRIEVAL", "SINGLE_PRERANK")
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """The training loss became non-finite."""
@@ -34,9 +39,6 @@ class TrainConfig:
     batch_size: int = 128
     mode: str = "JOINT"
     learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_epochs: int = 10
     patience: int = 2
     seed: int = 0
@@ -60,50 +62,29 @@ class Adam:
     their moments never accumulate.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, store: ParamStore, learning_rate: float) -> None:
         self._store = store
         self._lr = learning_rate
-        self._b1 = beta1
-        self._b2 = beta2
-        self._eps = epsilon
         self._t = 0
         self._moments = {
             name: (np.zeros_like(e.value.data), np.zeros_like(e.value.data))
             for name, e in store.items()
-            if e.trainable
         }
-
-    @classmethod
-    def from_config(cls, store: ParamStore, config: TrainConfig) -> "Adam":
-        return cls(
-            store,
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.adam_epsilon,
-        )
 
     def step(self) -> None:
         self._t += 1
-        bc1 = 1.0 - self._b1**self._t
-        bc2 = 1.0 - self._b2**self._t
+        bc1 = 1.0 - ADAM_BETA1**self._t
+        bc2 = 1.0 - ADAM_BETA2**self._t
         for name, (m, v) in self._moments.items():
             entry = self._store.entry(name)
             g = entry.value.grad
             for r in entry.frozen_rows:
                 g[r] = 0.0
-            m *= self._b1
-            m += (1.0 - self._b1) * g
-            v *= self._b2
-            v += (1.0 - self._b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self._eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
             entry.value.data -= self._lr * update
             for r in entry.frozen_rows:
                 entry.value.data[r] = 0.0
@@ -164,7 +145,7 @@ def train(
     store = model.pack(train_instances)
     val_batch = model.pack(val_instances)
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam.from_config(model.params, config)
+    optimizer = Adam(model.params, config.learning_rate)
     history: list[EpochStats] = []
     best_key = None
     best_epoch = 0

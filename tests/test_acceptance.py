@@ -208,10 +208,13 @@ def test_criterion_3_loss_identities(planted_small):
     v_qu, v_a, labels = model.towers_forward(batch)
     c_v = model.retrieval_loss(v_qu, v_a, labels).item()
     c_r = model.prerank_loss(v_qu, v_a, labels).item()
-    blend_ok = (
-        abs(model.joint_loss(batch, alpha=1.0).item() - c_v) <= 1e-12
-        and abs(model.joint_loss(batch, alpha=0.0).item() - c_r) <= 1e-12
-    )
+
+    def joint(alpha):
+        # alpha does not enter initialization: same seed, same towers
+        cfg = replace(SMALL_ENCODER, alpha=alpha)
+        return MatchingModel(cfg, data["vocab"].sizes, seed=3).joint_loss(batch).item()
+
+    blend_ok = abs(joint(1.0) - c_v) <= 1e-12 and abs(joint(0.0) - c_r) <= 1e-12
 
     from admatch.autodiff import Tensor
 

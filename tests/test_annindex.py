@@ -206,6 +206,20 @@ class TestAdds:
             index.add_many([("a", np.ones(3)), ("z", np.zeros(3))])
         assert len(index) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        index = filled_index(rng, 4, 4)
+        before = stored_vectors(index)
+        vector = np.array([bad, 1.0, 0.0, 0.0])
+        with pytest.raises(DegenerateVectorError, match="non-finite"):
+            index.add("x", vector)
+        with pytest.raises(DegenerateVectorError, match="non-finite"):
+            index.add_many([("y", np.ones(4)), ("x", vector)])
+        after = stored_vectors(index)
+        assert list(after) == list(before)
+        assert all(np.array_equal(after[a], v) for a, v in before.items())
+
     @pytest.mark.parametrize("trained", [False, True])
     def test_add_many_saves_same_bytes_as_sequential_adds(self, tmp_path, caplog, trained):
         rng = np.random.default_rng(21)

@@ -328,17 +328,6 @@ class TestParamStore:
         np.testing.assert_array_equal(t.data[0], [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(t.data[1], [1.0, 1.0, 1.0])
 
-    def test_non_trainable_grads_stay_zero(self):
-        store = ParamStore()
-        store.add("w", [1.0, 2.0])
-        frozen = store.add("c", [3.0, 4.0], trainable=False)
-        store.zero_grads()
-        with Tape() as tape:
-            out = ad.sum_all(ad.mul(store["w"], store["c"]))
-            tape.backward(out)
-        np.testing.assert_array_equal(frozen.grad, [0.0, 0.0])
-        np.testing.assert_array_equal(store["w"].grad, [3.0, 4.0])
-
     def test_load_arrays_in_place(self):
         store = ParamStore()
         t = store.add("w", np.zeros((2, 2)))

@@ -1,11 +1,13 @@
 """CLI behavior: determinism, the full recipe, config files, errors."""
 
+import inspect
 import json
 import logging
 
 import pytest
 
 from admatch import cli
+from admatch.annindex import AnnIndex
 from admatch.cli import main
 from admatch.data import GeneratorConfig
 from admatch.model import EncoderConfig
@@ -147,6 +149,35 @@ class TestRecipe:
         hits = [json.loads(l) for l in out.strip().splitlines()]
         assert any(h["ad_id"] == "brand-new-ad" for h in hits)
 
+    def test_simulate_refuses_an_index_ad_missing_from_the_catalog(self, workspace, capsys):
+        root = workspace
+        model_args = [
+            "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+        ]
+        ad = {
+            "item_id": "newad", "shop_id": "shop0_0", "brand_id": "brand0_0",
+            "title_terms": ["t0_1"], "bid_keywords": ["t0_1"], "cost": 1.0,
+        }
+        for argv in (
+            ["export-vectors", *model_args, "--ads", str(root / "ads.jsonl"),
+             "--out", str(root / "catalog.idx")],
+            ["add-ad", "--index", str(root / "catalog.idx"), *model_args,
+             "--ad-json", json.dumps(ad), "--out", str(root / "plus_new.idx")],
+            ["precompute-ad-parts", *model_args, "--ads", str(root / "ads.jsonl"),
+             "--out", str(root / "catalog_parts.bin")],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        code, _, err = run_cli(
+            capsys, "simulate", "--logs", str(root / "logs.jsonl"), *model_args,
+            "--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json"),
+            "--index", str(root / "plus_new.idx"),
+            "--ad-parts", str(root / "catalog_parts.bin"), "--days", "2024-01-04",
+            "--k-vector", "121", "--out-dir", str(root / "refused"),
+        )
+        assert code == 1
+        assert "error: the ad catalog lacks 1 of the indexed ads; first: newad" in err
+        assert not (root / "refused").exists()
+
     def test_gamma_sweep_single_value(self, workspace, capsys):
         code, out, _ = run_cli(
             capsys, "gamma-sweep", "--logs", str(workspace / "logs.jsonl"),
@@ -226,6 +257,12 @@ def parsed_defaults(subparser):
 MODEL_CONFIGS = [(cli._encoder_config, EncoderConfig), (cli._train_config, TrainConfig)]
 
 
+def param_defaults(fn, *names):
+    """Builds the defaults of ``fn``'s parameters ``names``, in order."""
+    params = inspect.signature(fn).parameters
+    return lambda: [params[n].default for n in names]
+
+
 class TestDefaults:
     CONFIGS = {
         "gen-data": [(cli._generator_config, GeneratorConfig)],
@@ -233,6 +270,14 @@ class TestDefaults:
         "gamma-sweep": MODEL_CONFIGS,
         "ablation": MODEL_CONFIGS,
         "simulate": [(cli._pipeline_config, PipelineConfig)],
+        # flags passed straight to the index, whose signature holds the defaults
+        "build-index": [(
+            lambda a: [a.pq_m, a.pq_k, a.pq_iterations, a.seed],
+            param_defaults(AnnIndex.train_pq, "n_subspaces", "n_centroids", "iterations", "seed"),
+        )],
+        "search": [
+            (lambda a: [a.overfetch], param_defaults(AnnIndex.pq_search, "overfetch_factor"))
+        ],
     }
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))

@@ -390,14 +390,14 @@ class TestLosses:
         model = MatchingModel(tiny_config(), VOCAB, seed=28)
         u = Tensor(np.array([[1.0] + [0.0] * 7]))
         v = Tensor(np.array([[0.0, 1.0] + [0.0] * 6]))
-        loss = model.retrieval_loss(u, v, [1.0], gamma=6.0).item()
+        loss = model.retrieval_loss(u, v, [1.0]).item()
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_batch_loss_near_zero(self):
-        model = MatchingModel(tiny_config(), VOCAB, seed=28)
+        model = MatchingModel(tiny_config(gamma=1000.0), VOCAB, seed=28)
         u = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]] @ np.eye(2, 8)))
         v = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]] @ np.eye(2, 8)))
-        loss = model.retrieval_loss(u, v, [1.0, 0.0], gamma=1000.0).item()
+        loss = model.retrieval_loss(u, v, [1.0, 0.0]).item()
         assert loss < 1e-6
 
     def test_retrieval_loss_matches_scalar_oracle(self):
@@ -419,10 +419,15 @@ class TestLosses:
         v_qu, v_a, labels = model.towers_forward(batch)
         c_v = model.retrieval_loss(v_qu, v_a, labels).item()
         c_r = model.prerank_loss(v_qu, v_a, labels).item()
-        assert model.joint_loss(batch, alpha=1.0).item() == c_v
-        assert model.joint_loss(batch, alpha=0.0).item() == c_r
-        half = model.joint_loss(batch, alpha=0.5).item()
-        assert half == pytest.approx(0.5 * c_v + 0.5 * c_r, abs=1e-12)
+
+        def joint(alpha):
+            # alpha does not enter initialization: same seed, same towers
+            blended = MatchingModel(tiny_config(alpha=alpha), VOCAB, seed=31)
+            return blended.joint_loss(batch).item()
+
+        assert joint(1.0) == c_v
+        assert joint(0.0) == c_r
+        assert joint(0.5) == pytest.approx(0.5 * c_v + 0.5 * c_r, abs=1e-12)
 
     def test_bad_labels_rejected(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=31)

@@ -1,6 +1,7 @@
 """Retrieval paths, split pre-ranking, and the end-to-end simulator."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from admatch.model import EncoderConfig, MatchingModel, prerank_split
 from admatch.pipeline import (
     BidwordIndex,
     Candidate,
+    CatalogMismatchError,
     PipelineConfig,
     PrerankScorer,
     build_exact_index,
@@ -140,6 +142,16 @@ class TestRetrieve:
             got = retrieve("x", np.zeros(ann.dim), None, ann, 10, paths=("vector",))
         assert got == {}
         assert "zero-norm" in caplog.text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_vector_skips_vector_path(self, world, caplog, bad):
+        ann = world[5]
+        query = np.ones(ann.dim)
+        query[0] = bad
+        with caplog.at_level(logging.WARNING):
+            got = retrieve("x", query, None, ann, 10, paths=("vector",))
+        assert got == {}
+        assert "zero-norm or non-finite query vector" in caplog.text
 
 
 class TestPrerank:
@@ -412,6 +424,27 @@ class TestSimulate:
         b = simulate(records[:30], model, vocab, ann, ads, oracle, cfg)
         assert a.metrics["ctr"] == b.metrics["ctr"]
         assert a.metrics["q_part_computations"] == 30
+
+    def test_index_ad_missing_from_catalog_refused(self, world):
+        records, ads, oracle, vocab, model, _ = world
+        index = build_exact_index(model, ads, vocab)
+        index.add("newad", np.ones(model.config.d))
+        parts = precompute_ad_parts(model, ads, vocab)
+        # a pool covering the whole index: every request retrieves newad
+        cfg = PipelineConfig(top_n=5, k_vector=len(index), seed=12)
+        message = "^the ad catalog lacks 1 of the indexed ads; first: newad$"
+        with pytest.raises(CatalogMismatchError, match=message):
+            simulate(records[:30], model, vocab, index, ads, oracle, cfg, ad_parts=parts)
+
+    def test_catalog_ad_unknown_to_oracle_refused(self, world):
+        records, ads, oracle, vocab, model, ann = world
+        dropped = [a.item_id for a in ads[:7]]
+        known = {a: c for a, c in oracle.item_categories.items() if a not in dropped}
+        partial = replace(oracle, item_categories=known)
+        cfg = PipelineConfig(top_n=5, k_vector=20, seed=12)
+        message = f"^the oracle lacks 7 of the catalog ads; first: {', '.join(dropped[:5])}$"
+        with pytest.raises(CatalogMismatchError, match=message):
+            simulate(records[:30], model, vocab, ann, ads, partial, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
