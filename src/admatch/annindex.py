@@ -13,7 +13,8 @@ on the scores, and ad ids are read only to order exact ties and to name
 the rows returned. Every result is ordered by descending score; rows with
 exactly equal scores order by ascending ad id, and all rows tied with the
 k-th score are ordered before the cut, so the result does not depend on
-row order.
+row order. ``search_rows`` returns the rows with the searched snapshot's
+ids; ``pq_search`` and ``exact_topk`` name them.
 
 Searches read an immutable snapshot that holds the ids, vectors, PQ codes
 and the codebooks they were encoded with. Writers (``add``, ``add_many``,
@@ -33,7 +34,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +53,8 @@ PQ_ITERATIONS = 25
 PQ_SEED = 0
 OVERFETCH_FACTOR = 10
 RERANK = True
+
+EXACT_FALLBACK_WARNING = "PQ codebooks absent; falling back to exact search"
 
 
 class PqTrainingError(ValueError):
@@ -248,10 +251,18 @@ def _top_rows(
     return ranked[:k], ranked_scores[:k]
 
 
-def _hits(
-    ids: Sequence[str], rows: np.ndarray, scores: np.ndarray
-) -> list[tuple[str, float]]:
-    return [(ids[r], s) for r, s in zip(rows.tolist(), scores.tolist())]
+class RowHits(NamedTuple):
+    """A search result on the integer rows of one snapshot."""
+
+    ids: tuple[str, ...]  # the searched snapshot's ids; ``rows`` index this tuple
+    rows: np.ndarray
+    scores: np.ndarray
+    pq: bool  # False when the snapshot had no codebooks and the search was exact
+
+
+def _hits(hits: RowHits) -> list[tuple[str, float]]:
+    ids = hits.ids
+    return [(ids[r], s) for r, s in zip(hits.rows.tolist(), hits.scores.tolist())]
 
 
 class AnnIndex:
@@ -336,14 +347,7 @@ class AnnIndex:
 
     def exact_topk(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Exhaustive inner-product search: the oracle for the PQ path."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        snap = self._snap
-        if snap.size == 0:
-            return []
-        query = np.asarray(query, dtype=np.float64)
-        scores = snap.vectors @ query
-        return _hits(snap.ids, *_top_rows(snap.ids, np.arange(snap.size), scores, k))
+        return _hits(self.search_rows(query, k, pq=False))
 
     def train_pq(
         self,
@@ -375,33 +379,57 @@ class AnnIndex:
         """ADC search: subspace lookup tables score the codes; the top
         k * overfetch_factor candidates are optionally re-ranked exactly.
 
-        Falls back to exact search when PQ was never trained.
+        Falls back to exact search, with a warning, when PQ was never trained.
+        """
+        hits = self.search_rows(query, k, overfetch_factor, rerank)
+        if not hits.pq:
+            logger.warning(EXACT_FALLBACK_WARNING)
+        return _hits(hits)
+
+    def search_rows(
+        self,
+        query: np.ndarray,
+        k: int,
+        overfetch_factor: int = OVERFETCH_FACTOR,
+        rerank: bool = RERANK,
+        pq: bool = True,
+    ) -> RowHits:
+        """The search under ``pq_search`` (``pq``) and ``exact_topk``, on rows.
+
+        One snapshot is read once: the rows index the ids it returns, so a
+        concurrent write never pairs rows with another snapshot's ids. A
+        PQ search on a snapshot without codebooks is exact, with ``pq``
+        False in the result. A query with a NaN or infinite element (its
+        norm is non-finite) raises DegenerateVectorError before anything is
+        scored.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if overfetch_factor < 1:
             raise ValueError("overfetch_factor must be >= 1")
-        snap = self._snap
-        cb = snap.codebooks
-        if cb is None or snap.codes is None:
-            logger.warning("PQ codebooks absent; falling back to exact search")
-            return self.exact_topk(query, k)
-        if snap.size == 0:
-            return []
         query = np.asarray(query, dtype=np.float64)
+        norm = float(np.linalg.norm(query))
+        if not math.isfinite(norm):
+            # a zero query stays valid: every row scores 0 and ties break by id
+            raise DegenerateVectorError(f"cannot search a non-finite query: norm {norm}")
+        snap = self._snap
+        ids = snap.ids
+        all_rows = np.arange(snap.size)
+        cb = snap.codebooks if pq else None
+        if cb is None or snap.codes is None:
+            return RowHits(ids, *_top_rows(ids, all_rows, snap.vectors @ query, k), pq=False)
         sub = cb.sub_dim
         # lookup[m, c] = dot(query subvector m, centroid c of subspace m)
         lookup = np.empty((cb.n_subspaces, cb.n_centroids), dtype=np.float64)
         for m in range(cb.n_subspaces):
             lookup[m] = cb.centroids[m].astype(np.float64) @ query[m * sub : (m + 1) * sub]
         approx = lookup[np.arange(cb.n_subspaces)[None, :], snap.codes].sum(axis=1)
-        all_rows = np.arange(snap.size)
         if not rerank:
             # the pool's first k under the same total order are the top k
-            return _hits(snap.ids, *_top_rows(snap.ids, all_rows, approx, k))
-        pool, _ = _top_rows(snap.ids, all_rows, approx, k * overfetch_factor)
+            return RowHits(ids, *_top_rows(ids, all_rows, approx, k), pq=True)
+        pool, _ = _top_rows(ids, all_rows, approx, k * overfetch_factor)
         exact = snap.vectors[pool] @ query
-        return _hits(snap.ids, *_top_rows(snap.ids, pool, exact, k))
+        return RowHits(ids, *_top_rows(ids, pool, exact, k), pq=True)
 
     # ------------------------------------------------------------------
     # file format: header (dim, M, K, count), codebooks, codes, vectors, ids

@@ -418,14 +418,17 @@ class PlantedOracle:
     def request_key(user_id: str, timestamp: int) -> str:
         return f"{user_id}|{timestamp}"
 
-    def click_prob(self, user_id: str, timestamp: int, ad_item_id: str) -> float:
+    def request_category(self, user_id: str, timestamp: int) -> int:
         key = self.request_key(user_id, timestamp)
         if key not in self.request_categories:
             raise KeyError(f"unknown request {key}")
+        return self.request_categories[key]
+
+    def click_prob(self, user_id: str, timestamp: int, ad_item_id: str) -> float:
+        category = self.request_category(user_id, timestamp)
         if ad_item_id not in self.item_categories:
             raise KeyError(f"unknown ad item {ad_item_id}")
-        matched = self.request_categories[key] == self.item_categories[ad_item_id]
-        return self.p_hi if matched else self.p_lo
+        return self.p_hi if category == self.item_categories[ad_item_id] else self.p_lo
 
     def save(self, path: str | Path) -> None:
         payload = {

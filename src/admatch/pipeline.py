@@ -10,12 +10,17 @@ impression log. Pre-rank scoring uses the offline decomposition of the
 interaction layer: the ad-side partial products are precomputed per ad,
 and the query-side partial product (with the layer bias folded in) is
 computed once per request.
+
+``retrieve`` and ``prerank`` serve one request with ``Candidate``
+objects. ``simulate`` replays a log on integer catalog rows with the same
+scoring and ranking, and keeps its impressions as columns.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -30,9 +35,14 @@ from .data import (
     Vocabulary,
     ad_item_from_descriptor,
     request_from_record,
-    write_jsonl,
 )
-from .annindex import OVERFETCH_FACTOR, RERANK, AnnIndex, degenerate_norm
+from .annindex import (
+    EXACT_FALLBACK_WARNING,
+    OVERFETCH_FACTOR,
+    RERANK,
+    AnnIndex,
+    degenerate_norm,
+)
 from .autodiff import Tensor
 from .model import INFERENCE_CHUNK, MatchingModel, apply_activation
 
@@ -186,6 +196,16 @@ def load_ad_parts(path: str | Path) -> tuple[list[str], np.ndarray]:
 # retrieval + pre-ranking
 
 
+def _unit_query(query_vector: np.ndarray) -> np.ndarray | None:
+    """The vector path's query, normalized; None, with a warning, when its
+    norm is zero or non-finite."""
+    norm = float(np.linalg.norm(query_vector))
+    if degenerate_norm(norm):
+        logger.warning("degenerate zero-norm or non-finite query vector; skipping vector path")
+        return None
+    return query_vector / norm
+
+
 def retrieve(
     raw_query: str,
     query_vector: np.ndarray | None,
@@ -208,13 +228,8 @@ def retrieve(
         for ad_id in sorted(bidword_index.lookup(raw_query)):
             candidates[ad_id] = Candidate(ad_id, {KEYWORD_PATH})
     if VECTOR_PATH in paths and ann_index is not None and query_vector is not None:
-        norm = float(np.linalg.norm(query_vector))
-        if degenerate_norm(norm):
-            logger.warning(
-                "degenerate zero-norm or non-finite query vector; skipping vector path"
-            )
-        else:
-            unit = query_vector / norm
+        unit = _unit_query(query_vector)
+        if unit is not None:
             for ad_id, score in ann_index.pq_search(
                 unit, k_vector, overfetch_factor=overfetch_factor, rerank=rerank
             ):
@@ -224,6 +239,25 @@ def retrieve(
                 else:
                     candidates[ad_id] = Candidate(ad_id, {VECTOR_PATH}, score)
     return candidates
+
+
+def _encode_parts(
+    model: MatchingModel, scorer: PrerankScorer, ads: Sequence[AdDescriptor], vocab: Vocabulary
+) -> np.ndarray:
+    """Ad-side parts computed from the model, in one batch: the fallback for
+    ads missing from the precomputed table."""
+    _, vectors = compute_ad_vectors(model, ads, vocab)
+    return scorer.a_part(vectors)
+
+
+def _rank(
+    scorer: PrerankScorer, v_qu: np.ndarray, a_parts: np.ndarray, top_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split scores of candidates given in ad-id order, and the positions of
+    the top N: descending score, exact ties in ad-id order (the sort is
+    stable)."""
+    scores = scorer.score_from_parts(scorer.q_part(v_qu), a_parts)
+    return scores, np.argsort(-scores, kind="stable")[:top_n]
 
 
 def prerank(
@@ -247,7 +281,6 @@ def prerank(
     if not candidates:
         return []
     ordered = sorted(candidates)
-    q_part = scorer.q_part(v_qu)
     rows = np.array([part_rows.get(ad_id, -1) for ad_id in ordered], dtype=np.intp)
     hit = rows >= 0
     a_parts = np.empty((len(ordered), parts.shape[1]))
@@ -262,13 +295,11 @@ def prerank(
             len(ordered),
             ", ".join(missing[:5]),
         )
-        _, vectors = compute_ad_vectors(model, [ads_by_id[a] for a in missing], vocab)
-        a_parts[misses] = scorer.a_part(vectors)
-    scores = scorer.score_from_parts(q_part, a_parts)
-    for ad_id, score in zip(ordered, scores):
-        candidates[ad_id].prerank_score = float(score)
-    ranked = sorted(ordered, key=lambda a: (-candidates[a].prerank_score, a))
-    return [candidates[a] for a in ranked[:top_n]]
+        a_parts[misses] = _encode_parts(model, scorer, [ads_by_id[a] for a in missing], vocab)
+    scores, top = _rank(scorer, v_qu, a_parts, top_n)
+    for ad_id, score in zip(ordered, scores.tolist()):
+        candidates[ad_id].prerank_score = score
+    return [candidates[ordered[i]] for i in top.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +350,81 @@ def metrics_from_counts(
     }
 
 
+# a candidate's retrieval paths as a bitmask, and the sorted path list of each mask
+KEYWORD_BIT, VECTOR_BIT = 1, 2
+_PATH_LISTS = (None, [KEYWORD_PATH], [VECTOR_PATH], [KEYWORD_PATH, VECTOR_PATH])
+
+
+@dataclass(frozen=True, eq=False)
+class Impressions(Sequence):
+    """The impression log, one row per presented ad, held as columns.
+
+    It reads as a read-only sequence of the log's rows: dicts with the
+    keys user_id, timestamp, ad_id, position, paths (a sorted list),
+    retrieval_score (None for keyword-only rows), prerank_score, clicked
+    and cost (the ad's cost when clicked, else 0.0). ``write_simulation``
+    writes the same rows from the columns.
+    """
+
+    ad_ids: Sequence[str]  # catalog row -> ad id
+    costs: Sequence[float]  # catalog row -> per-click cost
+    requests: Sequence[tuple[str, int]]  # (user_id, timestamp) of each request that presented
+    offsets: np.ndarray  # [len(requests) + 1] column offsets; a row's position is from its request's
+    rows: np.ndarray  # catalog row of each presented ad
+    paths: np.ndarray  # path bitmask
+    retrieval: np.ndarray  # vector-path score, read only where the VECTOR_BIT is set
+    prerank: np.ndarray
+    clicked: np.ndarray  # bool
+
+    @classmethod
+    def collect(
+        cls,
+        ad_ids: Sequence[str],
+        costs: Sequence[float],
+        requests: Sequence[tuple[str, int]],
+        columns: Sequence[tuple[np.ndarray, ...]],
+    ) -> "Impressions":
+        """Joins each request's (rows, paths, retrieval, prerank, clicked)."""
+        dtypes = (np.intp, np.uint8, np.float64, np.float64, bool)
+        joined = [
+            np.concatenate([c[k] for c in columns] or [np.zeros(0, dtype)])
+            for k, dtype in enumerate(dtypes)
+        ]
+        offsets = np.cumsum([0] + [len(c[0]) for c in columns])
+        return cls(ad_ids, costs, requests, offsets, *joined)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("impression index out of range")
+        i %= n
+        request = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        user_id, timestamp = self.requests[request]
+        row = int(self.rows[i])
+        mask = int(self.paths[i])
+        clicked = int(self.clicked[i])
+        return {
+            "user_id": user_id,
+            "timestamp": timestamp,
+            "ad_id": self.ad_ids[row],
+            "position": i - int(self.offsets[request]),
+            "paths": list(_PATH_LISTS[mask]),
+            "retrieval_score": float(self.retrieval[i]) if mask & VECTOR_BIT else None,
+            "prerank_score": float(self.prerank[i]),
+            "clicked": clicked,
+            "cost": self.costs[row] if clicked else 0.0,
+        }
+
+
 @dataclass
 class SimulationResult:
-    impressions: list[dict]
+    impressions: Impressions
     metrics: dict
 
 
@@ -343,12 +446,21 @@ def simulate(
     config: PipelineConfig,
     ad_parts: tuple[Sequence[str], np.ndarray] | None = None,
 ) -> SimulationResult:
-    """Replay logged requests through retrieve + prerank and sample clicks.
+    """Replay logged requests through retrieval and split pre-ranking and
+    sample clicks.
 
-    Clicks come from the planted oracle; each presented-and-clicked ad
-    accrues its per-ad cost. When ``verify_split`` is on, every scored
-    candidate is also scored by the trained head, ``model.prerank_prob``,
-    and the maximum absolute deviation is reported in the metrics.
+    Each request gets what ``retrieve`` and ``prerank`` would give it,
+    worked on integer catalog rows. The catalog's rows are its ad ids in
+    sorted order, so row order is ad-id order. Clicks come from the
+    planted oracle; each presented-and-clicked ad accrues its per-ad cost.
+    When ``verify_split`` is on, every scored candidate is also scored by
+    the trained head, ``model.prerank_prob``, and the maximum absolute
+    deviation is reported in the metrics.
+
+    An ad missing from the parts table is encoded the first time it is
+    retrieved and keeps its parts for the rest of the call; one warning
+    at the end names the misses. A search that falls back to exact
+    because the index has no codebooks warns once per call.
 
     Raises CatalogMismatchError before the replay when the index holds
     an ad missing from ``ads``, or ``oracle`` does not know a catalog ad.
@@ -358,12 +470,31 @@ def simulate(
         _refuse_missing(ann_index.ids(), "the ad catalog", ads_by_id, "indexed")
     _refuse_missing(ads_by_id, "the oracle", oracle.item_categories, "catalog")
     bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
+    use_vector = VECTOR_PATH in config.paths and ann_index is not None
     scorer = PrerankScorer(model)
     encoded = ads if config.verify_split or ad_parts is None else []
     vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
     part_ids, parts = (vector_ids, scorer.a_part(vectors)) if ad_parts is None else ad_parts
+    parts = np.asarray(parts, dtype=np.float64)
+
+    # per-catalog-row tables
+    catalog = sorted(ads_by_id)
+    row_of = {ad_id: row for row, ad_id in enumerate(catalog)}
+    costs = [ads_by_id[a].cost for a in catalog]
     part_rows = {ad_id: i for i, ad_id in enumerate(part_ids)}
+    part_of = np.array([part_rows.get(a, -1) for a in catalog], dtype=np.intp)
+    uncovered = int(np.count_nonzero(part_of < 0))
+    next_part = len(parts)
+    if uncovered:
+        # room for the parts of ads the table lacks, filled on first retrieval
+        parts = np.concatenate([parts, np.empty((uncovered, parts.shape[1]))])
     vector_rows = {ad_id: i for i, ad_id in enumerate(vector_ids)}
+    vector_of = np.array([vector_rows.get(a, -1) for a in catalog], dtype=np.intp)
+    category_codes: dict = {}
+    category_of = np.array(
+        [category_codes.setdefault(oracle.item_categories[a], len(category_codes)) for a in catalog],
+        dtype=np.intp,
+    )
 
     m = model.config.behavior_window
     requests = [request_from_record(r, vocab, m) for r in records]
@@ -380,63 +511,82 @@ def simulate(
     clicks = 0
     cost_total = 0.0
     split_dev = 0.0
-    impressions: list[dict] = []
+    keyword_rows: dict[str, np.ndarray] = {}
+    index_ids: tuple[str, ...] | None = None  # the last searched snapshot's ids
+    index_to_catalog = np.zeros(0, dtype=np.intp)  # ... and their catalog rows
+    no_rows, no_scores = np.zeros(0, dtype=np.intp), np.zeros(0)
+    exact_warned = False
+    missed: list[str] = []
+    presented: list[tuple[str, int]] = []
+    columns: list[tuple[np.ndarray, ...]] = []
     for rec, v_qu in zip(records, v_qu_all):
-        raw_query = " ".join(rec.query_terms)
-        candidates = retrieve(
-            raw_query,
-            v_qu if VECTOR_PATH in config.paths else None,
-            bidword_index,
-            ann_index,
-            config.k_vector,
-            paths=config.paths,
-            overfetch_factor=config.overfetch_factor,
-            rerank=config.rerank,
-        )
-        selected = prerank(
-            candidates,
-            v_qu,
-            scorer,
-            part_rows,
-            parts,
-            model,
-            ads_by_id,
-            vocab,
-            config.top_n,
-        )
-        if config.verify_split and candidates:
-            ordered = sorted(candidates)
-            rows = [vector_rows[a] for a in ordered if a in vector_rows]
-            if len(rows) == len(ordered):
-                head = model.prerank_prob(
-                    Tensor(np.tile(v_qu, (len(rows), 1))), Tensor(vectors[rows])
-                ).data
-                split = np.array([candidates[a].prerank_score for a in ordered])
-                split_dev = max(split_dev, float(np.abs(head - split).max()))
-        if not selected:
-            continue
-        draws = rng.random(size=len(selected))
-        for position, (cand, draw) in enumerate(zip(selected, draws)):
-            p_click = oracle.click_prob(rec.user_id, rec.timestamp, cand.ad_id)
-            was_clicked = int(draw < p_click)
-            presents += 1
-            clicks += was_clicked
-            ad_cost = ads_by_id[cand.ad_id].cost
-            if was_clicked:
-                cost_total += ad_cost
-            impressions.append(
-                {
-                    "user_id": rec.user_id,
-                    "timestamp": rec.timestamp,
-                    "ad_id": cand.ad_id,
-                    "position": position,
-                    "paths": sorted(cand.paths),
-                    "retrieval_score": cand.retrieval_score,
-                    "prerank_score": cand.prerank_score,
-                    "clicked": was_clicked,
-                    "cost": ad_cost if was_clicked else 0.0,
-                }
+        kw_rows = no_rows
+        if bidword_index is not None:
+            raw_query = " ".join(rec.query_terms)
+            kw_rows = keyword_rows.get(raw_query)
+            if kw_rows is None:
+                matched = sorted(row_of[a] for a in bidword_index.lookup(raw_query))
+                kw_rows = keyword_rows[raw_query] = np.array(matched, dtype=np.intp)
+        vec_rows, vec_scores = no_rows, no_scores
+        unit = _unit_query(v_qu) if use_vector else None
+        if unit is not None:
+            hits = ann_index.search_rows(
+                unit, config.k_vector, config.overfetch_factor, config.rerank
             )
+            if not hits.pq and not exact_warned:
+                logger.warning(EXACT_FALLBACK_WARNING)
+                exact_warned = True
+            if hits.ids is not index_ids:
+                # rows index the ids of the snapshot that scored them
+                _refuse_missing(hits.ids, "the ad catalog", row_of, "indexed")
+                index_ids = hits.ids
+                index_to_catalog = np.array([row_of[a] for a in index_ids], dtype=np.intp)
+            vec_rows, vec_scores = index_to_catalog[hits.rows], hits.scores
+        rows = np.union1d(kw_rows, vec_rows)
+        if not rows.size:
+            continue
+        paths = np.zeros(rows.size, dtype=np.uint8)
+        paths[np.searchsorted(rows, kw_rows)] = KEYWORD_BIT
+        at = np.searchsorted(rows, vec_rows)
+        paths[at] |= VECTOR_BIT
+        retrieval = np.zeros(rows.size)
+        retrieval[at] = vec_scores
+
+        new = rows[part_of[rows] < 0]
+        if new.size:
+            new_ids = [catalog[r] for r in new.tolist()]
+            parts[next_part : next_part + new.size] = _encode_parts(
+                model, scorer, [ads_by_id[a] for a in new_ids], vocab
+            )
+            part_of[new] = np.arange(next_part, next_part + new.size)
+            next_part += new.size
+            missed.extend(new_ids)
+        scores, top = _rank(scorer, v_qu, parts[part_of[rows]], config.top_n)
+        if config.verify_split:
+            head = model.prerank_prob(
+                Tensor(np.tile(v_qu, (rows.size, 1))), Tensor(vectors[vector_of[rows]])
+            ).data
+            split_dev = max(split_dev, float(np.abs(head - scores).max()))
+
+        selected = rows[top]
+        draws = rng.random(size=selected.size)
+        category = category_codes.get(oracle.request_category(rec.user_id, rec.timestamp), -1)
+        clicked = draws < np.where(category_of[selected] == category, oracle.p_hi, oracle.p_lo)
+        for row in selected[clicked].tolist():
+            cost_total += costs[row]
+        presents += selected.size
+        clicks += int(np.count_nonzero(clicked))
+        presented.append((rec.user_id, rec.timestamp))
+        columns.append((selected, paths[top], retrieval[top], scores[top], clicked))
+    if missed:
+        logger.warning(
+            "%d ads missing from the precomputed part table were encoded "
+            "directly, once each (first: %s)",
+            len(missed),
+            ", ".join(missed[:5]),
+        )
+
+    impressions = Impressions.collect(catalog, costs, presented, columns)
     metrics = metrics_from_counts(presents, clicks, len(records), cost_total)
     metrics["q_part_computations"] = scorer.q_part_count
     metrics["prerank_split_max_abs_dev"] = split_dev if config.verify_split else None
@@ -447,8 +597,59 @@ def simulate(
     return SimulationResult(impressions=impressions, metrics=metrics)
 
 
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``json.dumps`` of each float: its repr when finite, else NaN,
+    Infinity or -Infinity as json spells them."""
+    floats = values.tolist()
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, floats))
+    return list(map(json.dumps, floats))
+
+
+def _write_impressions(imp: Impressions, path: Path) -> None:
+    """One line per row, equal byte for byte to ``json.dumps(row,
+    sort_keys=True) + "\\n"`` for the row the sequence reads; the lines are
+    put together from the columns and per-ad and per-request fragments."""
+    heads = {}  # catalog row -> the line's start up to "paths", unclicked and clicked
+    for row in np.unique(imp.rows).tolist():
+        ad = json.dumps(imp.ad_ids[row])
+        heads[row] = (
+            f'{{"ad_id": {ad}, "clicked": 0, "cost": 0.0, "paths": ',
+            f'{{"ad_id": {ad}, "clicked": 1, "cost": {json.dumps(imp.costs[row])}, "paths": ',
+        )
+    path_parts = [None if p is None else json.dumps(p) + ', "position": ' for p in _PATH_LISTS]
+    offsets = imp.offsets.tolist()
+    longest = max((hi - lo for lo, hi in zip(offsets, offsets[1:])), default=0)
+    positions = [f'{i}, "prerank_score": ' for i in range(longest)]
+    rows = imp.rows.tolist()
+    clicked = imp.clicked.tolist()
+    masks = imp.paths.tolist()
+    prerank = _json_floats(imp.prerank)
+    retrieval = [
+        s if m & VECTOR_BIT else "null" for s, m in zip(_json_floats(imp.retrieval), masks)
+    ]
+    with open(path, "w") as fh:
+        for (user_id, timestamp), lo, hi in zip(imp.requests, offsets, offsets[1:]):
+            tail = f', "timestamp": {json.dumps(timestamp)}, "user_id": {json.dumps(user_id)}}}\n'
+            fh.write(
+                "".join(
+                    [
+                        f'{heads[r][c]}{path_parts[m]}{pos}{p}, "retrieval_score": {s}{tail}'
+                        for r, c, m, pos, p, s in zip(
+                            rows[lo:hi],
+                            clicked[lo:hi],
+                            masks[lo:hi],
+                            positions,
+                            prerank[lo:hi],
+                            retrieval[lo:hi],
+                        )
+                    ]
+                )
+            )
+
+
 def write_simulation(result: SimulationResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(result.impressions, out / "impressions.jsonl")
+    _write_impressions(result.impressions, out / "impressions.jsonl")
     (out / "metrics.json").write_text(json.dumps(result.metrics, sort_keys=True, indent=2))

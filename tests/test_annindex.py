@@ -340,6 +340,34 @@ class TestPqSearch:
         assert "falling back" in caplog.text
         assert got == index.exact_topk(q, 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_non_finite_query_rejected(self, bad, trained):
+        rng = np.random.default_rng(17)
+        index = filled_index(rng, 40, 4)
+        if trained:
+            index.train_pq(n_subspaces=2, n_centroids=8, iterations=3, seed=17)
+        query = np.array([bad, 1.0, 0.0, 0.0])
+        for search in (
+            lambda: index.exact_topk(query, 2),
+            lambda: index.pq_search(query, 2),
+            lambda: index.search_rows(query, 2),
+        ):
+            with pytest.raises(DegenerateVectorError, match="non-finite"):
+                search()
+
+    def test_search_rows_names_the_rows_of_pq_search(self):
+        rng = np.random.default_rng(18)
+        index = filled_index(rng, 40, 4)
+        q = random_unit(rng, 1, 4)[0]
+        exact = index.search_rows(q, 5)
+        assert not exact.pq
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=3, seed=18)
+        hits = index.search_rows(q, 5, overfetch_factor=2)
+        assert hits.pq and hits.ids is index.ids()
+        named = [(hits.ids[r], s) for r, s in zip(hits.rows.tolist(), hits.scores.tolist())]
+        assert named == index.pq_search(q, 5, overfetch_factor=2)
+
     def test_recall_non_decreasing_in_overfetch(self):
         rng = np.random.default_rng(16)
         index = filled_index(rng, 400, 16)

@@ -1,5 +1,6 @@
 """Retrieval paths, split pre-ranking, and the end-to-end simulator."""
 
+import json
 import logging
 from dataclasses import replace
 
@@ -19,8 +20,10 @@ from admatch.pipeline import (
     BidwordIndex,
     Candidate,
     CatalogMismatchError,
+    Impressions,
     PipelineConfig,
     PrerankScorer,
+    SimulationResult,
     build_exact_index,
     compute_ad_vectors,
     load_ad_parts,
@@ -453,3 +456,250 @@ class TestSimulate:
             PipelineConfig(paths=())
         with pytest.raises(ValueError):
             PipelineConfig(top_n=0)
+
+
+# ----------------------------------------------------------------------
+# the replay against the per-request loop it replaced
+
+
+def reference_simulate(records, model, vocab, ann_index, ads, oracle, config, ad_parts=None):
+    """The replay as one ``retrieve`` + ``prerank`` + ``click_prob`` pass per
+    request, building one dict per impression: the golden reference."""
+    ads_by_id = {ad.item_id: ad for ad in ads}
+    bidword_index = BidwordIndex.build(ads) if "keyword" in config.paths else None
+    scorer = PrerankScorer(model)
+    encoded = ads if config.verify_split or ad_parts is None else []
+    vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
+    part_ids, parts = (vector_ids, scorer.a_part(vectors)) if ad_parts is None else ad_parts
+    part_rows = {ad_id: i for i, ad_id in enumerate(part_ids)}
+    vector_rows = {ad_id: i for i, ad_id in enumerate(vector_ids)}
+    requests = [request_from_record(r, vocab, model.config.behavior_window) for r in records]
+    v_qu_all = model.qu_forward(requests).data
+    rng = np.random.default_rng(config.seed)
+    presents = clicks = 0
+    cost_total = split_dev = 0.0
+    impressions = []
+    for rec, v_qu in zip(records, v_qu_all):
+        candidates = retrieve(
+            " ".join(rec.query_terms),
+            v_qu if "vector" in config.paths else None,
+            bidword_index,
+            ann_index,
+            config.k_vector,
+            paths=config.paths,
+            overfetch_factor=config.overfetch_factor,
+            rerank=config.rerank,
+        )
+        selected = prerank(
+            candidates, v_qu, scorer, part_rows, parts, model, ads_by_id, vocab, config.top_n
+        )
+        if config.verify_split and candidates:
+            ordered = sorted(candidates)
+            head = head_scores(model, v_qu, vectors[[vector_rows[a] for a in ordered]])
+            split = np.array([candidates[a].prerank_score for a in ordered])
+            split_dev = max(split_dev, float(np.abs(head - split).max()))
+        if not selected:
+            continue
+        draws = rng.random(size=len(selected))
+        for position, (cand, draw) in enumerate(zip(selected, draws)):
+            p_click = oracle.click_prob(rec.user_id, rec.timestamp, cand.ad_id)
+            was_clicked = int(draw < p_click)
+            presents += 1
+            clicks += was_clicked
+            ad_cost = ads_by_id[cand.ad_id].cost
+            if was_clicked:
+                cost_total += ad_cost
+            impressions.append(
+                {
+                    "user_id": rec.user_id,
+                    "timestamp": rec.timestamp,
+                    "ad_id": cand.ad_id,
+                    "position": position,
+                    "paths": sorted(cand.paths),
+                    "retrieval_score": cand.retrieval_score,
+                    "prerank_score": cand.prerank_score,
+                    "clicked": was_clicked,
+                    "cost": ad_cost if was_clicked else 0.0,
+                }
+            )
+    metrics = metrics_from_counts(presents, clicks, len(records), cost_total)
+    metrics["q_part_computations"] = scorer.q_part_count
+    metrics["prerank_split_max_abs_dev"] = split_dev if config.verify_split else None
+    metrics["paths"] = list(config.paths)
+    metrics["top_n"] = config.top_n
+    metrics["k_vector"] = config.k_vector
+    metrics["seed"] = config.seed
+    return impressions, metrics
+
+
+def reference_files(impressions, metrics):
+    lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in impressions)
+    return lines.encode(), json.dumps(metrics, sort_keys=True, indent=2).encode()
+
+
+def written_files(result, out):
+    write_simulation(result, out)
+    return (out / "impressions.jsonl").read_bytes(), (out / "metrics.json").read_bytes()
+
+
+CLONE = "clone-of-tie"  # sorts before every generated id, and sits last in the catalog
+
+
+@pytest.fixture(scope="module")
+def golden(world):
+    """A catalog with a cloned ad whose parts row equals its original's, so
+    the two tie exactly; requests with a tie, and one with no keyword match."""
+    records, ads, oracle, vocab, model, _ = world
+    original = ads[17]
+    catalog = list(ads) + [replace(original, item_id=CLONE)]
+    oracle = replace(
+        oracle,
+        item_categories={**oracle.item_categories, CLONE: oracle.item_categories[original.item_id]},
+    )
+    part_ids, parts = precompute_ad_parts(model, catalog, vocab)
+    parts[-1] = parts[part_ids.index(original.item_id)]
+    _, vectors = compute_ad_vectors(model, catalog, vocab)
+    exact = build_exact_index(model, catalog, vocab)
+    pq = build_exact_index(model, catalog, vocab)
+    pq.train_pq(n_subspaces=4, n_centroids=32, iterations=10, seed=71)
+    replay = (
+        list(records[:24])
+        + [replace(records[1], query_terms=original.bid_keywords[0].split())]
+        + [replace(records[2], query_terms=["no-such-bidword"])]
+    )
+    return replay, catalog, oracle, vocab, model, {"pq": pq, "exact": exact}, (part_ids, parts)
+
+
+class TestReplayMatchesReference:
+    @pytest.mark.parametrize("paths", [("keyword", "vector"), ("keyword",), ("vector",)])
+    @pytest.mark.parametrize("index_kind", ["pq", "exact"])
+    @pytest.mark.parametrize("rerank", [True, False])
+    @pytest.mark.parametrize("top_n", [4, 500])
+    @pytest.mark.parametrize("verify_split", [True, False])
+    @pytest.mark.parametrize("with_parts", [True, False])
+    def test_outputs_are_byte_equal(
+        self, golden, tmp_path, paths, index_kind, rerank, top_n, verify_split, with_parts
+    ):
+        records, catalog, oracle, vocab, model, indexes, parts = golden
+        cfg = PipelineConfig(
+            paths=paths, top_n=top_n, k_vector=30, rerank=rerank, seed=5,
+            verify_split=verify_split,
+        )
+        ad_parts = parts if with_parts else None
+        args = (records, model, vocab, indexes[index_kind], catalog, oracle, cfg, ad_parts)
+        ref_rows, ref_metrics = reference_simulate(*args)
+        result = simulate(*args)
+        assert written_files(result, tmp_path) == reference_files(ref_rows, ref_metrics)
+        # the sequence reads the same rows, with the same types
+        assert len(result.impressions) == len(ref_rows)
+        assert [json.dumps(r, sort_keys=True) for r in result.impressions] == [
+            json.dumps(r, sort_keys=True) for r in ref_rows
+        ]
+        if with_parts and top_n > len(catalog) and "keyword" in paths:
+            # the exact tie was presented, clone first by ad id
+            pairs = zip(ref_rows, ref_rows[1:])
+            assert any(
+                (a["ad_id"], b["ad_id"]) == (CLONE, catalog[17].item_id)
+                and a["prerank_score"] == b["prerank_score"]
+                for a, b in pairs
+            )
+        if paths == ("keyword",):
+            assert result.metrics["q_part_computations"] < len(records)
+
+    def test_rows_read_as_a_sequence(self, golden):
+        records, catalog, oracle, vocab, model, indexes, parts = golden
+        cfg = PipelineConfig(top_n=3, k_vector=10, seed=5)
+        result = simulate(records[:4], model, vocab, indexes["pq"], catalog, oracle, cfg, parts)
+        rows = result.impressions
+        assert len(rows) == 12
+        assert rows[-1] == rows[11] and rows[2:4] == [rows[2], rows[3]]
+        assert [r["position"] for r in rows] == [0, 1, 2] * 4
+        with pytest.raises(IndexError):
+            rows[12]
+
+    def test_non_finite_scores_written_as_json_writes_them(self, tmp_path):
+        columns = [
+            (np.array([1, 0]), np.array([3, 1], np.uint8), np.array([-np.inf, 0.0]),
+             np.array([np.nan, 0.25]), np.array([True, False])),
+            (np.array([0]), np.array([2], np.uint8), np.array([np.inf]),
+             np.array([1e-300]), np.array([True])),
+        ]
+        rows = Impressions.collect(["a\u00e9", "b"], [np.nan, 2], [("u1", 7), ("u\"2", 8)], columns)
+        impressions, _ = written_files(SimulationResult(rows, {}), tmp_path)
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        assert impressions == want.encode()
+        assert b"NaN" in impressions and b"-Infinity" in impressions
+
+    def test_unknown_request_raises(self, golden):
+        records, catalog, oracle, vocab, model, indexes, parts = golden
+        stranger = replace(records[0], user_id="nobody")
+        cfg = PipelineConfig(paths=("vector",), top_n=3, k_vector=10)
+        with pytest.raises(KeyError, match=r"unknown request nobody\|"):
+            simulate([stranger], model, vocab, indexes["pq"], catalog, oracle, cfg, parts)
+
+    def test_add_during_replay_maps_rows_through_the_searched_snapshot(
+        self, golden, tmp_path, monkeypatch
+    ):
+        records, catalog, oracle, vocab, model, _, _ = golden
+        late = catalog[40]
+        _, vectors = compute_ad_vectors(model, [late], vocab)
+        outputs = []
+        for run in ("reference", "replay"):
+            index = build_exact_index(model, [a for a in catalog if a is not late], vocab)
+            index.train_pq(n_subspaces=4, n_centroids=32, iterations=10, seed=71)
+            search_rows = index.search_rows
+            calls = []
+
+            def adding_search(*args, **kwargs):
+                # the third search adds an ad before it reads the index
+                calls.append(1)
+                if len(calls) == 3:
+                    index.add(late.item_id, vectors[0])
+                return search_rows(*args, **kwargs)
+
+            monkeypatch.setattr(index, "search_rows", adding_search)
+            cfg = PipelineConfig(paths=("vector",), top_n=500, k_vector=500, seed=5)
+            args = (records[:6], model, vocab, index, catalog, oracle, cfg)
+            if run == "reference":
+                outputs.append(reference_files(*reference_simulate(*args)))
+            else:
+                outputs.append(written_files(simulate(*args), tmp_path))
+            assert len(index) == len(catalog)
+        assert outputs[0] == outputs[1]
+        assert late.item_id.encode() in outputs[1][0]
+
+
+class TestReplayWarnings:
+    def test_missing_parts_encoded_once_per_replay(self, world, caplog, monkeypatch):
+        records, ads, oracle, vocab, model, ann = world
+        victim = ads[5].item_id
+        part_ids, parts = precompute_ad_parts(model, ads, vocab)
+        keep = [i for i, a in enumerate(part_ids) if a != victim]
+        table = ([part_ids[i] for i in keep], parts[keep])
+        batches = []
+        original = compute_ad_vectors
+
+        def counting(model_, ads_, vocab_):
+            batches.append([a.item_id for a in ads_])
+            return original(model_, ads_, vocab_)
+
+        monkeypatch.setattr("admatch.pipeline.compute_ad_vectors", counting)
+        # a pool covering the whole index: every request retrieves the victim
+        cfg = PipelineConfig(paths=("vector",), top_n=5, k_vector=len(ann), seed=3)
+        with caplog.at_level(logging.WARNING):
+            result = simulate(records[:12], model, vocab, ann, ads, oracle, cfg, table)
+        # the catalog encoding for verify_split, then the victim, once
+        assert len(batches) == 2 and batches[1] == [victim]
+        assert result.metrics["prerank_split_max_abs_dev"] <= 1e-12
+        warnings = [r.getMessage() for r in caplog.records if "part table" in r.getMessage()]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("1 ads missing") and victim in warnings[0]
+
+    def test_exact_fallback_warns_once_per_replay(self, world, caplog):
+        records, ads, oracle, vocab, model, _ = world
+        exact = build_exact_index(model, ads, vocab)
+        cfg = PipelineConfig(paths=("vector",), top_n=3, k_vector=10, seed=3)
+        with caplog.at_level(logging.WARNING):
+            simulate(records[:8], model, vocab, exact, ads, oracle, cfg)
+        fallbacks = [r for r in caplog.records if "falling back to exact" in r.getMessage()]
+        assert len(fallbacks) == 1
