@@ -103,6 +103,18 @@ def _kmeans_pp_init(
     return centers
 
 
+def _nearest(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center and its squared distance to it."""
+    # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
+    d2 = (
+        (data * data).sum(axis=1)[:, None]
+        - 2.0 * (data @ centers.T)
+        + (centers * centers).sum(axis=1)[None, :]
+    )
+    assign = np.argmin(d2, axis=1)
+    return assign, d2[np.arange(len(data)), assign]
+
+
 def _lloyd(
     data: np.ndarray, k: int, iterations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float]]:
@@ -111,15 +123,8 @@ def _lloyd(
     centers = _kmeans_pp_init(data, k, rng)
     errors: list[float] = []
     for _ in range(iterations):
-        # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-        cross = data @ centers.T
-        d2 = (
-            (data * data).sum(axis=1)[:, None]
-            - 2.0 * cross
-            + (centers * centers).sum(axis=1)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
-        errors.append(float(np.maximum(d2[np.arange(len(data)), assign], 0.0).mean()))
+        assign, nearest_d2 = _nearest(data, centers)
+        errors.append(float(np.maximum(nearest_d2, 0.0).mean()))
         for j in range(k):
             members = data[assign == j]
             if len(members):
@@ -175,13 +180,7 @@ def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
     codes = np.empty((vectors.shape[0], m_total), dtype=np.uint8)
     for m in range(m_total):
         block = vectors[:, m * sub : (m + 1) * sub]
-        centers = codebooks.centroids[m].astype(np.float64)
-        d2 = (
-            (block * block).sum(axis=1)[:, None]
-            - 2.0 * (block @ centers.T)
-            + (centers * centers).sum(axis=1)[None, :]
-        )
-        codes[:, m] = np.argmin(d2, axis=1).astype(np.uint8)
+        codes[:, m] = _nearest(block, codebooks.centroids[m].astype(np.float64))[0]
     return codes
 
 

@@ -4,9 +4,10 @@ The op set is exactly what the matching model needs: matmul, broadcast
 arithmetic, activations, softmax over an axis, embedding gathers and
 padded segment sums, concatenation and slicing along an axis,
 reductions, row-wise cosine, and clipping. Every op computes its value
-eagerly with numpy; while a Tape is active it also records a closure
-that routes the output gradient back to its inputs. With no active
-tape, ops are plain forward evaluation (inference mode).
+eagerly with numpy; while a Tape is active and an input needs a
+gradient, it also records one closure that routes the output gradient
+back to its inputs. With no active tape, ops are plain forward
+evaluation (inference mode).
 
 All arithmetic is float64. Tapes are per-thread: distinct tapes may run
 concurrently over shared read-only parameter values, but gradient
@@ -162,75 +163,72 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _record(out: Tensor, backward_fn: Callable[[], None]) -> None:
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(backward_fn)
+def _op(
+    value: np.ndarray, backward: Callable[[np.ndarray], None], *inputs: Tensor
+) -> Tensor:
+    """The output tensor of one op over ``inputs``.
+
+    The output needs a gradient when any input does. Only then, and only
+    while a tape is active, one closure is recorded; once the output has
+    a gradient it runs ``backward(out.grad)``, which routes it to the
+    inputs. An output no gradient reaches passes nothing back.
+    """
+    out = Tensor(value)
+    for t in inputs:  # a plain loop, not any(): serving runs ops on every request
+        if t.requires_grad:
+            out.requires_grad = True
+            tape = active_tape()
+            if tape is not None:
+
+                def run() -> None:
+                    if out.grad is not None:
+                        backward(out.grad)
+
+                tape.record(run)
+            break
+    return out
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray) -> None:
         # out is done, so one operand may keep g; the other takes a copy
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape), fresh=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape), fresh=not a.requires_grad)
 
-    _record(out, backward)
-    return out
+    return _op(a.data + b.data, backward, a, b)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape), fresh=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
-    _record(out, backward)
-    return out
+    return _op(a.data - b.data, backward, a, b)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, requires_grad=a.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and a.requires_grad:
-            a._accumulate(-g, fresh=True)
-
-    _record(out, backward)
-    return out
+    return _op(-a.data, lambda g: a._accumulate(-g, fresh=True), a)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
-    _record(out, backward)
-    return out
+    return _op(a.data * b.data, backward, a, b)
 
 
 def matmul(a, b) -> Tensor:
@@ -240,19 +238,14 @@ def matmul(a, b) -> Tensor:
             f"matmul needs 2-d operands with matching inner dimension, "
             f"got {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
             b._accumulate(a.data.T @ g, fresh=True)
 
-    _record(out, backward)
-    return out
+    return _op(a.data @ b.data, backward, a, b)
 
 
 def sigmoid(x) -> Tensor:
@@ -263,42 +256,19 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(d))
     y = np.where(d >= 0, 1.0, e)
     y /= 1.0 + e
-    out = Tensor(y, requires_grad=x.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g * y * (1.0 - y), fresh=True)
-
-    _record(out, backward)
-    return out
+    return _op(y, lambda g: x._accumulate(g * y * (1.0 - y), fresh=True), x)
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = Tensor(y, requires_grad=x.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g * (1.0 - y * y), fresh=True)
-
-    _record(out, backward)
-    return out
+    return _op(y, lambda g: x._accumulate(g * (1.0 - y * y), fresh=True), x)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g * (x.data > 0), fresh=True)
-
-    _record(out, backward)
-    return out
+    y = np.maximum(x.data, 0.0)
+    return _op(y, lambda g: x._accumulate(g * (x.data > 0), fresh=True), x)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -307,100 +277,62 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=x.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate(y * (g - inner), fresh=True)
+    def backward(g: np.ndarray) -> None:
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        x._accumulate(y * (g - inner), fresh=True)
 
-    _record(out, backward)
-    return out
+    return _op(y, backward, x)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.log(x.data), requires_grad=x.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g / x.data, fresh=True)
-
-    _record(out, backward)
-    return out
+    return _op(np.log(x.data), lambda g: x._accumulate(g / x.data, fresh=True), x)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where unclipped."""
     x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi), requires_grad=x.requires_grad)
     mask = (x.data >= lo) & (x.data <= hi)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g * mask, fresh=True)
-
-    _record(out, backward)
-    return out
+    y = np.clip(x.data, lo, hi)
+    return _op(y, lambda g: x._accumulate(g * mask, fresh=True), x)
 
 
 def sum_all(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.data.shape))
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(np.broadcast_to(g, x.data.shape))
 
-    _record(out, backward)
-    return out
+    return _op(x.data.sum(), backward, x)
 
 
 def sum_axis(x, axis: int) -> Tensor:
     """Sum over one axis, which is dropped from the shape."""
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis), requires_grad=x.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
-    _record(out, backward)
-    return out
+    return _op(x.data.sum(axis=axis), backward, x)
 
 
 def mean_all(x) -> Tensor:
     x = as_tensor(x)
     if x.data.size == 0:
         raise ShapeError("mean of an empty tensor")
-    out = Tensor(x.data.mean(), requires_grad=x.requires_grad)
     inv = 1.0 / x.data.size
 
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(np.broadcast_to(g * inv, x.data.shape))
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(np.broadcast_to(g * inv, x.data.shape))
 
-    _record(out, backward)
-    return out
+    return _op(x.data.mean(), backward, x)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape), fresh=True)
-
-    _record(out, backward)
-    return out
+    y = x.data.reshape(shape)
+    return _op(y, lambda g: x._accumulate(g.reshape(x.data.shape), fresh=True), x)
 
 
 def _axis(ndim: int, axis: int) -> int:
@@ -425,16 +357,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 f"concat along axis {axis} needs matching shapes, "
                 f"got {first} and {shape}"
             )
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=ax),
-        requires_grad=any(t.requires_grad for t in tensors),
-    )
     sizes = [t.data.shape[ax] for t in tensors]
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray) -> None:
         offset = 0
         for t, n in zip(tensors, sizes):
             if t.requires_grad:
@@ -442,26 +367,21 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 t._accumulate(g[part], fresh=True)
             offset += n
 
-    _record(out, backward)
-    return out
+    return _op(np.concatenate([t.data for t in tensors], axis=ax), backward, *tensors)
 
 
 def take(x, start: int, stop: int, axis: int) -> Tensor:
     """Entries [start, stop) along one axis."""
     x = as_tensor(x)
     index = (slice(None),) * _axis(x.data.ndim, axis) + (slice(start, stop),)
-    out = Tensor(x.data[index].copy(), requires_grad=x.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is not None and x.requires_grad:
-            # add into the slice in place, without a full-size temporary
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[index] += g
+    def backward(g: np.ndarray) -> None:
+        # add into the slice in place, without a full-size temporary
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[index] += g
 
-    _record(out, backward)
-    return out
+    return _op(x.data[index].copy(), backward, x)
 
 
 def _check_ids(ids: np.ndarray, rows: int) -> None:
@@ -492,15 +412,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows needs 1-d ids, got shape {idx.shape}")
     _check_ids(idx, table.data.shape[0])
-    out = Tensor(table.data[idx], requires_grad=table.requires_grad)
-
-    def backward() -> None:
-        g = out.grad
-        if g is not None and table.requires_grad:
-            _scatter_rows(table, idx, g)
-
-    _record(out, backward)
-    return out
+    return _op(table.data[idx], lambda g: _scatter_rows(table, idx, g), table)
 
 
 def segment_sum(table: Tensor, ids) -> Tensor:
@@ -518,21 +430,20 @@ def segment_sum(table: Tensor, ids) -> Tensor:
     slots = idx.T  # slot-major: the sum runs over contiguous [n x d] blocks
     rows = table.data[slots]
     rows[slots == 0] = 0.0
-    out = Tensor(rows.sum(axis=0), requires_grad=table.requires_grad)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None or not table.requires_grad:
-            return
+    def backward(g: np.ndarray) -> None:
         real = slots != 0
         _scatter_rows(table, slots[real], g[np.nonzero(real)[1]])
 
-    _record(out, backward)
-    return out
+    return _op(rows.sum(axis=0), backward, table)
 
 
 def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
-    """Row-wise cosine similarity of two [n x d] tensors, in [-1, 1]."""
+    """Row-wise cosine similarity of two [n x d] tensors, in [-1, 1].
+
+    A row where either vector has zero norm has no direction: its cosine
+    is 0 and it passes no gradient. Every other row is unaffected.
+    """
     u, v = as_tensor(u), as_tensor(v)
     if u.data.shape != v.data.shape or u.data.ndim != 2:
         raise ShapeError(
@@ -540,16 +451,13 @@ def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
         )
     nu = np.sqrt((u.data * u.data).sum(axis=1))
     nv = np.sqrt((v.data * v.data).sum(axis=1))
-    if (nu == 0.0).any() or (nv == 0.0).any():
-        raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
-    c = (u.data * v.data).sum(axis=1) / (nu * nv)
-    out = Tensor(c, requires_grad=u.requires_grad or v.requires_grad)
+    live = nu * nv != 0.0
+    # unit norms keep a zero row's arithmetic finite; its value and gradient are masked
+    nu, nv = np.where(live, nu, 1.0), np.where(live, nv, 1.0)
+    c = np.where(live, (u.data * v.data).sum(axis=1) / (nu * nv), 0.0)
 
-    def backward() -> None:
-        g = out.grad
-        if g is None:
-            return
-        gcol = g[:, None]
+    def backward(g: np.ndarray) -> None:
+        gcol = (g * live)[:, None]
         inv = (1.0 / (nu * nv))[:, None]
         if u.requires_grad:
             gu = gcol * (v.data * inv - (c / (nu * nu))[:, None] * u.data)
@@ -558,8 +466,7 @@ def cosine_rows(u: Tensor, v: Tensor) -> Tensor:
             gv = gcol * (u.data * inv - (c / (nv * nv))[:, None] * v.data)
             v._accumulate(gv, fresh=True)
 
-    _record(out, backward)
-    return out
+    return _op(c, backward, u, v)
 
 
 @dataclass

@@ -93,6 +93,23 @@ def head_aucs(
     return preds, aucs
 
 
+def _train_and_score(
+    encoder_config: EncoderConfig,
+    train_config,
+    vocab_sizes: Mapping[str, int],
+    train_instances: Sequence[ImpressionInstance],
+    val_instances: Sequence[ImpressionInstance],
+    test_instances: Sequence[ImpressionInstance],
+) -> tuple[dict[str, np.ndarray], dict[str, float | None]]:
+    """Train a model seeded by ``train_config`` and score it on the test
+    set: ``head_aucs`` under the mode it trained."""
+    from .training import train
+
+    model = MatchingModel(encoder_config, vocab_sizes, seed=train_config.seed)
+    result = train(model, train_instances, val_instances, train_config)
+    return head_aucs(result.model, test_instances, train_config.mode)
+
+
 def model_aucs(
     model: MatchingModel,
     instances: Sequence[ImpressionInstance],
@@ -128,21 +145,20 @@ def gamma_sweep(
     Each row reports the retrieval-head prediction statistics and AUC on
     the test set. The training mode must train the retrieval head.
     """
-    from .training import train
-
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma values must be positive")
     if train_config.mode == "SINGLE_PRERANK":
         raise ValueError("a gamma sweep needs a mode that trains the retrieval head")
     rows = []
     for gamma in gammas:
-        model = MatchingModel(
+        preds, aucs = _train_and_score(
             replace(encoder_config, gamma=float(gamma)),
+            train_config,
             vocab_sizes,
-            seed=train_config.seed,
+            train_instances,
+            val_instances,
+            test_instances,
         )
-        result = train(model, train_instances, val_instances, train_config)
-        preds, aucs = head_aucs(result.model, test_instances, train_config.mode)
         rows.append(
             GammaSweepRow(
                 gamma=float(gamma),
@@ -212,28 +228,24 @@ def ablation_suite(
 ) -> AblationReport:
     """Train all encoder variants, joint-vs-single, and share-vs-non-share
     under one seed/data regime, and flag the directional orderings."""
-    from .training import train
 
-    def run(cfg: EncoderConfig, mode: str) -> AblationRow:
-        model = MatchingModel(cfg, vocab_sizes, seed=train_config.seed)
-        tcfg = replace(train_config, mode=mode)
-        result = train(model, train_instances, val_instances, tcfg)
-        _, aucs = head_aucs(result.model, test_instances, mode)
-        return AblationRow("", aucs["retrieval"], aucs["prerank"])
+    def run(label: str, cfg: EncoderConfig, mode: str = "JOINT") -> AblationRow:
+        _, aucs = _train_and_score(
+            cfg,
+            replace(train_config, mode=mode),
+            vocab_sizes,
+            train_instances,
+            val_instances,
+            test_instances,
+        )
+        return AblationRow(label, aucs["retrieval"], aucs["prerank"])
 
-    variant_rows = []
-    by_variant: dict[str, AblationRow] = {}
-    for variant in VARIANTS:
-        row = run(replace(encoder_config, variant=variant), "JOINT")
-        row.label = variant
-        variant_rows.append(row)
-        by_variant[variant] = row
+    variant_rows = [run(v, replace(encoder_config, variant=v)) for v in VARIANTS]
+    by_variant = {row.label: row for row in variant_rows}
 
     attentive = replace(encoder_config, variant="ATTENTION_GRU_RNN")
-    single_r = run(attentive, "SINGLE_RETRIEVAL")
-    single_r.label = "single training task1"
-    single_p = run(attentive, "SINGLE_PRERANK")
-    single_p.label = "single training task2"
+    single_r = run("single training task1", attentive, "SINGLE_RETRIEVAL")
+    single_p = run("single training task2", attentive, "SINGLE_PRERANK")
     joint_row = by_variant["ATTENTION_GRU_RNN"]
     training_rows = [
         single_r,
@@ -241,8 +253,7 @@ def ablation_suite(
         AblationRow("jointly training", joint_row.retrieval_auc, joint_row.prerank_auc),
     ]
 
-    non_share = run(replace(attentive, share_tower=False), "JOINT")
-    non_share.label = "non-share"
+    non_share = run("non-share", replace(attentive, share_tower=False))
     share_row = AblationRow("share", joint_row.retrieval_auc, joint_row.prerank_auc)
     sharing_rows = [share_row, non_share]
 

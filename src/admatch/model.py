@@ -174,7 +174,7 @@ class EncoderConfig:
     prerank_hidden: int = 64
     share_tower: bool = True
     # tanh default: relu towers can emit exact zero vectors under training
-    # pressure, which the cosine head rejects as degenerate
+    # pressure; the cosine head scores such a row 0 and passes it no gradient
     activation: str = "tanh"
     gamma: float = 6.0
     alpha: float = 0.5

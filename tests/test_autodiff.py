@@ -1,5 +1,6 @@
 """Tensor op semantics and gradient correctness for the autodiff core."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from admatch import autodiff as ad
 from admatch.autodiff import (
-    DegenerateVectorError,
     DeterminismError,
     ParamStore,
     ShapeError,
@@ -145,9 +145,37 @@ class TestCosine:
             scaled = cosine(a * u, b * v)
             assert scaled == pytest.approx(base, abs=1e-9)
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine([0.0, 0.0], [1.0, 0.0])
+    def test_zero_vector_scores_zero_and_passes_no_gradient(self):
+        for u, v in (([0.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, 0.0])):
+            tu, tv = Tensor([u], requires_grad=True), Tensor([v], requires_grad=True)
+            with Tape() as tape:
+                c = ad.cosine_rows(tu, tv)
+                tape.backward(ad.sum_all(c))
+            assert c.data[0] == 0.0
+            np.testing.assert_array_equal(tu.grad, 0.0)
+            np.testing.assert_array_equal(tv.grad, 0.0)
+
+    def test_zero_row_leaves_other_rows_bit_identical(self):
+        rng = np.random.default_rng(13)
+        u, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        g = rng.normal(size=5)
+        u[2] = 0.0  # row 2: a zero query vector
+
+        def run(rows):
+            tu = Tensor(u[rows], requires_grad=True)
+            tv = Tensor(v[rows], requires_grad=True)
+            with Tape() as tape:
+                c = ad.cosine_rows(tu, tv)
+                tape.backward(ad.sum_all(ad.mul(c, g[rows])))
+            return c.data, tu.grad, tv.grad
+
+        c, gu, gv = run(np.arange(5))
+        assert c[2] == 0.0
+        np.testing.assert_array_equal(gu[2], 0.0)
+        np.testing.assert_array_equal(gv[2], 0.0)
+        live = [0, 1, 3, 4]
+        for got, want in zip((c, gu, gv), run(np.array(live))):
+            np.testing.assert_array_equal(got[live], want)
 
     def test_range(self):
         rng = np.random.default_rng(12)
@@ -308,6 +336,86 @@ def test_every_op_passes_grad_check(builder):
     store.add("col", rng.normal(scale=0.7, size=(3, 1)))
     store.add("table", rng.normal(scale=0.7, size=(4, 3)))
     assert grad_check(builder, store, epsilon=1e-5) < 1e-4
+
+
+# every op, as a function of its tensor inputs, and those inputs' shapes
+PROTOCOL_CASES = {
+    "add": (ad.add, [(2, 3), (3,)]),
+    "sub": (ad.sub, [(2, 3), (2, 3)]),
+    "neg": (ad.neg, [(2, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 1)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "tanh": (ad.tanh, [(2, 3)]),
+    "relu": (ad.relu, [(2, 3)]),
+    "softmax": (ad.softmax, [(2, 3)]),
+    "log": (ad.log, [(2, 3)]),
+    "clip": (lambda x: ad.clip(x, -0.5, 0.5), [(2, 3)]),
+    "sum_all": (ad.sum_all, [(2, 3)]),
+    "sum_axis": (lambda x: ad.sum_axis(x, 1), [(2, 3)]),
+    "mean_all": (ad.mean_all, [(2, 3)]),
+    "reshape": (lambda x: ad.reshape(x, (3, 2)), [(2, 3)]),
+    "concat": (lambda *ts: ad.concat(ts, axis=1), [(2, 1), (2, 2), (2, 3)]),
+    "take": (lambda x: ad.take(x, 1, 3, axis=1), [(2, 3)]),
+    "gather_rows": (lambda t: ad.gather_rows(t, [0, 2, 2]), [(4, 3)]),
+    "segment_sum": (lambda t: ad.segment_sum(t, [[1, 0], [2, 2]]), [(4, 3)]),
+    "cosine_rows": (ad.cosine_rows, [(3, 4), (3, 4)]),
+}
+
+
+def test_protocol_cases_cover_every_op():
+    ops = {
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and fn.__annotations__.get("return") == "Tensor"
+    }
+    assert ops - {"as_tensor"} == set(PROTOCOL_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+class TestTapeProtocol:
+    """Each op records one tape entry exactly when an input needs a
+    gradient, and only on an active tape."""
+
+    def inputs(self, name, needs_grad):
+        shapes = PROTOCOL_CASES[name][1]
+        rng = np.random.default_rng(5)
+        return [  # positive entries: inside every op's domain
+            Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=needs_grad(i))
+            for i, shape in enumerate(shapes)
+        ]
+
+    def test_one_record_when_any_input_needs_a_gradient(self, name):
+        op, shapes = PROTOCOL_CASES[name]
+        for which in [None, *range(len(shapes))]:
+            # every input, then each input alone
+            ts = self.inputs(name, lambda i: which is None or i == which)
+            with Tape() as tape:
+                out = op(*ts)
+            assert out.requires_grad
+            assert len(tape) == 1, which
+
+    def test_no_record_without_a_gradient_or_a_tape(self, name):
+        op, _ = PROTOCOL_CASES[name]
+        with Tape() as tape:
+            out = op(*self.inputs(name, lambda i: False))
+        assert not out.requires_grad
+        assert len(tape) == 0
+        with Tape() as closed:
+            pass
+        assert op(*self.inputs(name, lambda i: True)).requires_grad
+        assert len(closed) == 0
+
+    def test_unreached_output_passes_nothing_back(self, name):
+        op, _ = PROTOCOL_CASES[name]
+        ts = self.inputs(name, lambda i: True)
+        with Tape() as tape:
+            op(*ts)
+            tape.backward(Tensor(0.0))
+        assert all(t.grad is None for t in ts)
 
 
 class TestParamStore:

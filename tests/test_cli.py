@@ -190,6 +190,23 @@ class TestRecipe:
         assert (workspace / "sweep.csv").read_text().count("\n") == 2
 
 
+def test_relu_towers_train(tmp_path, capsys):
+    # relu towers emit exact zero vectors on this recipe; their rows score
+    # cosine 0 instead of aborting the run
+    assert main(["gen-data", "--users", "60", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    logs = str(tmp_path / "logs.jsonl")
+    vocab = str(tmp_path / "vocab.tsv")
+    assert main(["build-vocab", "--logs", logs, "--out", vocab]) == 0
+    code, out, err = run_cli(
+        capsys, "train", "--logs", logs, "--vocab", vocab, *SPLIT,
+        "--max-epochs", "2", "--seed", "3", "--gamma", "3", "--alpha", "0.3",
+        "--no-share-tower", "--tower-dims", "16,8", "--variant", "GRU_RNN",
+        "--activation", "relu", "--checkpoint-out", str(tmp_path / "model.json"),
+    )
+    assert code == 0, err
+    assert last_json(out)["epochs_run"] == 2
+
+
 class TestErrors:
     def test_unknown_flag_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from admatch import autodiff as ad
-from admatch.autodiff import DegenerateVectorError, Tape, Tensor, grad_check
+from admatch.autodiff import Tape, Tensor, grad_check
 from admatch.model import (
     PAD_BEHAVIOR,
     VARIANTS,
@@ -317,7 +317,7 @@ class TestTowers:
         assert qu_w is not ad_w
         assert not np.array_equal(qu_w.data, ad_w.data)
 
-    def test_zero_final_tower_hits_degenerate_cosine(self):
+    def test_zero_final_tower_scores_half(self):
         model = MatchingModel(tiny_config(activation="relu"), VOCAB, seed=25)
         model.params["tower2/W"].data[...] = 0.0
         model.params["tower2/b"].data[...] = -1.0  # relu kills everything
@@ -325,8 +325,8 @@ class TestTowers:
         inst = make_batch(rng, 1)[0]
         v_qu = model.qu_forward([inst.request])
         v_a = model.ad_forward([inst.ad])
-        with pytest.raises(DegenerateVectorError):
-            model.retrieval_prob(v_qu, v_a)
+        assert not v_qu.data.any() and not v_a.data.any()
+        assert model.retrieval_prob(v_qu, v_a).data[0] == 0.5
 
 
 class TestRetrievalHead:
