@@ -39,7 +39,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import artifact
-from .autodiff import DegenerateVectorError
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +54,10 @@ OVERFETCH_FACTOR = 10
 RERANK = True
 
 EXACT_FALLBACK_WARNING = "PQ codebooks absent; falling back to exact search"
+
+
+class DegenerateVectorError(ValueError):
+    """A zero-norm or non-finite vector cannot be indexed or searched."""
 
 
 class PqTrainingError(ValueError):

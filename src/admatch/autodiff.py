@@ -27,10 +27,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
 
-class DegenerateVectorError(ValueError):
-    """A zero-norm vector reached an op that needs a direction."""
-
-
 class DeterminismError(RuntimeError):
     """Two forward evaluations of the same function disagreed."""
 

@@ -18,6 +18,7 @@ scoring and ranking, and keeps its impressions as columns.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import operator
@@ -57,7 +58,8 @@ _PARTS_VERSION = 2
 
 
 class CatalogMismatchError(ValueError):
-    """The replay's index, ad catalog and oracle do not cover the same ads."""
+    """The replay's index, ad catalog and oracle do not cover the same ads, or
+    its ad-parts table is not as wide as the model's pre-rank layer."""
 
 
 @dataclass
@@ -241,15 +243,6 @@ def retrieve(
     return candidates
 
 
-def _encode_parts(
-    model: MatchingModel, scorer: PrerankScorer, ads: Sequence[AdDescriptor], vocab: Vocabulary
-) -> np.ndarray:
-    """Ad-side parts computed from the model, in one batch: the fallback for
-    ads missing from the precomputed table."""
-    _, vectors = compute_ad_vectors(model, ads, vocab)
-    return scorer.a_part(vectors)
-
-
 def _rank(
     scorer: PrerankScorer, v_qu: np.ndarray, a_parts: np.ndarray, top_n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +288,8 @@ def prerank(
             len(ordered),
             ", ".join(missing[:5]),
         )
-        a_parts[misses] = _encode_parts(model, scorer, [ads_by_id[a] for a in missing], vocab)
+        _, vectors = compute_ad_vectors(model, [ads_by_id[a] for a in missing], vocab)
+        a_parts[misses] = scorer.a_part(vectors)
     scores, top = _rank(scorer, v_qu, a_parts, top_n)
     for ad_id, score in zip(ordered, scores.tolist()):
         candidates[ad_id].prerank_score = score
@@ -322,8 +316,8 @@ class PipelineConfig:
             raise ValueError(f"unknown retrieval paths {sorted(unknown)}")
         if not self.paths:
             raise ValueError("at least one retrieval path is required")
-        if self.top_n < 1 or self.k_vector < 1:
-            raise ValueError("top_n and k_vector must be >= 1")
+        if min(self.top_n, self.k_vector, self.overfetch_factor) < 1:
+            raise ValueError("top_n, k_vector and overfetch_factor must be >= 1")
 
 
 def metrics_from_counts(
@@ -457,39 +451,53 @@ def simulate(
     the trained head, ``model.prerank_prob``, and the maximum absolute
     deviation is reported in the metrics.
 
-    An ad missing from the parts table is encoded the first time it is
-    retrieved and keeps its parts for the rest of the call; one warning
-    at the end names the misses. A search that falls back to exact
-    because the index has no codebooks warns once per call.
+    Before the replay, each catalog ad is encoded at most once: every ad
+    when ``verify_split`` is on or no parts table is given, else only the
+    ads the table lacks, in one batch. A row's parts come from the table
+    when it has the ad, else from the ad's encoding; one warning names the
+    ads the table lacks. A search that falls back to exact because the
+    index has no codebooks warns once per call.
 
     Raises CatalogMismatchError before the replay when the index holds
-    an ad missing from ``ads``, or ``oracle`` does not know a catalog ad.
+    an ad missing from ``ads``, ``oracle`` does not know a catalog ad, or
+    the parts table's width is not the model's ``prerank_hidden``.
     """
     ads_by_id = {ad.item_id: ad for ad in ads}
     if ann_index is not None:
         _refuse_missing(ann_index.ids(), "the ad catalog", ads_by_id, "indexed")
     _refuse_missing(ads_by_id, "the oracle", oracle.item_categories, "catalog")
+    hidden = model.config.prerank_hidden
+    table_ids, table = ad_parts if ad_parts is not None else ([], np.zeros((0, hidden)))
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape[1] != hidden:
+        raise CatalogMismatchError(
+            f"the ad-parts table is {table.shape[1]} wide, "
+            f"but the model's prerank_hidden is {hidden}"
+        )
     bidword_index = BidwordIndex.build(ads) if KEYWORD_PATH in config.paths else None
     use_vector = VECTOR_PATH in config.paths and ann_index is not None
     scorer = PrerankScorer(model)
-    encoded = ads if config.verify_split or ad_parts is None else []
-    vector_ids, vectors = compute_ad_vectors(model, encoded, vocab)
-    part_ids, parts = (vector_ids, scorer.a_part(vectors)) if ad_parts is None else ad_parts
-    parts = np.asarray(parts, dtype=np.float64)
 
     # per-catalog-row tables
     catalog = sorted(ads_by_id)
     row_of = {ad_id: row for row, ad_id in enumerate(catalog)}
     costs = [ads_by_id[a].cost for a in catalog]
-    part_rows = {ad_id: i for i, ad_id in enumerate(part_ids)}
-    part_of = np.array([part_rows.get(a, -1) for a in catalog], dtype=np.intp)
-    uncovered = int(np.count_nonzero(part_of < 0))
-    next_part = len(parts)
-    if uncovered:
-        # room for the parts of ads the table lacks, filled on first retrieval
-        parts = np.concatenate([parts, np.empty((uncovered, parts.shape[1]))])
-    vector_rows = {ad_id: i for i, ad_id in enumerate(vector_ids)}
-    vector_of = np.array([vector_rows.get(a, -1) for a in catalog], dtype=np.intp)
+    table_at = {ad_id: i for i, ad_id in enumerate(table_ids)}
+    table_row = np.array([table_at.get(a, -1) for a in catalog], dtype=np.intp)
+    covered = table_row >= 0
+    missing = np.flatnonzero(~covered)
+    if ad_parts is not None and missing.size:
+        logger.warning(
+            "%d ads missing from the precomputed part table are encoded "
+            "directly, once each (first: %s)",
+            missing.size,
+            ", ".join(catalog[r] for r in missing[:5].tolist()),
+        )
+    encode = np.arange(len(catalog)) if config.verify_split else missing
+    _, vectors = compute_ad_vectors(model, [ads_by_id[catalog[r]] for r in encode.tolist()], vocab)
+    parts = np.empty((len(catalog), hidden))
+    parts[covered] = table[table_row[covered]]
+    parts[missing] = scorer.a_part(vectors[missing] if config.verify_split else vectors)
     category_codes: dict = {}
     category_of = np.array(
         [category_codes.setdefault(oracle.item_categories[a], len(category_codes)) for a in catalog],
@@ -507,16 +515,12 @@ def simulate(
         v_qu_all = np.concatenate(chunks, axis=0)
 
     rng = np.random.default_rng(config.seed)
-    presents = 0
-    clicks = 0
-    cost_total = 0.0
     split_dev = 0.0
     keyword_rows: dict[str, np.ndarray] = {}
     index_ids: tuple[str, ...] | None = None  # the last searched snapshot's ids
     index_to_catalog = np.zeros(0, dtype=np.intp)  # ... and their catalog rows
     no_rows, no_scores = np.zeros(0, dtype=np.intp), np.zeros(0)
     exact_warned = False
-    missed: list[str] = []
     presented: list[tuple[str, int]] = []
     columns: list[tuple[np.ndarray, ...]] = []
     for rec, v_qu in zip(records, v_qu_all):
@@ -552,19 +556,10 @@ def simulate(
         retrieval = np.zeros(rows.size)
         retrieval[at] = vec_scores
 
-        new = rows[part_of[rows] < 0]
-        if new.size:
-            new_ids = [catalog[r] for r in new.tolist()]
-            parts[next_part : next_part + new.size] = _encode_parts(
-                model, scorer, [ads_by_id[a] for a in new_ids], vocab
-            )
-            part_of[new] = np.arange(next_part, next_part + new.size)
-            next_part += new.size
-            missed.extend(new_ids)
-        scores, top = _rank(scorer, v_qu, parts[part_of[rows]], config.top_n)
+        scores, top = _rank(scorer, v_qu, parts[rows], config.top_n)
         if config.verify_split:
             head = model.prerank_prob(
-                Tensor(np.tile(v_qu, (rows.size, 1))), Tensor(vectors[vector_of[rows]])
+                Tensor(np.tile(v_qu, (rows.size, 1))), Tensor(vectors[rows])
             ).data
             split_dev = max(split_dev, float(np.abs(head - scores).max()))
 
@@ -572,22 +567,14 @@ def simulate(
         draws = rng.random(size=selected.size)
         category = category_codes.get(oracle.request_category(rec.user_id, rec.timestamp), -1)
         clicked = draws < np.where(category_of[selected] == category, oracle.p_hi, oracle.p_lo)
-        for row in selected[clicked].tolist():
-            cost_total += costs[row]
-        presents += selected.size
-        clicks += int(np.count_nonzero(clicked))
         presented.append((rec.user_id, rec.timestamp))
         columns.append((selected, paths[top], retrieval[top], scores[top], clicked))
-    if missed:
-        logger.warning(
-            "%d ads missing from the precomputed part table were encoded "
-            "directly, once each (first: %s)",
-            len(missed),
-            ", ".join(missed[:5]),
-        )
 
     impressions = Impressions.collect(catalog, costs, presented, columns)
-    metrics = metrics_from_counts(presents, clicks, len(records), cost_total)
+    clicked_rows = impressions.rows[impressions.clicked].tolist()
+    # summed in impression order, one add at a time
+    cost = functools.reduce(operator.add, [costs[r] for r in clicked_rows], 0.0)
+    metrics = metrics_from_counts(len(impressions), len(clicked_rows), len(records), cost)
     metrics["q_part_computations"] = scorer.q_part_count
     metrics["prerank_split_max_abs_dev"] = split_dev if config.verify_split else None
     metrics["paths"] = list(config.paths)

@@ -456,6 +456,22 @@ class TestSimulate:
             PipelineConfig(paths=())
         with pytest.raises(ValueError):
             PipelineConfig(top_n=0)
+        with pytest.raises(ValueError, match="overfetch_factor"):
+            PipelineConfig(overfetch_factor=0, paths=("keyword",))
+
+    def test_parts_table_of_another_width_refused_before_encoding(self, world, monkeypatch):
+        records, ads, oracle, vocab, model, ann = world
+        other = MatchingModel(replace(ENCODER, prerank_hidden=5), vocab.sizes, seed=71)
+        table = precompute_ad_parts(other, ads, vocab)
+        encoded = []
+        monkeypatch.setattr(
+            "admatch.pipeline.compute_ad_vectors", lambda *args: encoded.append(args)
+        )
+        cfg = PipelineConfig(top_n=5, k_vector=20, seed=12)
+        message = "^the ad-parts table is 5 wide, but the model's prerank_hidden is 12$"
+        with pytest.raises(CatalogMismatchError, match=message):
+            simulate(records[:30], model, vocab, ann, ads, oracle, cfg, ad_parts=table)
+        assert encoded == []
 
 
 # ----------------------------------------------------------------------
@@ -670,30 +686,46 @@ class TestReplayMatchesReference:
 
 
 class TestReplayWarnings:
-    def test_missing_parts_encoded_once_per_replay(self, world, caplog, monkeypatch):
+    @pytest.mark.parametrize("verify_split", [True, False])
+    def test_missing_parts_encoded_once_per_replay(self, world, caplog, monkeypatch, verify_split):
         records, ads, oracle, vocab, model, ann = world
         victim = ads[5].item_id
         part_ids, parts = precompute_ad_parts(model, ads, vocab)
         keep = [i for i, a in enumerate(part_ids) if a != victim]
         table = ([part_ids[i] for i in keep], parts[keep])
-        batches = []
+        encoded = []
         original = compute_ad_vectors
 
         def counting(model_, ads_, vocab_):
-            batches.append([a.item_id for a in ads_])
+            encoded.extend(a.item_id for a in ads_)
             return original(model_, ads_, vocab_)
 
         monkeypatch.setattr("admatch.pipeline.compute_ad_vectors", counting)
         # a pool covering the whole index: every request retrieves the victim
-        cfg = PipelineConfig(paths=("vector",), top_n=5, k_vector=len(ann), seed=3)
+        cfg = PipelineConfig(
+            paths=("vector",), top_n=5, k_vector=len(ann), seed=3, verify_split=verify_split
+        )
         with caplog.at_level(logging.WARNING):
             result = simulate(records[:12], model, vocab, ann, ads, oracle, cfg, table)
-        # the catalog encoding for verify_split, then the victim, once
-        assert len(batches) == 2 and batches[1] == [victim]
-        assert result.metrics["prerank_split_max_abs_dev"] <= 1e-12
+        # each catalog ad at most once: all of them for the split check, else the victim
+        assert len(encoded) == len(set(encoded))
+        assert sorted(encoded) == (sorted(part_ids) if verify_split else [victim])
+        if verify_split:
+            assert result.metrics["prerank_split_max_abs_dev"] <= 1e-12
         warnings = [r.getMessage() for r in caplog.records if "part table" in r.getMessage()]
         assert len(warnings) == 1
         assert warnings[0].startswith("1 ads missing") and victim in warnings[0]
+
+    def test_partial_table_gives_the_full_tables_outputs(self, world, tmp_path):
+        records, ads, oracle, vocab, model, ann = world
+        part_ids, parts = precompute_ad_parts(model, ads, vocab)
+        keep = [i for i in range(len(part_ids)) if i % 7 != 3]
+        partial = ([part_ids[i] for i in keep], parts[keep])
+        cfg = PipelineConfig(top_n=8, k_vector=len(ann), seed=3, verify_split=True)
+        full = simulate(records[:40], model, vocab, ann, ads, oracle, cfg, (part_ids, parts))
+        less = simulate(records[:40], model, vocab, ann, ads, oracle, cfg, partial)
+        assert len(full.impressions) > 0
+        assert written_files(less, tmp_path / "partial") == written_files(full, tmp_path / "full")
 
     def test_exact_fallback_warns_once_per_replay(self, world, caplog):
         records, ads, oracle, vocab, model, _ = world
