@@ -5,7 +5,9 @@ similarity and higher scores are better. The exact path is the oracle;
 the PQ path quantizes each of M subspaces with its own k-means codebook
 and scores codes against a per-query lookup table (asymmetric distance
 computation), optionally re-ranking an overfetched candidate set with
-exact dot products.
+exact dot products. k-means runs a whole array at a time in numpy's own
+summation order, so index files are byte-identical to earlier builds with
+the same numpy and BLAS.
 
 Search works on integer rows of the snapshot: scores are one array over
 the rows, the top k is picked with ``argpartition`` and ordered by a sort
@@ -17,11 +19,12 @@ row order. ``search_rows`` returns the rows with the searched snapshot's
 ids; ``pq_search`` and ``exact_topk`` name them.
 
 Searches read an immutable snapshot that holds the ids, vectors, PQ codes
-and the codebooks they were encoded with. Writers (``add``, ``add_many``,
-``train_pq``) build a new snapshot and swap it in with one assignment, so
-concurrent readers never score codes against another snapshot's
-codebooks. Writers are not synchronized with each other: callers that
-write from several threads must serialize the writes.
+and the codebooks they were encoded with, whose float64 tables are built
+once per codebook set. Writers (``add``, ``add_many``, ``train_pq``) build
+a new snapshot and swap it in with one assignment, so concurrent readers
+never score codes against another snapshot's codebooks. Writers are not
+synchronized with each other: callers that write from several threads
+must serialize the writes.
 
 The index stores the vectors it is given and knows nothing of the model
 (``pipeline.build_exact_index`` encodes a catalog into it); index files
@@ -66,9 +69,14 @@ class PqTrainingError(ValueError):
 
 @dataclass
 class PqCodebooks:
-    """Per-subspace centroid tables, shape [M, k, d/M] (float32)."""
+    """Per-subspace centroid tables, shape [M, k, d/M] (float32); ``table``
+    holds them as float64 and ``table_sq`` their squared norms, [M, k]."""
 
     centroids: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.table = self.centroids.astype(np.float64)
+        self.table_sq = (self.table * self.table).sum(axis=2)
 
     @property
     def n_subspaces(self) -> int:
@@ -83,55 +91,87 @@ class PqCodebooks:
         return self.centroids.shape[2]
 
 
-def _kmeans_pp_init(
-    data: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Seeded k-means++ seeding over one subspace."""
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = data[first]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+def _row_sums(cols: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` bit for bit, given ``cols`` = ``x.T``: numpy adds each
+    row's pairwise sum to +0.0. Below 8 terms that is a left fold; up to 128,
+    eight strided accumulators joined as a tree, then the rest one by one;
+    above 128, the sums of two halves split at a multiple of 8."""
+    w = len(cols)
+    if w > 128:
+        half = w // 2 - w // 2 % 8
+        return _row_sums(cols[:half]) + _row_sums(cols[half:])
+    total = np.zeros(cols.shape[1:])
+    if w >= 8:
+        r = cols[:8]
+        for i in range(8, w - w % 8, 8):
+            r = r + cols[i : i + 8]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in cols[w - w % 8 :]:
+        total += term
+    return total
+
+
+def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded k-means++ seeding over one subspace, given as its [sub, n] columns."""
+    n = cols.shape[1]
+    centers = np.empty((k, len(cols)), dtype=np.float64)
+    diff = np.empty_like(cols)
+
+    def sq_dist(center: np.ndarray) -> np.ndarray:
+        np.square(np.subtract(cols, center[:, None], out=diff), out=diff)
+        return _row_sums(diff)
+
+    centers[0] = cols[:, int(rng.integers(n))]
+    d2 = sq_dist(centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass is on existing centers; reuse points
-            centers[j] = data[int(rng.integers(n))]
+            centers[j] = cols[:, int(rng.integers(n))]
             continue
         target = rng.random() * total
         idx = int(np.searchsorted(np.cumsum(d2), target))
-        idx = min(idx, n - 1)
-        centers[j] = data[idx]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+        centers[j] = cols[:, min(idx, n - 1)]
+        np.minimum(d2, sq_dist(centers[j]), out=d2)
     return centers
 
 
-def _nearest(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest center and its squared distance to it."""
-    # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-    d2 = (
-        (data * data).sum(axis=1)[:, None]
-        - 2.0 * (data @ centers.T)
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    assign = np.argmin(d2, axis=1)
-    return assign, d2[np.arange(len(data)), assign]
+def _nearest(
+    rows: np.ndarray, rows_sq: np.ndarray, centers: np.ndarray, centers_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center and its squared distance to it, given the
+    squared norms of the rows and of the [k, sub] C-ordered centers."""
+    # one product for all rows, against ``centers.T`` as always: BLAS picks
+    # its kernel, and so its rounding, by operand layout and shape
+    g = rows @ centers.T
+    g *= -2.0  # (||x||^2 - 2 x.c) + ||c||^2 in place, as a - b == a + (-b)
+    g += rows_sq[:, None]
+    g += centers_sq
+    assign = np.argmin(g, axis=1)
+    return assign, g[np.arange(len(g)), assign]
 
 
 def _lloyd(
-    data: np.ndarray, k: int, iterations: int, rng: np.random.Generator
+    rows: np.ndarray, cols: np.ndarray, k: int, iterations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float]]:
-    """Lloyd iterations; empty clusters keep their previous centroid so
-    the mean quantization error never increases."""
-    centers = _kmeans_pp_init(data, k, rng)
+    """k-means++ seeding, then Lloyd passes over one subspace's [n, sub] rows
+    (``cols`` is their transpose), a whole array at a time. A pass moves each
+    non-empty cluster to its members' ``mean(axis=0)``: the clusters with c
+    members are summed as one [clusters, c, sub] array, which numpy adds in
+    that mean's order. Empty clusters keep their previous centroid, so the
+    mean quantization error never increases."""
+    centers = _kmeans_pp_init(cols, k, rng)
+    rows_sq = _row_sums(np.square(cols))
     errors: list[float] = []
     for _ in range(iterations):
-        assign, nearest_d2 = _nearest(data, centers)
+        assign, nearest_d2 = _nearest(rows, rows_sq, centers, (centers * centers).sum(axis=1))
         errors.append(float(np.maximum(nearest_d2, 0.0).mean()))
-        for j in range(k):
-            members = data[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        first = np.cumsum(counts) - counts
+        grouped = rows[np.argsort(assign, kind="stable")]
+        for c in np.unique(counts[counts > 0]):
+            clusters = np.flatnonzero(counts == c)
+            centers[clusters] = grouped[first[clusters, None] + np.arange(c)].sum(axis=1) / c
     return centers, errors
 
 
@@ -153,6 +193,10 @@ def pq_train(
     if vectors.ndim != 2:
         raise ValueError("training vectors must be a 2-d array")
     n, d = vectors.shape
+    sizes = {"n_subspaces": n_subspaces, "n_centroids": n_centroids, "iterations": iterations}
+    for name, value in sizes.items():
+        if value < 1:
+            raise PqTrainingError(f"{name} must be at least 1, got {value}")
     if n_centroids > 256:
         raise PqTrainingError("more than 256 centroids would not fit one code byte")
     if d % n_subspaces != 0:
@@ -165,11 +209,13 @@ def pq_train(
         )
     rng = np.random.default_rng(seed)
     sub = d // n_subspaces
+    # contiguous per-subspace blocks, [M, n, sub], and their transposes
+    rows = np.ascontiguousarray(vectors.reshape(n, n_subspaces, sub).transpose(1, 0, 2))
+    cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
     centroids = np.empty((n_subspaces, n_centroids, sub), dtype=np.float32)
     history = np.empty((n_subspaces, iterations), dtype=np.float64)
     for m in range(n_subspaces):
-        block = vectors[:, m * sub : (m + 1) * sub]
-        centers, errors = _lloyd(block, n_centroids, iterations, rng)
+        centers, errors = _lloyd(rows[m], cols[m], n_centroids, iterations, rng)
         centroids[m] = centers.astype(np.float32)
         history[m] = errors
     return PqTrainResult(PqCodebooks(centroids), history)
@@ -177,23 +223,19 @@ def pq_train(
 
 def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
     """Nearest-centroid codes per subspace, [n x M] uint8."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    m_total = codebooks.n_subspaces
-    sub = codebooks.sub_dim
-    codes = np.empty((vectors.shape[0], m_total), dtype=np.uint8)
-    for m in range(m_total):
-        block = vectors[:, m * sub : (m + 1) * sub]
-        codes[:, m] = _nearest(block, codebooks.centroids[m].astype(np.float64))[0]
+    shape = (len(vectors), codebooks.n_subspaces, codebooks.sub_dim)
+    rows = np.asarray(vectors, dtype=np.float64).reshape(shape).transpose(1, 0, 2)
+    rows_sq = (rows * rows).sum(axis=2)
+    codes = np.empty((rows.shape[1], codebooks.n_subspaces), dtype=np.uint8)
+    for m, centers in enumerate(codebooks.table):
+        codes[:, m] = _nearest(rows[m], rows_sq[m], centers, codebooks.table_sq[m])[0]
     return codes
 
 
 def pq_decode(codebooks: PqCodebooks, codes: np.ndarray) -> np.ndarray:
     """Centroid reconstruction of coded vectors, [n x d]."""
-    parts = [
-        codebooks.centroids[m][codes[:, m]].astype(np.float64)
-        for m in range(codebooks.n_subspaces)
-    ]
-    return np.concatenate(parts, axis=1)
+    parts = codebooks.table[np.arange(codebooks.n_subspaces), codes]
+    return parts.reshape(len(codes), codebooks.n_subspaces * codebooks.sub_dim)
 
 
 def degenerate_norm(norm: float) -> bool:
@@ -360,14 +402,15 @@ class AnnIndex:
     ) -> PqTrainResult:
         """(Re)train codebooks on the stored vectors and encode them all."""
         snap = self._snap
+        vectors = snap.vectors.astype(np.float64)
         result = pq_train(
-            snap.vectors.astype(np.float64),
+            vectors,
             n_subspaces=n_subspaces,
             n_centroids=n_centroids,
             iterations=iterations,
             seed=seed,
         )
-        codes = pq_encode(result.codebooks, snap.vectors.astype(np.float64))
+        codes = pq_encode(result.codebooks, vectors)
         self._snap = replace(snap, codes=codes, codebooks=result.codebooks)
         return result
 
@@ -420,11 +463,8 @@ class AnnIndex:
         cb = snap.codebooks if pq else None
         if cb is None or snap.codes is None:
             return RowHits(ids, *_top_rows(ids, all_rows, snap.vectors @ query, k), pq=False)
-        sub = cb.sub_dim
         # lookup[m, c] = dot(query subvector m, centroid c of subspace m)
-        lookup = np.empty((cb.n_subspaces, cb.n_centroids), dtype=np.float64)
-        for m in range(cb.n_subspaces):
-            lookup[m] = cb.centroids[m].astype(np.float64) @ query[m * sub : (m + 1) * sub]
+        lookup = (cb.table @ query.reshape(cb.n_subspaces, cb.sub_dim, 1))[:, :, 0]
         approx = lookup[np.arange(cb.n_subspaces)[None, :], snap.codes].sum(axis=1)
         if not rerank:
             # the pool's first k under the same total order are the top k

@@ -95,6 +95,79 @@ def tied_index(rng, n=60, copies=12) -> AnnIndex:
     return index
 
 
+# The PQ build as it was before k-means ran a whole array at a time: one
+# masked mean per cluster and a fresh [n, k] distance matrix per pass. The
+# array-at-a-time build must reproduce its codebooks, errors and codes bit
+# for bit.
+
+
+def _reference_kmeans_pp_init(data, k, rng):
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = data[first]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = data[int(rng.integers(n))]
+            continue
+        target = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(d2), target))
+        idx = min(idx, n - 1)
+        centers[j] = data[idx]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_nearest(data, centers):
+    d2 = (
+        (data * data).sum(axis=1)[:, None]
+        - 2.0 * (data @ centers.T)
+        + (centers * centers).sum(axis=1)[None, :]
+    )
+    assign = np.argmin(d2, axis=1)
+    return assign, d2[np.arange(len(data)), assign]
+
+
+def _reference_lloyd(data, k, iterations, rng):
+    centers = _reference_kmeans_pp_init(data, k, rng)
+    errors = []
+    for _ in range(iterations):
+        assign, nearest_d2 = _reference_nearest(data, centers)
+        errors.append(float(np.maximum(nearest_d2, 0.0).mean()))
+        for j in range(k):
+            members = data[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return centers, errors
+
+
+def reference_pq_train(vectors, n_subspaces, n_centroids, iterations, seed):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n, d = vectors.shape
+    rng = np.random.default_rng(seed)
+    sub = d // n_subspaces
+    centroids = np.empty((n_subspaces, n_centroids, sub), dtype=np.float32)
+    history = np.empty((n_subspaces, iterations), dtype=np.float64)
+    for m in range(n_subspaces):
+        block = vectors[:, m * sub : (m + 1) * sub]
+        centers, errors = _reference_lloyd(block, n_centroids, iterations, rng)
+        centroids[m] = centers.astype(np.float32)
+        history[m] = errors
+    return centroids, history
+
+
+def reference_pq_encode(centroids, vectors):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    m_total, _, sub = centroids.shape
+    codes = np.empty((vectors.shape[0], m_total), dtype=np.uint8)
+    for m in range(m_total):
+        block = vectors[:, m * sub : (m + 1) * sub]
+        codes[:, m] = _reference_nearest(block, centroids[m].astype(np.float64))[0]
+    return codes
+
+
 class TestExactSearch:
     def test_stored_vector_ranks_first_with_unit_score(self):
         rng = np.random.default_rng(1)
@@ -299,12 +372,65 @@ class TestPqTraining:
         with pytest.raises(PqTrainingError):
             pq_train(rng.normal(size=(40, 10)), n_subspaces=3, n_centroids=8)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["n_subspaces", "n_centroids", "iterations"])
+    def test_count_below_one_rejected(self, name, value):
+        rng = np.random.default_rng(22)
+        settings = {"n_subspaces": 2, "n_centroids": 4, "iterations": 3, name: value}
+        with pytest.raises(PqTrainingError, match=f"^{name} must be at least 1, got {value}$"):
+            pq_train(rng.normal(size=(20, 8)), **settings)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(12)
         data = rng.normal(size=(200, 8))
         a = pq_train(data, 2, 16, 10, seed=5)
         b = pq_train(data, 2, 16, 10, seed=5)
         np.testing.assert_array_equal(a.codebooks.centroids, b.codebooks.centroids)
+
+
+class TestPqMatchesReference:
+    """The array-at-a-time build reproduces ``reference_pq_train`` and
+    ``reference_pq_encode`` byte for byte."""
+
+    @staticmethod
+    def training_sets(sub, seed):
+        rng = np.random.default_rng(100 * seed + sub)
+        d = 2 * sub
+        distinct = rng.normal(size=(30, d))
+        repeated = distinct[rng.integers(0, 30, size=90)]
+        return [
+            # more than 1,024 rows: cut into 1,024-row blocks, the product's
+            # last 37 rows take another BLAS kernel and round differently
+            (rng.normal(size=(1061, d)) * 10.0 ** rng.integers(-3, 4, size=d), 16),
+            (rng.normal(size=(40, d)), 40),  # k == n
+            # 30 distinct points for 40 centroids: seeding reuses points once
+            # no mass is left, and the duplicate centroids' clusters are empty
+            (repeated, 40),
+            (repeated[:48], 48),  # k == n with repeats
+        ]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("sub", [1, 3, 5, 8, 12, 16, 32])
+    def test_codebooks_errors_and_codes(self, sub, seed):
+        for data, k in self.training_sets(sub, seed):
+            for iterations in (1, 5):
+                centroids, history = reference_pq_train(data, 2, k, iterations, seed)
+                got = pq_train(data, 2, k, iterations, seed)
+                assert got.codebooks.centroids.tobytes() == centroids.tobytes()
+                assert got.error_history.tobytes() == history.tobytes()
+                for rows in (data, data[:1]):
+                    want = reference_pq_encode(centroids, rows)
+                    assert pq_encode(got.codebooks, rows).tobytes() == want.tobytes()
+
+    def test_row_sums_add_in_numpys_order(self):
+        # 4, 8, 16 and 32 terms are the subspace counts a subspace-major ADC
+        # scan would sum; above 128 numpy splits the row in halves
+        rng = np.random.default_rng(24)
+        for width in [*range(1, 41), 64, 127, 128, *range(129, 201)]:
+            x = rng.normal(size=(30, width)) * 10.0 ** rng.integers(-8, 9, size=(30, width))
+            x[0] = -0.0  # numpy starts each row's sum at +0.0
+            got = annindex._row_sums(np.ascontiguousarray(x.T))
+            assert got.tobytes() == x.sum(axis=1).tobytes(), width
 
 
 class TestPqSearch:

@@ -3,9 +3,15 @@
 import inspect
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import admatch
 from admatch import cli
 from admatch.annindex import AnnIndex
 from admatch.cli import main
@@ -34,6 +40,14 @@ TINY_MODEL = [
     "--tower-dims", "16,16", "--prerank-hidden", "8",
 ]
 SPLIT = ["--train-days", "2024-01-01,2024-01-02,2024-01-03", "--test-day", "2024-01-04"]
+
+
+def write_vectors(path, n, dim, seed=11):
+    """A seeded vectors file, as ``export-vectors`` writes one."""
+    index = AnnIndex(dim)
+    rng = np.random.default_rng(seed)
+    index.add_many((f"ad{i:05d}", v) for i, v in enumerate(rng.normal(size=(n, dim))))
+    index.save(path)
 
 
 class TestGenData:
@@ -226,6 +240,17 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_build_index_names_a_count_below_one(self, tmp_path, capsys):
+        write_vectors(tmp_path / "vectors.idx", 40, 8)
+        code, _, err = run_cli(
+            capsys, "build-index", "--vectors", str(tmp_path / "vectors.idx"),
+            "--out", str(tmp_path / "index.idx"), "--pq-m", "2", "--pq-k", "8",
+            "--pq-iterations", "0",
+        )
+        assert code == 1
+        assert "error: iterations must be at least 1, got 0" in err
+        assert not (tmp_path / "index.idx").exists()
+
     def test_debug_reraises_with_traceback(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.jsonl"):
             main([
@@ -236,6 +261,28 @@ class TestErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def test_build_index_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # two processes, one after the other: the thread count is read when
+    # numpy loads its BLAS, so each setting needs a fresh interpreter
+    write_vectors(tmp_path / "vectors.idx", 1300, 64)
+    src = str(Path(admatch.__file__).resolve().parents[1])
+    built = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path]),
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        }
+        out = tmp_path / f"index{threads}.idx"
+        subprocess.run(
+            [sys.executable, "-m", "admatch", "build-index",
+             "--vectors", str(tmp_path / "vectors.idx"), "--out", str(out),
+             "--pq-m", "8", "--pq-iterations", "3", "--seed", "3"],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        built.append(out.read_bytes())
+    assert built[0] == built[1]
 
 
 class TestLogLevel:
