@@ -193,22 +193,43 @@ class Vocabulary:
         return tuple(mapping.get(t, 0) for t in tokens)
 
     def save_tsv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for space in SPACES:
-                for token, idx in sorted(self._maps[space].items(), key=lambda kv: kv[1]):
-                    fh.write(f"{token}\t{space}\t{idx}\n")
+        """One ``token<TAB>space<TAB>id`` line per token; a token holding a
+        tab or a line break is refused, since the file could not hold it."""
+        lines = []
+        for space in SPACES:
+            for token, idx in sorted(self._maps[space].items(), key=lambda kv: kv[1]):
+                if any(c in token for c in "\t\n\r"):
+                    raise ValueError(
+                        f"{space} token {token!r} holds a tab or line break; "
+                        "a TSV vocabulary cannot store it"
+                    )
+                lines.append(f"{token}\t{space}\t{idx}\n")
+        Path(path).write_text("".join(lines))
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "Vocabulary":
+        """Read ``save_tsv``'s format; a malformed line fails naming the
+        file and its 1-based line number."""
         maps: dict[str, dict[str, int]] = {space: {} for space in SPACES}
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                token, space, idx = line.split("\t")
-                maps[space][token] = int(idx)
-        return cls(maps)
+                fields = line.split("\t")
+                try:
+                    if len(fields) != 3:
+                        raise ValueError(f"expected token, space and id, got {len(fields)} fields")
+                    token, space, idx = fields
+                    if space not in maps:
+                        raise ValueError(f"unknown space {space!r}")
+                    maps[space][token] = int(idx)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
+        try:
+            return cls(maps)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _space_counts(records: Sequence[LogRecord]) -> dict[str, Counter]:
@@ -368,6 +389,14 @@ def split_by_day(
 # synthetic generator
 
 
+# past behaviors each log record carries: the most recent ones
+HISTORY_LEN = 10
+# chance that a request's ad comes from the request's own category
+MATCH_PROB = 0.5
+# chance that a behavior comes from the current interest, not the other one
+CURRENT_INTEREST_BIAS = 0.7
+
+
 @dataclass
 class GeneratorConfig:
     """Knobs of the planted-structure log generator."""
@@ -378,13 +407,10 @@ class GeneratorConfig:
     n_categories: int = 8
     days: int = 4
     impressions_per_user_day: int = 12
-    history_len: int = 10
     p_hi: float = 0.6
     p_lo: float = 0.05
-    match_prob: float = 0.5
     confuser_prob: float = 0.35
     head_query_prob: float = 0.3
-    current_interest_bias: float = 0.7
     terms_per_category: int = 25
     pair_terms: int = 8
     shops_per_category: int = 6
@@ -565,7 +591,7 @@ def generate_synthetic(
             for _ in range(cfg.impressions_per_user_day):
                 current = interests[int(rng.integers(len(interests)))]
                 for _ in range(int(rng.integers(1, 4))):
-                    if len(interests) > 1 and rng.random() > cfg.current_interest_bias:
+                    if len(interests) > 1 and rng.random() > CURRENT_INTEREST_BIAS:
                         b_cat = interests[1] if interests[0] == current else interests[0]
                     else:
                         b_cat = current
@@ -584,9 +610,9 @@ def generate_synthetic(
                     )
                 query_terms, confuser = _make_query(world, current, rng)
                 roll = rng.random()
-                if roll < cfg.match_prob:
+                if roll < MATCH_PROB:
                     ad_cat = current
-                elif confuser is not None and roll < cfg.match_prob + cfg.confuser_prob:
+                elif confuser is not None and roll < MATCH_PROB + cfg.confuser_prob:
                     ad_cat = confuser
                 else:
                     ad_cat = int(rng.integers(cfg.n_categories))
@@ -600,7 +626,7 @@ def generate_synthetic(
                         timestamp=ts,
                         query_terms=query_terms,
                         behavior_items=[
-                            ev.copy() for ev in history[-cfg.history_len :]
+                            ev.copy() for ev in history[-HISTORY_LEN :]
                         ],
                         ad=_ad_descriptor(ad),
                         clicked=clicked,

@@ -6,6 +6,8 @@ layers to d-dimensional vectors. Head 1 scores retrieval relevance as
 sigmoid(gamma * cosine); head 2 scores pre-rank click probability with a
 small fully connected net over the concatenated tower outputs. Both heads
 train with binary cross-entropy, optionally blended into one joint loss.
+``PrerankScorer`` serves the pre-rank head split: the first layer's ad
+side is precomputed per ad, and only the query side runs per request.
 
 The towers read columnar id arrays (``RequestColumns``, ``AdColumns``,
 ``InstanceBatch``), packed from the input dataclasses with every id
@@ -230,39 +232,6 @@ class EncoderConfig:
         if self.variant in ("DNN", "ATTENTION_DNN"):
             return self.behavior_embed_dim
         return self.gru_hidden
-
-
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
-    """Numpy-side activation, for serving paths outside the tape."""
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def prerank_split(
-    v_qu: np.ndarray, v_a: np.ndarray, weight: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose the pre-rank first layer into query and ad partial products.
-
-    q_part = (V_qu, 0) @ W + bias and a_part = (0, V_a) @ W; their sum
-    equals the direct product concat(V_qu, V_a) @ W + bias, so a_part can
-    be computed offline per ad. The bias is folded into the query side,
-    which is computed once per request.
-    """
-    v_qu = np.asarray(v_qu, dtype=np.float64)
-    v_a = np.asarray(v_a, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    d_q = v_qu.shape[-1]
-    d_a = v_a.shape[-1]
-    if weight.shape[0] != d_q + d_a:
-        raise ad.ShapeError(
-            f"split weight has {weight.shape[0]} rows, expected {d_q + d_a}"
-        )
-    q_part = v_qu @ weight[:d_q] + bias
-    a_part = v_a @ weight[d_q:]
-    return q_part, a_part, q_part + a_part
 
 
 def _bce(p: Tensor, labels: np.ndarray) -> Tensor:
@@ -774,3 +743,38 @@ class MatchingModel:
             arrays[name] = arr.astype(np.float64)
         model.params.load_arrays(arrays)
         return model
+
+
+class PrerankScorer:
+    """Serving-side split computation of the pre-rank head.
+
+    The first interaction layer concat(V_qu, V_a) @ W1 + b1 splits into a
+    query partial (computed once per request, bias folded in) plus an ad
+    partial (precomputable offline); q_part calls are counted so tests
+    can assert the once-per-request contract. The output keeps its own
+    1 / (1 + e^-logit): ``ad.sigmoid`` can differ in the last bit for
+    negative logits, and served scores keep theirs.
+    """
+
+    def __init__(self, model: MatchingModel) -> None:
+        d = model.config.d
+        w1 = model.params["prerank/W1"].data
+        self.w_query = w1[:d].copy()
+        self.w_ad = w1[d:].copy()
+        self.bias = model.params["prerank/b1"].data.copy()
+        self.w_out = model.params["prerank/W2"].data[:, 0].copy()
+        self.b_out = float(model.params["prerank/b2"].data[0])
+        self._act = model._act
+        self.q_part_count = 0
+
+    def q_part(self, v_qu: np.ndarray) -> np.ndarray:
+        self.q_part_count += 1
+        return v_qu @ self.w_query + self.bias
+
+    def a_part(self, v_a: np.ndarray) -> np.ndarray:
+        return v_a @ self.w_ad
+
+    def score_from_parts(self, q_part: np.ndarray, a_parts: np.ndarray) -> np.ndarray:
+        hidden = self._act(Tensor(q_part[None, :] + a_parts)).data
+        logit = hidden @ self.w_out + self.b_out
+        return 1.0 / (1.0 + np.exp(-logit))

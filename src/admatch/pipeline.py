@@ -7,9 +7,9 @@ index, the ad-parts table and the split check all read its output.
 Retrieval unions an exact-match bidword lookup with the vector index;
 candidates carry their path provenance through pre-ranking into the
 impression log. Pre-rank scoring uses the offline decomposition of the
-interaction layer: the ad-side partial products are precomputed per ad,
-and the query-side partial product (with the layer bias folded in) is
-computed once per request.
+interaction layer that ``model.PrerankScorer`` implements: the ad-side
+partial products are precomputed per ad, and the query-side partial
+product (with the layer bias folded in) is computed once per request.
 
 ``retrieve`` and ``prerank`` serve one request with ``Candidate``
 objects. ``simulate`` replays a log on integer catalog rows with the same
@@ -45,7 +45,7 @@ from .annindex import (
     degenerate_norm,
 )
 from .autodiff import Tensor
-from .model import INFERENCE_CHUNK, MatchingModel, apply_activation
+from .model import INFERENCE_CHUNK, MatchingModel, PrerankScorer
 
 logger = logging.getLogger(__name__)
 
@@ -95,39 +95,6 @@ class BidwordIndex:
 
     def __len__(self) -> int:
         return len(self._mapping)
-
-
-class PrerankScorer:
-    """Serving-side split computation of the pre-rank head.
-
-    The first interaction layer concat(V_qu, V_a) @ W + b splits into a
-    query partial (computed once per request, bias folded in) plus an ad
-    partial (precomputable offline); q_part calls are counted so tests
-    can assert the once-per-request contract.
-    """
-
-    def __init__(self, model: MatchingModel) -> None:
-        d = model.config.d
-        w1 = model.params["prerank/W1"].data
-        self.w_query = w1[:d].copy()
-        self.w_ad = w1[d:].copy()
-        self.bias = model.params["prerank/b1"].data.copy()
-        self.w_out = model.params["prerank/W2"].data[:, 0].copy()
-        self.b_out = float(model.params["prerank/b2"].data[0])
-        self.activation = model.config.activation
-        self.q_part_count = 0
-
-    def q_part(self, v_qu: np.ndarray) -> np.ndarray:
-        self.q_part_count += 1
-        return v_qu @ self.w_query + self.bias
-
-    def a_part(self, v_a: np.ndarray) -> np.ndarray:
-        return v_a @ self.w_ad
-
-    def score_from_parts(self, q_part: np.ndarray, a_parts: np.ndarray) -> np.ndarray:
-        hidden = apply_activation(self.activation, q_part[None, :] + a_parts)
-        logit = hidden @ self.w_out + self.b_out
-        return 1.0 / (1.0 + np.exp(-logit))
 
 
 # ----------------------------------------------------------------------

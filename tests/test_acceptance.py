@@ -26,8 +26,8 @@ from admatch.evaluation import auc, gamma_sweep, model_aucs
 from admatch.model import (
     EncoderConfig,
     MatchingModel,
+    PrerankScorer,
     VARIANTS,
-    prerank_split,
 )
 from admatch.pipeline import PipelineConfig, simulate
 from admatch.training import TrainConfig, train
@@ -157,6 +157,12 @@ def test_criterion_1_gradient_matrix():
 
 
 def test_criterion_2_split_identity(planted_small):
+    data = planted_small
+    head = MatchingModel(
+        replace(SMALL_ENCODER, tower_dims=(32, 128), prerank_hidden=8),
+        data["vocab"].sizes,
+        seed=2,
+    )
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(1000):
@@ -164,11 +170,13 @@ def test_criterion_2_split_identity(planted_small):
         v_a = rng.normal(size=128)
         w = rng.normal(size=(256, 8))
         b = rng.normal(size=8)
-        _, _, recombined = prerank_split(v_qu, v_a, w, b)
+        head.params["prerank/W1"].data[...] = w
+        head.params["prerank/b1"].data[...] = b
+        scorer = PrerankScorer(head)
+        recombined = scorer.q_part(v_qu) + scorer.a_part(v_a)
         direct = np.concatenate([v_qu, v_a]) @ w + b
         worst = max(worst, float(np.abs(recombined - direct).max()))
 
-    data = planted_small
     model = MatchingModel(SMALL_ENCODER, data["vocab"].sizes, seed=707)
     result = train(
         model,

@@ -251,6 +251,17 @@ class TestErrors:
         assert "error: iterations must be at least 1, got 0" in err
         assert not (tmp_path / "index.idx").exists()
 
+    def test_eval_names_a_malformed_vocab_file(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "bad.tsv"
+        vocab.write_text("a\tterm_id\t1\nb\tterm_id\n")
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(workspace / "model.json"),
+            "--logs", str(workspace / "logs.jsonl"), "--vocab", str(vocab),
+            *SPLIT, "--split", "test",
+        )
+        assert code == 1
+        assert f"error: {vocab}, line 2: " in err
+
     def test_debug_reraises_with_traceback(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.jsonl"):
             main([

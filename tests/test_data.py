@@ -108,6 +108,34 @@ class TestBuildVocab:
             assert loaded.id_for("term_id", tok) == vocab.id_for("term_id", tok)
             assert loaded.id_for("item_id", tok) == vocab.id_for("item_id", tok)
 
+    @pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\rb"])
+    def test_save_refuses_a_token_the_file_cannot_hold(self, tmp_path, token):
+        vocab = Vocabulary({"term_id": {"ok": 1, token: 2}})
+        with pytest.raises(ValueError, match="term_id token") as exc:
+            vocab.save_tsv(tmp_path / "vocab.tsv")
+        assert repr(token) in str(exc.value)
+        assert not (tmp_path / "vocab.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tterm_id\t1\nb\tterm_id\n",
+             "PATH, line 2: expected token, space and id, got 2 fields"),
+            ("a\tnospace\t1\n", "PATH, line 1: unknown space 'nospace'"),
+            ("a\tterm_id\t1\n\nb\tterm_id\tx\n",
+             "PATH, line 3: invalid literal for int() with base 10: 'x'"),
+            ("a\titem_id\t1\nb\titem_id\t3\n",
+             "PATH: ids for space 'item_id' are not dense from 1"),
+        ],
+        ids=["missing-field", "unknown-space", "non-integer-id", "sparse-ids"],
+    )
+    def test_load_error_names_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            Vocabulary.load_tsv(path)
+        assert str(exc.value) == message.replace("PATH", str(path))
+
 
 class TestMakeInstances:
     def test_left_padding(self):

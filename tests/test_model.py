@@ -18,9 +18,8 @@ from admatch.model import (
     ImpressionInstance,
     MatchingModel,
     QueryRequest,
+    PrerankScorer,
     VocabularyError,
-    apply_activation,
-    prerank_split,
 )
 
 VOCAB = {"item_id": 7, "shop_id": 5, "brand_id": 5, "term_id": 9, "profile_id": 4}
@@ -455,36 +454,29 @@ class TestPrerankHead:
         batch = make_batch(rng, 16)
         v_qu, v_a, _ = model.towers_forward(batch)
         direct = model.prerank_prob(v_qu, v_a).data
-        w1 = model.params["prerank/W1"].data
-        b1 = model.params["prerank/b1"].data
-        q_part, a_part, pre = prerank_split(v_qu.data, v_a.data, w1, b1)
-        hidden = apply_activation(model.config.activation, pre)
-        logit = hidden @ model.params["prerank/W2"].data + model.params["prerank/b2"].data
-        split = 1.0 / (1.0 + np.exp(-logit[:, 0]))
+        scorer = PrerankScorer(model)
+        split = np.array([
+            scorer.score_from_parts(scorer.q_part(q), scorer.a_part(a)[None, :])[0]
+            for q, a in zip(v_qu.data, v_a.data)
+        ])
         np.testing.assert_allclose(split, direct, atol=1e-9)
 
 
 class TestPrerankSplit:
     def test_recombination_identity_d8(self):
+        model = MatchingModel(tiny_config(prerank_hidden=5), VOCAB, seed=37)
         rng = np.random.default_rng(37)
         for _ in range(20):
             v_qu = rng.normal(size=8)
             v_a = rng.normal(size=8)
             w = rng.normal(size=(16, 5))
             b = rng.normal(size=5)
-            q_part, a_part, recombined = prerank_split(v_qu, v_a, w, b)
+            model.params["prerank/W1"].data[...] = w
+            model.params["prerank/b1"].data[...] = b
+            scorer = PrerankScorer(model)
+            recombined = scorer.q_part(v_qu) + scorer.a_part(v_a)
             direct = np.concatenate([v_qu, v_a]) @ w + b
             np.testing.assert_allclose(recombined, direct, atol=1e-9)
-
-    def test_zero_ad_vector_gives_zero_a_part(self):
-        rng = np.random.default_rng(38)
-        w = rng.normal(size=(16, 5))
-        _, a_part, _ = prerank_split(rng.normal(size=8), np.zeros(8), w, np.zeros(5))
-        np.testing.assert_array_equal(a_part, np.zeros(5))
-
-    def test_wrong_weight_rows_rejected(self):
-        with pytest.raises(ad.ShapeError):
-            prerank_split(np.ones(4), np.ones(4), np.ones((5, 2)), np.zeros(2))
 
 
 class TestSharedEmbeddings:

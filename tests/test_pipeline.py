@@ -15,7 +15,9 @@ from admatch.data import (
     generate_synthetic,
     request_from_record,
 )
-from admatch.model import EncoderConfig, MatchingModel, prerank_split
+from admatch import model as model_module
+from admatch import pipeline
+from admatch.model import EncoderConfig, MatchingModel
 from admatch.pipeline import (
     BidwordIndex,
     Candidate,
@@ -246,13 +248,14 @@ class TestAdParts:
         rng = np.random.default_rng(5)
         w1 = model.params["prerank/W1"].data
         b1 = model.params["prerank/b1"].data
+        d = ENCODER.d
         for i in range(10):
-            v_qu = rng.normal(size=ENCODER.d)
-            q_part, a_part, recombined = prerank_split(v_qu, vectors[i], w1, b1)
-            np.testing.assert_allclose(q_part, scorer.q_part(v_qu), atol=1e-12)
-            np.testing.assert_allclose(a_part, scorer.a_part(vectors[i]), atol=1e-12)
+            v_qu = rng.normal(size=d)
+            q_part, a_part = scorer.q_part(v_qu), scorer.a_part(vectors[i])
+            np.testing.assert_allclose(q_part, v_qu @ w1[:d] + b1, atol=1e-12)
+            np.testing.assert_allclose(a_part, vectors[i] @ w1[d:], atol=1e-12)
             direct = np.concatenate([v_qu, vectors[i]]) @ w1 + b1
-            np.testing.assert_allclose(recombined, direct, atol=1e-9)
+            np.testing.assert_allclose(q_part + a_part, direct, atol=1e-9)
 
     def test_file_round_trip(self, world, tmp_path):
         _, ads, _, vocab, model, _ = world
@@ -389,6 +392,20 @@ class TestSimulate:
         result = simulate(records[:60], model, vocab, ann, ads, oracle, cfg)
         assert result.metrics["prerank_split_max_abs_dev"] < 1e-9
         assert result.metrics["q_part_computations"] == 60
+
+    def test_perturbed_split_reaches_the_deviation(self, world, monkeypatch):
+        # the replay checks the scorer it serves with, the one in model
+        assert pipeline.PrerankScorer is model_module.PrerankScorer
+        records, ads, oracle, vocab, model, ann = world
+        original = pipeline.PrerankScorer.score_from_parts
+        monkeypatch.setattr(
+            pipeline.PrerankScorer,
+            "score_from_parts",
+            lambda self, q_part, a_parts: original(self, q_part, a_parts) + 1e-6,
+        )
+        cfg = PipelineConfig(top_n=8, k_vector=30, seed=9)
+        result = simulate(records[:20], model, vocab, ann, ads, oracle, cfg)
+        assert result.metrics["prerank_split_max_abs_dev"] > 1e-9
 
     def test_vector_path_lifts_pr(self, world):
         records, ads, oracle, vocab, model, ann = world
