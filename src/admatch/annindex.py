@@ -9,14 +9,19 @@ exact dot products. k-means runs a whole array at a time in numpy's own
 summation order, so index files are byte-identical to earlier builds with
 the same numpy and BLAS.
 
-Search works on integer rows of the snapshot: scores are one array over
-the rows, the top k is picked with ``argpartition`` and ordered by a sort
-on the scores, and ad ids are read only to order exact ties and to name
-the rows returned. Every result is ordered by descending score; rows with
-exactly equal scores order by ascending ad id, and all rows tied with the
-k-th score are ordered before the cut, so the result does not depend on
-row order. ``search_rows`` returns the rows with the searched snapshot's
-ids; ``pq_search`` and ``exact_topk`` name them.
+Codes are stored subspace-major, [M x n] (files hold the transpose); the
+ADC scan takes lookup values with one ``take`` per subspace and adds each
+row's M terms in ``sum(axis=1)`` order. One row-wise kernel, ``_dots``,
+gives every exact score, so a score never depends on the row's position.
+A re-ranked search whose pool (``k * overfetch_factor``) covers the index
+skips the ADC and scores every row exactly.
+
+Search works on integer rows of the snapshot; ad ids are read only to
+break exact ties and to name the rows returned. The k best (the ADC pool
+too) are picked with ``argpartition``, ties at the k-th score keeping the
+smallest ids, and ordered by descending score, then ascending id, so
+results do not depend on row order. ``search_rows`` returns the rows with
+the searched snapshot's ids; ``pq_search`` and ``exact_topk`` name them.
 
 Searches read an immutable snapshot that holds the ids, vectors, PQ codes
 and the codebooks they were encoded with, whose float64 tables are built
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -222,14 +228,14 @@ def pq_train(
 
 
 def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
-    """Nearest-centroid codes per subspace, [n x M] uint8."""
+    """Nearest-centroid codes per subspace, [n x M] uint8 (the transpose of [M x n])."""
     shape = (len(vectors), codebooks.n_subspaces, codebooks.sub_dim)
     rows = np.asarray(vectors, dtype=np.float64).reshape(shape).transpose(1, 0, 2)
     rows_sq = (rows * rows).sum(axis=2)
-    codes = np.empty((rows.shape[1], codebooks.n_subspaces), dtype=np.uint8)
+    codes = np.empty((codebooks.n_subspaces, rows.shape[1]), dtype=np.uint8)
     for m, centers in enumerate(codebooks.table):
-        codes[:, m] = _nearest(rows[m], rows_sq[m], centers, codebooks.table_sq[m])[0]
-    return codes
+        codes[m] = _nearest(rows[m], rows_sq[m], centers, codebooks.table_sq[m])[0]
+    return codes.T
 
 
 def pq_decode(codebooks: PqCodebooks, codes: np.ndarray) -> np.ndarray:
@@ -256,7 +262,7 @@ def normalize(vector: np.ndarray) -> np.ndarray:
 class _Snapshot:
     ids: tuple[str, ...]
     vectors: np.ndarray  # [n x d] float32, unit norm
-    codes: np.ndarray | None  # [n x M] uint8 when PQ is trained
+    codes: np.ndarray | None  # [M x n] uint8, subspace-major, when PQ is trained
     codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
 
     @property
@@ -264,26 +270,51 @@ class _Snapshot:
         return len(self.ids)
 
 
+def _dots(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Exact scores of float32 rows against the float64 query: ``einsum`` adds
+    each row in one order, so a score never depends on the row's position."""
+    return np.einsum("ij,j->i", vectors, query)
+
+
+def _adc(lookup: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Approximate scores of [M x n] codes against an [M x K] lookup table:
+    one ``take`` per subspace, then the terms added in ``sum(axis=1)``'s
+    order, so each row gets the bits of ``lookup[arange(M), codes.T].sum(axis=1)``."""
+    terms = np.empty(codes.shape)
+    for m, (table, column) in enumerate(zip(lookup, codes)):
+        terms[m] = table.take(column)
+    return _row_sums(terms)
+
+
+def _by_id(ids: Sequence[str], rows: np.ndarray, picks: Iterable[int]) -> list[int]:
+    """``picks`` (positions in ``rows``) in ascending id order: the one tie rule."""
+    return sorted(picks, key=lambda p: ids[rows[p]])
+
+
+def _chosen(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best of ``rows`` (scored ``scores``), unordered: all
+    above the k-th score, then the smallest ids tied with it. NaN ranks last."""
+    if k >= len(scores):
+        return np.arange(len(scores))
+    top = np.argpartition(-scores, k - 1)[:k]
+    kth = scores[top[-1]]
+    tied = np.isnan(scores) if np.isnan(kth) else scores == kth
+    if np.count_nonzero(tied) > 1:  # the k-th score is shared: keep the smallest ids
+        above = top[~tied[top]]
+        at_cut = _by_id(ids, rows, np.flatnonzero(tied).tolist())[: k - len(above)]
+        top = np.concatenate((above, np.array(at_cut, dtype=np.intp)))
+    return top
+
+
 def _top_rows(
     ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The k best of ``rows`` (scored ``scores``), in rank order.
-
-    Descending score; exact ties break by ascending ``ids[row]``. Every
-    row tied with the k-th score is kept until the ties are ordered, so
-    a tie straddling the cut keeps the smallest ids. Returns the chosen
-    rows and their scores.
-    """
-    if k < len(scores):
-        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-        # not ``>= kth``: NaN scores stay in and sort last, as in a full sort
-        keep = np.flatnonzero(~(scores < kth))
-    else:
-        keep = np.arange(len(scores))
+    """The k best of ``rows`` (scored ``scores``) and their scores, in rank
+    order: descending score, exact ties (at the cut too) by ascending id."""
+    keep = _chosen(ids, rows, scores, k)
     # the sort need not be stable: each run of equal scores is put in id
     # order below, which fixes the result whatever order the sort left
     keep = keep[np.argsort(-scores[keep])]
-    ranked = rows[keep]
     ranked_scores = scores[keep]
     nan = np.isnan(ranked_scores)
     tied = (ranked_scores[1:] == ranked_scores[:-1]) | (nan[1:] & nan[:-1])
@@ -291,8 +322,8 @@ def _top_rows(
         # a run of equal scores spans ranks edges[2i] .. edges[2i + 1]
         edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0]))))
         for lo, hi in zip(edges[0::2], edges[1::2] + 1):
-            ranked[lo:hi] = sorted(ranked[lo:hi], key=ids.__getitem__)
-    return ranked[:k], ranked_scores[:k]
+            keep[lo:hi] = _by_id(ids, rows, keep[lo:hi].tolist())
+    return rows[keep], ranked_scores
 
 
 class RowHits(NamedTuple):
@@ -321,7 +352,7 @@ class AnnIndex:
         self._snap = _Snapshot(
             (),
             np.zeros((0, dim), dtype=np.float32),
-            np.zeros((0, codebooks.n_subspaces), dtype=np.uint8) if codebooks else None,
+            np.zeros((codebooks.n_subspaces, 0), dtype=np.uint8) if codebooks else None,
             codebooks,
         )
 
@@ -382,9 +413,9 @@ class AnnIndex:
         codes = snap.codes
         if codes is not None:
             codes = np.concatenate(
-                [codes, np.empty((len(new_ids), codes.shape[1]), dtype=np.uint8)]
+                [codes, np.empty((len(codes), len(new_ids)), dtype=np.uint8)], axis=1
             )
-            codes[rows] = pq_encode(snap.codebooks, vectors[rows].astype(np.float64))
+            codes[:, rows] = pq_encode(snap.codebooks, vectors[rows].astype(np.float64)).T
         self._snap = replace(snap, ids=snap.ids + new_ids, vectors=vectors, codes=codes)
 
     # ------------------------------------------------------------------
@@ -410,7 +441,7 @@ class AnnIndex:
             iterations=iterations,
             seed=seed,
         )
-        codes = pq_encode(result.codebooks, vectors)
+        codes = pq_encode(result.codebooks, vectors).T
         self._snap = replace(snap, codes=codes, codebooks=result.codebooks)
         return result
 
@@ -444,9 +475,10 @@ class AnnIndex:
         One snapshot is read once: the rows index the ids it returns, so a
         concurrent write never pairs rows with another snapshot's ids. A
         PQ search on a snapshot without codebooks is exact, with ``pq``
-        False in the result. A query with a NaN or infinite element (its
-        norm is non-finite) raises DegenerateVectorError before anything is
-        scored.
+        False in the result; one whose re-ranked pool would hold every row
+        is exact too, with ``pq`` True. A query with a NaN or infinite
+        element (its norm is non-finite) raises DegenerateVectorError before
+        anything is scored.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -461,16 +493,19 @@ class AnnIndex:
         ids = snap.ids
         all_rows = np.arange(snap.size)
         cb = snap.codebooks if pq else None
-        if cb is None or snap.codes is None:
-            return RowHits(ids, *_top_rows(ids, all_rows, snap.vectors @ query, k), pq=False)
+        if cb is None or (rerank and k * overfetch_factor >= snap.size):
+            # exact search, or a re-ranked pool that would hold every row
+            exact = _dots(snap.vectors, query)
+            return RowHits(ids, *_top_rows(ids, all_rows, exact, k), pq=cb is not None)
         # lookup[m, c] = dot(query subvector m, centroid c of subspace m)
         lookup = (cb.table @ query.reshape(cb.n_subspaces, cb.sub_dim, 1))[:, :, 0]
-        approx = lookup[np.arange(cb.n_subspaces)[None, :], snap.codes].sum(axis=1)
+        approx = _adc(lookup, snap.codes)
         if not rerank:
             # the pool's first k under the same total order are the top k
             return RowHits(ids, *_top_rows(ids, all_rows, approx, k), pq=True)
-        pool, _ = _top_rows(ids, all_rows, approx, k * overfetch_factor)
-        exact = snap.vectors[pool] @ query
+        pool = _chosen(ids, all_rows, approx, k * overfetch_factor)  # rows, unordered
+        whole = 2 * len(pool) > snap.size  # then one pass over all rows beats a gather
+        exact = _dots(snap.vectors, query)[pool] if whole else _dots(snap.vectors[pool], query)
         return RowHits(ids, *_top_rows(ids, pool, exact, k), pq=True)
 
     # ------------------------------------------------------------------
@@ -479,7 +514,7 @@ class AnnIndex:
     def save(self, path: str | Path) -> None:
         snap = self._snap
         cb = snap.codebooks
-        pq = () if cb is None else (cb.centroids.astype(np.float32), snap.codes)
+        pq = () if cb is None else (cb.centroids.astype(np.float32), snap.codes.T)
         shape = (0, 0) if cb is None else (cb.n_subspaces, cb.n_centroids)
         header = np.array((self.dim, *shape, snap.size), "<u8")
         artifact.write(path, _MAGIC, _FORMAT_VERSION, (header, *pq, snap.vectors), snap.ids)
@@ -491,9 +526,14 @@ class AnnIndex:
         codebooks = codes = None
         if m_sub:
             codebooks = PqCodebooks(frame.array("<f4", (m_sub, k_cent, dim // m_sub)))
-            codes = frame.array(np.uint8, (count, m_sub))
+            codes = np.ascontiguousarray(frame.array(np.uint8, (count, m_sub)).T)
+            if count and int(codes.max()) >= k_cent:
+                raise frame.error(f"PQ code {codes.max()} is out of range for {k_cent} centroids")
         vectors = frame.array("<f4", (count, dim))
-        ids = frame.ids(count)
+        ids = tuple(frame.ids(count))
+        if len(set(ids)) < count:
+            repeat = next(a for a, n in Counter(ids).items() if n > 1)
+            raise frame.error(f"ad id {repeat!r} is stored more than once")
         index = cls(dim, codebooks)
-        index._snap = _Snapshot(tuple(ids), vectors, codes, codebooks)
+        index._snap = _Snapshot(ids, vectors, codes, codebooks)
         return index

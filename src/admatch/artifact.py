@@ -51,20 +51,21 @@ class Reader:
         self._data = Path(path).read_bytes()
         self._pos, self._end = 8, len(self._data) - 4  # the crc32 trailer
         if self._data[:8] != magic:
-            raise self._error(f"not an admatch {kind} file (magic {self._data[:8]!r})")
+            raise self.error(f"not an admatch {kind} file (magic {self._data[:8]!r})")
         (found,) = struct.unpack_from("<I", self._data, self._take(4))
         if found != version:
-            raise self._error(f"{kind} format version {found}, not {version}: re-export it")
+            raise self.error(f"{kind} format version {found}, not {version}: re-export it")
         if zlib.crc32(self._data[: self._end]) != int.from_bytes(self._data[-4:], "little"):
-            raise self._error("checksum mismatch: the file is corrupted")
+            raise self.error("checksum mismatch: the file is corrupted")
 
-    def _error(self, message: str) -> ArtifactError:
+    def error(self, message: str) -> ArtifactError:
+        """The error naming the file, also for checks callers make on its contents."""
         return ArtifactError(f"{self._path}: {message}")
 
     def _take(self, n: int) -> int:
         """Claim the next ``n`` bytes; returns their offset."""
         if n > self._end - self._pos:
-            raise self._error(f"truncated: {n} bytes needed at offset {self._pos}")
+            raise self.error(f"truncated: {n} bytes needed at offset {self._pos}")
         self._pos += n
         return self._pos - n
 

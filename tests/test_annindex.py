@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admatch import annindex
+from admatch import annindex, artifact
 from admatch.annindex import (
     AnnIndex,
     DegenerateVectorError,
@@ -21,6 +21,7 @@ from admatch.annindex import (
     pq_encode,
     pq_train,
 )
+from admatch.artifact import ArtifactError
 
 
 def stored_vectors(index):
@@ -168,6 +169,49 @@ def reference_pq_encode(centroids, vectors):
     return codes
 
 
+# The ADC scan and the pool as they were before codes were stored
+# subspace-major: one 2-d gather over [n, M] codes summed along each row,
+# and the pool as the first rows of the full rank order. The subspace-major
+# scan must give the same bits, and the pool the same set.
+
+
+def reference_adc(lookup, codes):
+    # the old snapshot held C-ordered [n, M] codes; the gather keeps the
+    # index's layout, and only a C-ordered sum adds each row pairwise
+    codes = np.ascontiguousarray(codes)
+    return lookup[np.arange(lookup.shape[0])[None, :], codes].sum(axis=1)
+
+
+def reference_top_rows(ids, rows, scores, k):
+    if k < len(scores):
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        keep = np.flatnonzero(~(scores < kth))
+    else:
+        keep = np.arange(len(scores))
+    keep = keep[np.argsort(-scores[keep])]
+    ranked = rows[keep]
+    ranked_scores = scores[keep]
+    nan = np.isnan(ranked_scores)
+    tied = (ranked_scores[1:] == ranked_scores[:-1]) | (nan[1:] & nan[:-1])
+    if tied.any():
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0]))))
+        for lo, hi in zip(edges[0::2], edges[1::2] + 1):
+            ranked[lo:hi] = sorted(ranked[lo:hi], key=ids.__getitem__)
+    return ranked[:k], ranked_scores[:k]
+
+
+def lookup_table(codebooks, query):
+    """The index's ADC lookup: query subvector m against each centroid of m."""
+    cb = codebooks
+    return (cb.table @ query.reshape(cb.n_subspaces, cb.sub_dim, 1))[:, :, 0]
+
+
+def index_of(codebooks, vectors, names):
+    index = AnnIndex(vectors.shape[1], codebooks)
+    index.add_many(zip(names, vectors))
+    return index
+
+
 class TestExactSearch:
     def test_stored_vector_ranks_first_with_unit_score(self):
         rng = np.random.default_rng(1)
@@ -227,7 +271,7 @@ class TestExactSearch:
             ids = index.ids()
             stored = stored_vectors(index)
             vectors = [stored[i] for i in ids]
-            decoded = pq_decode(index.codebooks, index._snap.codes)
+            decoded = pq_decode(index.codebooks, index._snap.codes.T)
             n = len(ids)
             # quarters keep every score exact; the zero query ties everything
             queries = [rng.integers(-4, 5, size=4) / 4.0 for _ in range(5)] + [np.zeros(4)]
@@ -433,6 +477,68 @@ class TestPqMatchesReference:
             assert got.tobytes() == x.sum(axis=1).tobytes(), width
 
 
+class TestAdcMatchesReference:
+    """The subspace-major scan gives ``reference_adc``'s bits, and the pool
+    is the set of ``reference_top_rows``'s rows."""
+
+    @pytest.mark.parametrize("n_centroids", [4, 16, 256])
+    @pytest.mark.parametrize("n_subspaces", [4, 8, 16, 32])
+    def test_scores_and_pool(self, n_subspaces, n_centroids):
+        rng = np.random.default_rng(n_subspaces * 1000 + n_centroids)
+        n, d = 1200, 2 * n_subspaces
+        distinct = random_unit(rng, n, d)
+        codebooks = pq_train(distinct, n_subspaces, n_centroids, 2, seed=1).codebooks
+        names = [f"ad{i:04d}" for i in rng.permutation(n)]
+        # 150 vectors stored 8 times each share their codes: tie-heavy cuts
+        repeated = distinct[rng.integers(0, 150, size=n)]
+        straddles = 0
+        for vectors in (distinct, repeated):
+            index = index_of(codebooks, vectors, names)
+            ids, rows, codes = index.ids(), np.arange(n), index._snap.codes
+            for q in [*random_unit(rng, 3, d), np.zeros(d)]:
+                want = reference_adc(lookup_table(codebooks, q), codes.T)
+                got = annindex._adc(lookup_table(codebooks, q), codes)
+                assert got.tobytes() == want.tobytes()
+                for size in (1, 7, 100, 599, n - 1, n):
+                    pool = annindex._chosen(ids, rows, got, size)
+                    ref_pool = reference_top_rows(ids, rows, want, size)[0]
+                    assert sorted(pool.tolist()) == sorted(ref_pool.tolist())
+                    straddles += tie_at(want, size)
+                hits = index.search_rows(q, n, rerank=False)
+                ref_rows, ref_scores = reference_top_rows(ids, rows, want, n)
+                assert hits.rows.tolist() == ref_rows.tolist()
+                assert hits.scores.tobytes() == ref_scores.tobytes()
+        # the repeated vectors (and the zero query) put ties across the cuts
+        assert straddles > 0
+
+    def test_degenerate_sizes_against_exact(self):
+        rng = np.random.default_rng(25)
+        n, d = 300, 16
+        index = index_of(None, random_unit(rng, n, d), [f"ad{i:03d}" for i in range(n)])
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=3, seed=2)
+        empty = AnnIndex(d, index.codebooks)
+        ids, rows = index.ids(), np.arange(n)
+        for q in random_unit(rng, 5, d):
+            exact = index.exact_topk(q, n)
+            assert index.pq_search(q, n + 7) == exact  # k > n
+            assert index.pq_search(q, 30, overfetch_factor=10) == exact[:30]  # pool == n
+            for rerank in (True, False):
+                assert empty.pq_search(q, 5, rerank=rerank) == []
+            assert empty.exact_topk(q, 5) == []
+            approx = reference_adc(lookup_table(index.codebooks, q), index._snap.codes.T)
+            # the reference pool, each ad scored as exact_topk scores it; overfetch
+            # 1, and a pool over half the index
+            for k, factor in ((20, 1), (100, 2)):
+                pool = reference_top_rows(ids, rows, approx, k * factor)[0]
+                scored = ((ids[r], dict(exact)[ids[r]]) for r in pool)
+                ranked = sorted(scored, key=lambda hit: (-hit[1], hit[0]))
+                assert index.pq_search(q, k, overfetch_factor=factor) == ranked[:k]
+            # no re-rank: a covering pool keeps the ADC order
+            ref_rows, ref_scores = reference_top_rows(ids, rows, approx, 30)
+            want = [(ids[r], s) for r, s in zip(ref_rows.tolist(), ref_scores.tolist())]
+            assert index.pq_search(q, 30, overfetch_factor=10, rerank=False) == want
+
+
 class TestPqSearch:
     def test_zero_quantization_error_reproduces_exact(self):
         rng = np.random.default_rng(13)
@@ -457,6 +563,19 @@ class TestPqSearch:
             q = random_unit(rng, 1, 8)[0]
             got = index.pq_search(q, 10, overfetch_factor=8, rerank=True)
             assert got == index.exact_topk(q, 10)
+
+    def test_covering_pool_skips_the_adc(self, monkeypatch, caplog):
+        rng = np.random.default_rng(26)
+        index = filled_index(rng, 80, 8)
+        index.train_pq(n_subspaces=4, n_centroids=8, iterations=3, seed=4)
+        q = random_unit(rng, 1, 8)[0]
+        monkeypatch.setattr(annindex, "_adc", None)  # any ADC scan would fail
+        with caplog.at_level(logging.WARNING):
+            assert index.search_rows(q, 10, overfetch_factor=8).pq
+            assert index.pq_search(q, 10, overfetch_factor=8) == index.exact_topk(q, 10)
+        assert "falling back" not in caplog.text
+        with pytest.raises(TypeError):
+            index.search_rows(q, 10, overfetch_factor=7)
 
     def test_fallback_without_codebooks(self, caplog):
         rng = np.random.default_rng(15)
@@ -540,7 +659,77 @@ class TestPqSearch:
         index.add("late", random_unit(rng, 1, 8)[0])
         snap = index._snap
         expected = pq_encode(index.codebooks, snap.vectors.astype(np.float64))
-        np.testing.assert_array_equal(snap.codes, expected)
+        np.testing.assert_array_equal(snap.codes.T, expected)
+
+
+class TestScoresDoNotDependOnPosition:
+    """A row's exact score depends only on its vector and the query. The
+    vectors are non-dyadic, so a kernel that rounds by position shows."""
+
+    @pytest.mark.parametrize("pool", [501, 603, 5001, 5002, 5003])
+    def test_row_scores_alike_first_and_last_in_the_pool(self, pool):
+        rng = np.random.default_rng(pool)
+        d = 64
+        candidates = random_unit(rng, 4 * pool + 400, d)
+        codebooks = pq_train(candidates[:1000], 8, 16, 2, seed=1).codebooks
+        names = [f"c{i:05d}" for i in range(len(candidates))]
+        for q in rng.normal(size=(2, d)):
+            # rank every candidate by ADC score; the middle one is the probe
+            order = index_of(codebooks, candidates, names).search_rows(
+                q, len(candidates), rerank=False
+            ).rows
+            mid = 2 * pool + 200
+            probe, above, below = order[mid], order[: pool - 1], order[mid + 1 :]
+            # the pool is over half the index (every row is scored), then under
+            # half (the pool is gathered)
+            for extra in (100, pool + 100):
+                # first: the probe heads the pool; last: it is the pool's worst
+                first, last = (
+                    index_of(codebooks, candidates[rows], [names[r] for r in rows])
+                    for rows in (
+                        [probe, *below[: pool - 1 + extra]],
+                        [*above, *below[-extra:], probe],
+                    )
+                )
+                assert first.search_rows(q, 1, rerank=False).rows.tolist() == [0]
+                assert last.search_rows(q, pool, rerank=False).rows[-1] == len(last) - 1
+                scores = [
+                    dict(index.pq_search(q, pool, overfetch_factor=1))[names[probe]]
+                    for index in (first, last)
+                ]
+                scores += [
+                    dict(index.exact_topk(q, len(index)))[names[probe]] for index in (first, last)
+                ]
+                assert len(set(scores)) == 1, scores
+
+    def test_covering_pool_scores_every_ad_as_exact_topk_does(self):
+        rng = np.random.default_rng(41)
+        n, d = 1003, 128
+        index = index_of(None, random_unit(rng, n, d), [f"ad{i:04d}" for i in range(n)])
+        index.train_pq(n_subspaces=16, n_centroids=16, iterations=2, seed=3)
+        for q in rng.normal(size=(5, d)):
+            assert index.pq_search(q, n, overfetch_factor=1) == index.exact_topk(q, n)
+            assert index.pq_search(q, 101, overfetch_factor=10) == index.exact_topk(q, 101)
+
+    def test_equal_vectors_tie_and_order_by_id(self):
+        rng = np.random.default_rng(42)
+        n, d = 1003, 128
+        vectors = random_unit(rng, n, d)
+        vectors[-1] = vectors[0]
+        names = ["twin-b", *(f"ad{i:04d}" for i in range(1, n - 1)), "twin-a"]
+        index = index_of(None, vectors, names)
+        index.train_pq(n_subspaces=16, n_centroids=16, iterations=2, seed=4)
+        for q in vectors[0] + 0.3 * random_unit(rng, 5, d):
+            for hits in (
+                index.exact_topk(q, 20),
+                index.pq_search(q, 20, overfetch_factor=5),
+                index.pq_search(q, 20),
+                index.pq_search(q, 20, overfetch_factor=30),  # pool over half the index
+            ):
+                names_hit = [a for a, _ in hits]
+                i = names_hit.index("twin-a")
+                assert names_hit[i + 1] == "twin-b"
+                assert hits[i][1] == hits[i + 1][1]
 
 
 class TestConcurrentReads:
@@ -628,6 +817,35 @@ class TestIndexFile:
         path.write_bytes(b"NOTANIDX" + b"\0" * 32)
         with pytest.raises(ValueError, match="magic"):
             AnnIndex.load(path)
+
+    @staticmethod
+    def write_pq_file(path, codes, ids, n_centroids=4):
+        # framed as ``save`` frames an index, with codes and ids as given
+        header = np.array((4, codes.shape[1], n_centroids, len(ids)), "<u8")
+        centroids = np.zeros((codes.shape[1], n_centroids, 4 // codes.shape[1]), np.float32)
+        vectors = np.tile(np.float32([0.6, 0.8, 0.0, 0.0]), (len(ids), 1))
+        artifact.write(
+            path, annindex._MAGIC, annindex._FORMAT_VERSION,
+            (header, centroids, codes.astype(np.uint8), vectors), ids,
+        )
+
+    def test_code_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "codes.idx"
+        codes = np.array([[0, 3], [1, 2], [2, 1]])
+        self.write_pq_file(path, codes, ["a", "b", "c"])
+        assert len(AnnIndex.load(path)) == 3
+        codes[1, 0] = 9
+        self.write_pq_file(path, codes, ["a", "b", "c"])
+        with pytest.raises(ArtifactError, match="code 9 .* 4 centroids") as err:
+            AnnIndex.load(path)
+        assert str(path) in str(err.value)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "ids.idx"
+        self.write_pq_file(path, np.zeros((3, 2)), ["a", "b", "a"])
+        with pytest.raises(ArtifactError, match="'a' is stored more than once") as err:
+            AnnIndex.load(path)
+        assert str(path) in str(err.value)
 
 
 class TestLayering:

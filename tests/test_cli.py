@@ -296,6 +296,41 @@ def test_build_index_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert built[0] == built[1]
 
 
+# exact, PQ with a covering pool, PQ with a smaller pool, PQ without re-rank
+SEARCH_GRID = """
+import sys
+import numpy as np
+from admatch.annindex import AnnIndex
+index = AnnIndex.load(sys.argv[1])
+for q in np.random.default_rng(5).normal(size=(8, index.dim)):
+    for factor, rerank, pq in ((10, True, False), (30, True, True), (4, True, True), (4, False, True)):
+        hits = index.search_rows(q, 50, factor, rerank, pq)
+        sys.stdout.buffer.write(hits.rows.tobytes() + hits.scores.tobytes())
+"""
+
+
+def test_search_does_not_depend_on_blas_threads(tmp_path):
+    # two processes, one after the other, as for build-index above
+    index = AnnIndex(64)
+    rng = np.random.default_rng(12)
+    index.add_many((f"ad{i:05d}", v) for i, v in enumerate(rng.normal(size=(1300, 64))))
+    index.train_pq(n_subspaces=8, n_centroids=64, iterations=3, seed=3)
+    index.save(tmp_path / "index.idx")
+    src = str(Path(admatch.__file__).resolve().parents[1])
+    found = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path]),
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", SEARCH_GRID, str(tmp_path / "index.idx")],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        found.append(proc.stdout)
+    assert len(found[0]) == 8 * 4 * 50 * 16 and found[0] == found[1]
+
+
 class TestLogLevel:
     GEN_TINY = ["gen-data", "--users", "2", "--days", "1", "--items", "16"]
 
