@@ -10,11 +10,10 @@ summation order, so index files are byte-identical to earlier builds with
 the same numpy and BLAS.
 
 Codes are stored subspace-major, [M x n] (files hold the transpose); the
-ADC scan takes lookup values with one ``take`` per subspace and adds each
-row's M terms in ``sum(axis=1)`` order. One row-wise kernel, ``_dots``,
-gives every exact score, so a score never depends on the row's position.
-A re-ranked search whose pool (``k * overfetch_factor``) covers the index
-skips the ADC and scores every row exactly.
+ADC scan takes one ``take`` per subspace and adds each row's M terms in
+``sum(axis=1)`` order. One row-wise kernel, ``_dots``, gives every exact
+score, so a score never depends on the row's position. A re-ranked search
+whose pool (``k * overfetch_factor``) covers the index skips the ADC.
 
 Search works on integer rows of the snapshot; ad ids are read only to
 break exact ties and to name the rows returned. The k best (the ADC pool
@@ -277,9 +276,8 @@ def _dots(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 def _adc(lookup: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Approximate scores of [M x n] codes against an [M x K] lookup table:
-    one ``take`` per subspace, then the terms added in ``sum(axis=1)``'s
-    order, so each row gets the bits of ``lookup[arange(M), codes.T].sum(axis=1)``."""
+    """Approximate scores of [M x n] codes against an [M x K] lookup table: one ``take``
+    per subspace, added with the bits of ``lookup[arange(M), codes.T].sum(axis=1)``."""
     terms = np.empty(codes.shape)
     for m, (table, column) in enumerate(zip(lookup, codes)):
         terms[m] = table.take(column)
@@ -504,7 +502,9 @@ class AnnIndex:
             # the pool's first k under the same total order are the top k
             return RowHits(ids, *_top_rows(ids, all_rows, approx, k), pq=True)
         pool = _chosen(ids, all_rows, approx, k * overfetch_factor)  # rows, unordered
-        whole = 2 * len(pool) > snap.size  # then one pass over all rows beats a gather
+        # past half the index one pass over every row beats a gather: per-call medians
+        # cross at 40-80% of 600 rows, 45-60% of 8,000, 30-45% of 100,000 (d 128, one thread)
+        whole = 2 * len(pool) > snap.size
         exact = _dots(snap.vectors, query)[pool] if whole else _dots(snap.vectors[pool], query)
         return RowHits(ids, *_top_rows(ids, pool, exact, k), pq=True)
 
@@ -532,7 +532,7 @@ class AnnIndex:
         vectors = frame.array("<f4", (count, dim))
         ids = tuple(frame.ids(count))
         if len(set(ids)) < count:
-            repeat = next(a for a, n in Counter(ids).items() if n > 1)
+            (repeat, _), = Counter(ids).most_common(1)
             raise frame.error(f"ad id {repeat!r} is stored more than once")
         index = cls(dim, codebooks)
         index._snap = _Snapshot(ids, vectors, codes, codebooks)

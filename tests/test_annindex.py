@@ -667,11 +667,13 @@ class TestScoresDoNotDependOnPosition:
     vectors are non-dyadic, so a kernel that rounds by position shows."""
 
     @pytest.mark.parametrize("pool", [501, 603, 5001, 5002, 5003])
-    def test_row_scores_alike_first_and_last_in_the_pool(self, pool):
+    # einsum casts the float32 rows through an 8,192-element buffer: 64
+    # divides it, while at 100 most rows straddle two buffers
+    @pytest.mark.parametrize(("d", "subspaces"), [(64, 8), (100, 10)])
+    def test_row_scores_alike_first_and_last_in_the_pool(self, d, subspaces, pool):
         rng = np.random.default_rng(pool)
-        d = 64
         candidates = random_unit(rng, 4 * pool + 400, d)
-        codebooks = pq_train(candidates[:1000], 8, 16, 2, seed=1).codebooks
+        codebooks = pq_train(candidates[:1000], subspaces, 16, 2, seed=1).codebooks
         names = [f"c{i:05d}" for i in range(len(candidates))]
         for q in rng.normal(size=(2, d)):
             # rank every candidate by ADC score; the middle one is the probe
