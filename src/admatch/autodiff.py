@@ -504,9 +504,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def items(self):
         return self._entries.items()
 

@@ -2,8 +2,10 @@
 
 Each subcommand is a thin orchestration of one module operation. All
 artifacts live at explicit paths, --seed is threaded everywhere, and a
-key=value config file can supply defaults (flags win). A flag that fills
-a config dataclass takes its default from that dataclass. Logs go to
+key=value config file can supply defaults (flags win); a key is a flag's
+name without its dashes. A flag that fills a config dataclass is named
+for its field by ``dest`` and takes its default from that dataclass. A
+checkpoint is refused with a vocabulary of other sizes. Logs go to
 stderr, data to files, machine-readable summaries to stdout.
 """
 
@@ -51,6 +53,7 @@ from .model import (
     EncoderConfig,
     MatchingModel,
     QueryRequest,
+    VocabularyError,
 )
 from .pipeline import (
     PipelineConfig,
@@ -67,6 +70,7 @@ from .training import MODES, TrainConfig, train, write_history_csv
 logger = logging.getLogger(__name__)
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+SPLITS = ("train", "validation", "test")  # in split_by_day's order
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -85,94 +89,86 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _apply_config_defaults(
     subparser: argparse.ArgumentParser, overrides: dict[str, str]
 ) -> None:
-    actions = {a.dest: a for a in subparser._actions}
+    """Each key is a flag's name without its dashes, with underscores read
+    as dashes, and sets that flag's default. A flag that takes no value
+    reads the key as a boolean: ``no-rerank = true`` turns re-ranking off."""
+    actions = {s.lstrip("-"): a for a in subparser._actions for s in a.option_strings}
     defaults = {}
     for key, raw in overrides.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
+        action = actions.get(key.replace("_", "-"))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[dest] = raw.lower() in ("1", "true", "yes", "on")
+        if action.nargs == 0:
+            truthy = raw.lower() in ("1", "true", "yes", "on")
+            defaults[action.dest] = truthy == action.const
         elif action.type is not None:
-            defaults[dest] = action.type(raw)
+            defaults[action.dest] = action.type(raw)
         else:
-            defaults[dest] = raw
+            defaults[action.dest] = raw
     subparser.set_defaults(**defaults)
 
 
-def _comma_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _comma_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _flag_values(cls, args: argparse.Namespace) -> dict:
-    """The parsed flags named after fields of the dataclass ``cls``."""
-    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in _comma_tuple(raw))
 
 
-def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    values = _flag_values(EncoderConfig, args)
-    values["tower_dims"] = tuple(int(x) for x in _comma_list(args.tower_dims))
-    return EncoderConfig(**values)
+def _config(cls, args: argparse.Namespace):
+    """The dataclass ``cls`` filled from the parsed flags named after its
+    fields; a field without a flag keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(**_flag_values(TrainConfig, args))
-
-
-def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    return GeneratorConfig(
-        seed=args.seed,
-        n_users=args.users,
-        n_items=args.items,
-        n_categories=args.categories,
-        days=args.days,
-        impressions_per_user_day=args.impressions_per_user_day,
-        p_hi=args.p_hi,
-        p_lo=args.p_lo,
-        head_query_prob=args.head_query_prob,
-        confuser_prob=args.confuser_prob,
-    )
-
-
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        paths=tuple(_comma_list(args.paths)),
-        top_n=args.top_n,
-        k_vector=args.k_vector,
-        overfetch_factor=args.overfetch,
-        rerank=not args.no_rerank,
-        seed=args.seed,
-        verify_split=not args.no_verify_split,
-    )
+def _load_model(args: argparse.Namespace) -> tuple[MatchingModel, Vocabulary]:
+    """The checkpoint and the vocabulary it was trained on; a vocabulary
+    of other sizes would feed the model the wrong ids, so it is refused."""
+    model = MatchingModel.load(args.checkpoint)
+    vocab = Vocabulary.load_tsv(args.vocab)
+    for space, size in vocab.sizes.items():
+        if model.vocab_sizes[space] != size:
+            raise VocabularyError(
+                f"checkpoint {args.checkpoint} has {model.vocab_sizes[space]} {space} ids, "
+                f"but vocabulary {args.vocab} has {size}: they do not match"
+            )
+    return model, vocab
 
 
 def _load_split_instances(args: argparse.Namespace, vocab: Vocabulary, m: int):
     records = read_log_records(args.logs)
-    split = DatasetSplit(
-        tuple(_comma_list(args.train_days)),
-        args.test_day,
-        validation_fraction=args.validation_fraction,
-    )
-    train_recs, val_recs, test_recs = split_by_day(records, split)
-    return (
-        list(make_instances(train_recs, vocab, m)),
-        list(make_instances(val_recs, vocab, m)),
-        list(make_instances(test_recs, vocab, m)),
-    )
+    sets = split_by_day(records, _config(DatasetSplit, args))
+    return tuple(list(make_instances(recs, vocab, m)) for recs in sets)
+
+
+def _training_inputs(args: argparse.Namespace):
+    """What train, gamma-sweep and ablation start from: vocab, encoder, three splits."""
+    vocab = Vocabulary.load_tsv(args.vocab)
+    encoder = _config(EncoderConfig, args)
+    return vocab, encoder, *_load_split_instances(args, vocab, encoder.behavior_window)
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--vocab", required=True, help="vocabulary TSV file")
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--logs", required=True, help="JSON Lines impression log file")
-    p.add_argument("--vocab", required=True, help="vocabulary TSV file")
-    p.add_argument("--train-days", required=True, help="three comma-separated days")
+    p.add_argument(
+        "--train-days", required=True, type=_comma_tuple, help="three comma-separated days"
+    )
     p.add_argument("--test-day", required=True, help="held-out test day")
     p.add_argument(
         "--validation-fraction", type=float, default=DatasetSplit.validation_fraction
     )
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The vocabulary, split, encoder and training flags of each training command."""
+    p.add_argument("--vocab", required=True, help="vocabulary TSV file")
+    _add_split_flags(p)
     p.add_argument("--variant", choices=VARIANTS, default=EncoderConfig.variant)
     p.add_argument("--behavior-window", type=int, default=EncoderConfig.behavior_window)
     p.add_argument("--item-dim", type=int, default=EncoderConfig.item_dim)
@@ -184,7 +180,8 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attention-hidden", type=int, default=EncoderConfig.attention_hidden)
     p.add_argument(
         "--tower-dims",
-        default=",".join(map(str, EncoderConfig.tower_dims)),
+        type=_int_tuple,
+        default=EncoderConfig.tower_dims,
         help="two widths, e.g. 128,128",
     )
     p.add_argument("--prerank-hidden", type=int, default=EncoderConfig.prerank_hidden)
@@ -195,9 +192,6 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--activation", choices=ACTIVATIONS, default=EncoderConfig.activation)
     p.add_argument("--gamma", type=float, default=EncoderConfig.gamma)
     p.add_argument("--alpha", type=float, default=EncoderConfig.alpha)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
@@ -211,7 +205,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    records, ads, oracle = generate_synthetic(_generator_config(args))
+    records, ads, oracle = generate_synthetic(_config(GeneratorConfig, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(records, out / "logs.jsonl")
@@ -232,13 +226,9 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    vocab = Vocabulary.load_tsv(args.vocab)
-    encoder = _encoder_config(args)
-    train_set, val_set, test_set = _load_split_instances(
-        args, vocab, encoder.behavior_window
-    )
+    vocab, encoder, train_set, val_set, test_set = _training_inputs(args)
     model = MatchingModel(encoder, vocab.sizes, seed=args.seed)
-    result = train(model, train_set, val_set, _train_config(args))
+    result = train(model, train_set, val_set, _config(TrainConfig, args))
     model.save(args.checkpoint_out)
     if args.history_out:
         write_history_csv(result.history, args.history_out)
@@ -257,15 +247,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
-    sets = dict(
-        zip(
-            ("train", "validation", "test"),
-            _load_split_instances(args, vocab, model.config.behavior_window),
-        )
-    )
-    instances = sets[args.split]
+    model, vocab = _load_model(args)
+    sets = _load_split_instances(args, vocab, model.config.behavior_window)
+    instances = sets[SPLITS.index(args.split)]
     aucs = model_aucs(model, instances)
     payload = {"split": args.split, "instances": len(instances), **aucs}
     if args.out:
@@ -275,14 +259,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gamma_sweep(args) -> int:
-    vocab = Vocabulary.load_tsv(args.vocab)
-    encoder = _encoder_config(args)
-    train_set, val_set, test_set = _load_split_instances(
-        args, vocab, encoder.behavior_window
-    )
-    gammas = [float(g) for g in _comma_list(args.gammas)]
+    vocab, encoder, train_set, val_set, test_set = _training_inputs(args)
+    gammas = [float(g) for g in _comma_tuple(args.gammas)]
     rows = gamma_sweep(
-        train_set, val_set, test_set, vocab.sizes, encoder, _train_config(args), gammas
+        train_set, val_set, test_set, vocab.sizes, encoder, _config(TrainConfig, args), gammas
     )
     if args.out_csv:
         sweep_to_csv(rows, args.out_csv)
@@ -291,13 +271,9 @@ def _cmd_gamma_sweep(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    vocab = Vocabulary.load_tsv(args.vocab)
-    encoder = _encoder_config(args)
-    train_set, val_set, test_set = _load_split_instances(
-        args, vocab, encoder.behavior_window
-    )
+    vocab, encoder, train_set, val_set, test_set = _training_inputs(args)
     report = ablation_suite(
-        train_set, val_set, test_set, vocab.sizes, encoder, _train_config(args)
+        train_set, val_set, test_set, vocab.sizes, encoder, _config(TrainConfig, args)
     )
     if args.out_csv:
         report_to_csv(report, args.out_csv)
@@ -306,8 +282,7 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_export_vectors(args) -> int:
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
+    model, vocab = _load_model(args)
     ads = read_ads(args.ads)
     index = build_exact_index(model, ads, vocab)
     index.save(args.out)
@@ -318,31 +293,25 @@ def _cmd_export_vectors(args) -> int:
 
 def _cmd_build_index(args) -> int:
     index = AnnIndex.load(args.vectors)
-    if not args.no_pq:
-        result = index.train_pq(
-            n_subspaces=args.pq_m,
-            n_centroids=args.pq_k,
-            iterations=args.pq_iterations,
-            seed=args.seed,
-        )
-        logger.info(
-            "trained PQ codebooks: final quantization error %.6f",
-            float(result.error_history[:, -1].mean()),
-        )
-    index.save(args.out)
-    print(
-        json.dumps(
-            {"entries": len(index), "pq": not args.no_pq, "dim": index.dim},
-            sort_keys=True,
-        )
+    result = index.train_pq(
+        n_subspaces=args.pq_m,
+        n_centroids=args.pq_k,
+        iterations=args.pq_iterations,
+        seed=args.seed,
     )
+    logger.info(
+        "trained PQ codebooks: final quantization error %.6f",
+        float(result.error_history[:, -1].mean()),
+    )
+    index.save(args.out)
+    summary = {"entries": len(index), "pq": index.codebooks is not None, "dim": index.dim}
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def _cmd_add_ad(args) -> int:
     index = AnnIndex.load(args.index)
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
+    model, vocab = _load_model(args)
     raw = args.ad_json
     if raw.startswith("@"):
         raw = Path(raw[1:]).read_text()
@@ -356,8 +325,7 @@ def _cmd_add_ad(args) -> int:
 
 def _cmd_search(args) -> int:
     index = AnnIndex.load(args.index)
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
+    model, vocab = _load_model(args)
     terms = args.query.split()
     request = QueryRequest(
         query_term_ids=vocab.ids_for("term_id", terms),
@@ -379,8 +347,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_precompute_ad_parts(args) -> int:
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
+    model, vocab = _load_model(args)
     ads = read_ads(args.ads)
     ids, parts = precompute_ad_parts(model, ads, vocab)
     save_ad_parts(ids, parts, args.out)
@@ -389,17 +356,15 @@ def _cmd_precompute_ad_parts(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = MatchingModel.load(args.checkpoint)
-    vocab = Vocabulary.load_tsv(args.vocab)
+    model, vocab = _load_model(args)
     records = read_log_records(args.logs)
     if args.days:
-        wanted = set(_comma_list(args.days))
-        records = [r for r in records if r.day in wanted]
+        records = [r for r in records if r.day in args.days]
     ads = read_ads(args.ads)
     oracle = PlantedOracle.load(args.oracle)
     ann_index = AnnIndex.load(args.index) if args.index else None
     ad_parts = load_ad_parts(args.ad_parts) if args.ad_parts else None
-    config = _pipeline_config(args)
+    config = _config(PipelineConfig, args)
     result = simulate(records, model, vocab, ann_index, ads, oracle, config, ad_parts)
     write_simulation(result, args.out_dir)
     print(json.dumps(result.metrics, sort_keys=True))
@@ -417,7 +382,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, help=help_text)
@@ -433,15 +397,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             help="re-raise errors with a traceback instead of a one-line message",
         )
         p.set_defaults(func=func)
-        registry[name] = p
         return p
 
     p = sub("gen-data", _cmd_gen_data, "generate synthetic impression logs")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
-    p.add_argument("--users", type=int, default=GeneratorConfig.n_users)
-    p.add_argument("--items", type=int, default=GeneratorConfig.n_items)
-    p.add_argument("--categories", type=int, default=GeneratorConfig.n_categories)
+    p.add_argument("--users", dest="n_users", type=int, default=GeneratorConfig.n_users)
+    p.add_argument("--items", dest="n_items", type=int, default=GeneratorConfig.n_items)
+    p.add_argument(
+        "--categories", dest="n_categories", type=int, default=GeneratorConfig.n_categories
+    )
     p.add_argument("--days", type=int, default=GeneratorConfig.days)
     p.add_argument(
         "--impressions-per-user-day",
@@ -459,35 +424,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--top-k", type=int, default=50000)
 
     p = sub("train", _cmd_train, "train the matching model")
-    _add_split_flags(p)
-    _add_encoder_flags(p)
-    _add_train_flags(p)
+    _add_training_flags(p)
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--history-out")
 
     p = sub("eval", _cmd_eval, "evaluate a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
+    _add_model_flags(p)
     _add_split_flags(p)
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out")
 
     p = sub("gamma-sweep", _cmd_gamma_sweep, "train one model per gamma value")
-    _add_split_flags(p)
-    _add_encoder_flags(p)
-    _add_train_flags(p)
+    _add_training_flags(p)
     p.add_argument("--gammas", default="1,3,6,9")
     p.add_argument("--out-csv")
 
     p = sub("ablation", _cmd_ablation, "run the encoder/training/sharing ablations")
-    _add_split_flags(p)
-    _add_encoder_flags(p)
-    _add_train_flags(p)
+    _add_training_flags(p)
     p.add_argument("--out-csv")
 
     p = sub("export-vectors", _cmd_export_vectors, "export normalized ad vectors")
-    p.add_argument("--checkpoint", required=True)
+    _add_model_flags(p)
     p.add_argument("--ads", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
 
     p = sub("build-index", _cmd_build_index, "train PQ codebooks over a vector file")
@@ -496,20 +454,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--pq-m", type=int, default=annindex.PQ_SUBSPACES)
     p.add_argument("--pq-k", type=int, default=annindex.PQ_CENTROIDS)
     p.add_argument("--pq-iterations", type=int, default=annindex.PQ_ITERATIONS)
-    p.add_argument("--no-pq", action="store_true")
     p.add_argument("--seed", type=int, default=annindex.PQ_SEED)
 
     p = sub("add-ad", _cmd_add_ad, "encode one ad and add it to an index")
     p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--ad-json", required=True, help="inline JSON or @file")
     p.add_argument("--out", required=True)
 
     p = sub("search", _cmd_search, "retrieve top ads for a raw query string")
     p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--query", required=True)
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--overfetch", type=int, default=annindex.OVERFETCH_FACTOR)
@@ -520,30 +475,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         _cmd_precompute_ad_parts,
         "precompute the offline ad-side pre-rank partials",
     )
-    p.add_argument("--checkpoint", required=True)
+    _add_model_flags(p)
     p.add_argument("--ads", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
 
     p = sub("simulate", _cmd_simulate, "replay logs through the two-stage pipeline")
     p.add_argument("--logs", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--ads", required=True)
     p.add_argument("--oracle", required=True)
     p.add_argument("--index")
     p.add_argument("--ad-parts")
-    p.add_argument("--days", help="restrict the replay to these days")
-    p.add_argument("--paths", default=",".join(PipelineConfig.paths))
+    p.add_argument("--days", type=_comma_tuple, help="restrict the replay to these days")
+    p.add_argument("--paths", type=_comma_tuple, default=PipelineConfig.paths)
     p.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
     p.add_argument("--k-vector", type=int, default=PipelineConfig.k_vector)
-    p.add_argument("--overfetch", type=int, default=PipelineConfig.overfetch_factor)
-    p.add_argument("--no-rerank", action="store_true")
-    p.add_argument("--no-verify-split", action="store_true")
+    p.add_argument(
+        "--overfetch",
+        dest="overfetch_factor",
+        type=int,
+        default=PipelineConfig.overfetch_factor,
+    )
+    p.add_argument(
+        "--no-rerank", dest="rerank", action="store_false", default=PipelineConfig.rerank
+    )
+    p.add_argument(
+        "--no-verify-split",
+        dest="verify_split",
+        action="store_false",
+        default=PipelineConfig.verify_split,
+    )
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out-dir", required=True)
 
-    return parser, registry
+    return parser, subparsers.choices
 
 
 def main(argv=None) -> int:

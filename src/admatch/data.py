@@ -62,19 +62,8 @@ class BehaviorEvent:
     query_terms: list[str]
 
     # explicit fields: dataclasses.asdict (a recursive deep copy) and
-    # **vars(...) cost several times more, and the generator and the JSONL
-    # writer call these once per event of every record
-
-    def copy(self) -> "BehaviorEvent":
-        return BehaviorEvent(
-            self.timestamp,
-            self.item_id,
-            self.shop_id,
-            self.brand_id,
-            list(self.title_terms),
-            list(self.query_terms),
-        )
-
+    # **vars(...) cost several times more, and the JSONL writer calls this
+    # once per event of every record
     def to_dict(self) -> dict:
         return {
             "timestamp": self.timestamp,
@@ -152,9 +141,29 @@ def write_jsonl(rows: Iterable, path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_log_records(path: str | Path) -> list[LogRecord]:
+def _parse_error(where: str, exc: Exception) -> ValueError:
+    """A JSON input's parse failure as a ValueError that starts with
+    ``where`` (the file, and the line of a JSON Lines file)."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{where}: {what}")
+
+
+def _read_json_lines(path: str | Path, parse) -> list:
+    """``parse`` of each non-blank line's JSON; a line that fails to
+    parse fails naming the file and its 1-based line number."""
+    rows = []
     with open(path) as fh:
-        return [LogRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(parse(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _parse_error(f"{path}, line {number}", exc) from None
+    return rows
+
+
+def read_log_records(path: str | Path) -> list[LogRecord]:
+    return _read_json_lines(path, LogRecord.from_dict)
 
 
 def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
@@ -162,8 +171,7 @@ def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
 
 
 def read_ads(path: str | Path) -> list[AdDescriptor]:
-    with open(path) as fh:
-        return [AdDescriptor(**json.loads(line)) for line in fh if line.strip()]
+    return _read_json_lines(path, lambda payload: AdDescriptor(**payload))
 
 
 # ----------------------------------------------------------------------
@@ -468,13 +476,16 @@ class PlantedOracle:
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantedOracle":
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            item_categories=payload["item_categories"],
-            request_categories=payload["request_categories"],
-            p_hi=float(payload["p_hi"]),
-            p_lo=float(payload["p_lo"]),
-        )
+        try:
+            payload = json.loads(Path(path).read_text())
+            return cls(
+                item_categories=payload["item_categories"],
+                request_categories=payload["request_categories"],
+                p_hi=float(payload["p_hi"]),
+                p_lo=float(payload["p_lo"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _parse_error(str(path), exc) from None
 
 
 @dataclass
@@ -625,9 +636,8 @@ def generate_synthetic(
                         user_id=user_id,
                         timestamp=ts,
                         query_terms=query_terms,
-                        behavior_items=[
-                            ev.copy() for ev in history[-HISTORY_LEN :]
-                        ],
+                        # events are never changed once made, so records share them
+                        behavior_items=history[-HISTORY_LEN:],
                         ad=_ad_descriptor(ad),
                         clicked=clicked,
                         day=day,

@@ -52,7 +52,7 @@ INFERENCE_CHUNK = 512
 
 
 class VocabularyError(ValueError):
-    """An id is outside the vocabulary of its embedding space."""
+    """An id, or a checkpoint's table sizes, do not fit a vocabulary."""
 
 
 @dataclass(frozen=True)
@@ -729,19 +729,21 @@ class MatchingModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MatchingModel":
-        payload = json.loads(Path(path).read_text())
-        version = payload.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r}")
-        config = EncoderConfig(**payload["config"])
-        model = cls(config, payload["vocab_sizes"], seed=0)
-        arrays = {}
-        for name, entry in payload["params"].items():
-            arr = np.frombuffer(
-                base64.b64decode(entry["data"]), dtype="<f8"
-            ).reshape(entry["shape"])
-            arrays[name] = arr.astype(np.float64)
-        model.params.load_arrays(arrays)
+        """Read ``save``'s format; a file it cannot read fails naming it."""
+        try:
+            payload = json.loads(Path(path).read_text())
+            version = payload.get("format_version")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version!r}")
+            model = cls(EncoderConfig(**payload["config"]), payload["vocab_sizes"], seed=0)
+            arrays = {}
+            for name, entry in payload["params"].items():
+                arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+                arrays[name] = arr.reshape(entry["shape"]).astype(np.float64)
+            model.params.load_arrays(arrays)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: {what}") from None
         return model
 
 

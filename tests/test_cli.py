@@ -1,5 +1,6 @@
 """CLI behavior: determinism, the full recipe, config files, errors."""
 
+import functools
 import inspect
 import json
 import logging
@@ -262,6 +263,22 @@ class TestErrors:
         assert code == 1
         assert f"error: {vocab}, line 2: " in err
 
+    def test_eval_refuses_a_vocab_the_checkpoint_was_not_trained_on(
+        self, workspace, tmp_path, capsys
+    ):
+        # the checkpoint was trained on the top 5000 tokens of each space
+        vocab = tmp_path / "top20.tsv"
+        logs = str(workspace / "logs.jsonl")
+        assert main(["build-vocab", "--logs", logs, "--out", str(vocab), "--top-k", "20"]) == 0
+        code, out, err = run_cli(
+            capsys, "eval", "--checkpoint", str(workspace / "model.json"),
+            "--logs", logs, "--vocab", str(vocab), *SPLIT, "--split", "test",
+        )
+        assert code == 1
+        assert "auc" not in out
+        assert f"checkpoint {workspace / 'model.json'} has 121 item_id ids" in err
+        assert f"vocabulary {vocab} has 21" in err
+
     def test_debug_reraises_with_traceback(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.jsonl"):
             main([
@@ -364,7 +381,11 @@ def parsed_defaults(subparser):
     return subparser.parse_args(argv)
 
 
-MODEL_CONFIGS = [(cli._encoder_config, EncoderConfig), (cli._train_config, TrainConfig)]
+def config_of(cls):
+    return functools.partial(cli._config, cls)
+
+
+MODEL_CONFIGS = [(config_of(EncoderConfig), EncoderConfig), (config_of(TrainConfig), TrainConfig)]
 
 
 def param_defaults(fn, *names):
@@ -375,11 +396,11 @@ def param_defaults(fn, *names):
 
 class TestDefaults:
     CONFIGS = {
-        "gen-data": [(cli._generator_config, GeneratorConfig)],
+        "gen-data": [(config_of(GeneratorConfig), GeneratorConfig)],
         "train": MODEL_CONFIGS,
         "gamma-sweep": MODEL_CONFIGS,
         "ablation": MODEL_CONFIGS,
-        "simulate": [(cli._pipeline_config, PipelineConfig)],
+        "simulate": [(config_of(PipelineConfig), PipelineConfig)],
         # flags passed straight to the index, whose signature holds the defaults
         "build-index": [(
             lambda a: [a.pq_m, a.pq_k, a.pq_iterations, a.seed],
@@ -403,7 +424,7 @@ class TestConfigFile:
     def test_share_tower_key(self, tmp_path, monkeypatch, raw, expected):
         built = []
         monkeypatch.setattr(
-            cli, "_cmd_train", lambda args: built.append(cli._encoder_config(args)) or 0
+            cli, "_cmd_train", lambda args: built.append(cli._config(EncoderConfig, args)) or 0
         )
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"share-tower = {raw}\n")
@@ -427,14 +448,48 @@ class TestConfigFile:
         assert code == 0
         assert last_json(out)["records"] == 3 * 2 * 2
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, line, config_class, field, expected",
+        [
+            ("simulate", "no-rerank = true", PipelineConfig, "rerank", False),
+            ("simulate", "no_verify_split = yes", PipelineConfig, "verify_split", False),
+            ("simulate", "overfetch = 3", PipelineConfig, "overfetch_factor", 3),
+            ("simulate", "paths = vector", PipelineConfig, "paths", ("vector",)),
+            ("train", "tower-dims = 32,16", EncoderConfig, "tower_dims", (32, 16)),
+            ("train", "no-share-tower = true", EncoderConfig, "share_tower", False),
+            ("gen-data", "impressions_per_user_day = 2", GeneratorConfig,
+             "impressions_per_user_day", 2),
+        ],
+    )
+    def test_key_is_a_flag_name(self, tmp_path, command, line, config_class, field, expected):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(line + "\n")
+        _, registry = cli.build_parser()
+        cli._apply_config_defaults(registry[command], cli._parse_config_file(str(cfg)))
+        config = cli._config(config_class, parsed_defaults(registry[command]))
+        assert getattr(config, field) == expected
+
+    def test_search_k_key(self):
+        # a single-dash flag is a key too
+        _, registry = cli.build_parser()
+        cli._apply_config_defaults(registry["search"], {"k": "4"})
+        assert parsed_defaults(registry["search"]).k == 4
+
+    # a field name is not a flag name, and build-index has no --no-pq
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            ("not-a-real-knob", ["gen-data", "--out-dir", "x"]),
+            ("n_users", ["gen-data", "--out-dir", "x"]),
+            ("no-pq", ["build-index", "--vectors", "x", "--out", "x"]),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key, argv):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not-a-real-knob = 9\n")
-        code, _, err = run_cli(
-            capsys, "gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "x"),
-        )
+        cfg.write_text(f"{key} = 9\n")
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 2
-        assert "unknown config key" in err
+        assert f"unknown config key {key!r}" in err
 
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -341,3 +341,33 @@ class TestSerialization:
         oracle.save(path)
         loaded = PlantedOracle.load(path)
         assert loaded == oracle
+
+    def test_log_error_names_the_file_and_line(self, tmp_path):
+        good = json.dumps(simple_record().to_dict())
+        no_timestamp = dict(simple_record().to_dict())
+        del no_timestamp["timestamp"]
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{good}\n\n{json.dumps(no_timestamp)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 3: missing key 'timestamp'"
+        path.write_text(good[:40] + "\n")  # a truncated line
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value).startswith(f"{path}, line 1: ")
+
+    def test_ads_error_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "ads.jsonl"
+        path.write_text('{"item_id": "a1"}\n')
+        with pytest.raises(ValueError) as exc:
+            read_ads(path)
+        assert str(exc.value).startswith(
+            f"{path}, line 1: AdDescriptor.__init__() missing 5 required positional arguments"
+        )
+
+    def test_oracle_error_names_the_file(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError) as exc:
+            PlantedOracle.load(path)
+        assert str(exc.value) == f"{path}: missing key 'item_categories'"

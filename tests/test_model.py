@@ -641,6 +641,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             MatchingModel.load(path)
 
+    def test_load_error_names_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        MatchingModel(tiny_config(), VOCAB, seed=46).save(path)
+        whole = path.read_text()
+        path.write_text(whole[:300])  # a truncated checkpoint
+        with pytest.raises(ValueError) as exc:
+            MatchingModel.load(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        payload = json.loads(whole)
+        del payload["vocab_sizes"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            MatchingModel.load(path)
+        assert str(exc.value) == f"{path}: missing key 'vocab_sizes'"
+
 
 class TestConfigValidation:
     def test_unknown_variant(self):
