@@ -30,6 +30,19 @@ never score codes against another snapshot's codebooks. Writers are not
 synchronized with each other: callers that write from several threads
 must serialize the writes.
 
+Storage is append-only. A snapshot's vectors and codes are views of the
+first n rows of buffers with spare rows past n ([capacity x d] float32,
+[M x capacity] uint8), and the writer keeps an id-to-row map for the last
+snapshot it published, the tip. Adding new ids to the tip writes rows n
+onward in place and publishes a snapshot that views them; no published
+snapshot sees those rows, so readers never observe a half-applied add,
+and an insert's cost does not grow with the index. A write copies the
+rows into new buffers, with about n/8 spare rows, when it replaces a
+stored id (older snapshots still read that row), when the buffers are
+full, or when the snapshot it extends is not the tip (after ``load`` or
+``train_pq``, or a snapshot set from outside); that first write also
+builds the id-to-row map, once.
+
 The index stores the vectors it is given and knows nothing of the model
 (``pipeline.build_exact_index`` encodes a catalog into it); index files
 use the checked framing of ``admatch.artifact``.
@@ -269,6 +282,42 @@ class _Snapshot:
         return len(self.ids)
 
 
+# a grown buffer gets about n/8 spare rows, at least this many, not n: serving
+# can hold two indexes of a catalog while a new one is built
+_MIN_SPARE_ROWS = 16
+
+
+@dataclass
+class _Storage:
+    """The writer's buffers behind ``tip``, the last snapshot it published:
+    ``tip.vectors`` and ``tip.codes`` view their first ``tip.size`` rows, and
+    ``row_of`` maps the tip's ids to their rows. The rows past ``tip.size``
+    belong to no snapshot, so a write may fill them in place."""
+
+    tip: _Snapshot
+    vectors: np.ndarray  # [capacity x d] float32
+    codes: np.ndarray | None  # [M x capacity] uint8
+    row_of: dict[str, int]
+
+    @classmethod
+    def of(cls, snap: _Snapshot) -> "_Storage":
+        """Storage with no spare rows, so the next write copies."""
+        return cls(snap, snap.vectors, snap.codes, dict(zip(snap.ids, range(snap.size))))
+
+
+def _with_room(buffer: np.ndarray, axis: int, n: int, end: int, copy: bool) -> np.ndarray:
+    """``buffer`` when it has rows up to ``end`` along ``axis`` and ``copy`` is
+    False; else a new buffer holding its first ``n`` rows, with about end/8
+    spare rows past ``end``."""
+    if not copy and end <= buffer.shape[axis]:
+        return buffer
+    shape = list(buffer.shape)
+    shape[axis] = end + max(end // 8, _MIN_SPARE_ROWS)
+    grown = np.empty(shape, dtype=buffer.dtype)
+    np.moveaxis(grown, axis, 0)[:n] = np.moveaxis(buffer, axis, 0)[:n]
+    return grown
+
+
 def _dots(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Exact scores of float32 rows against the float64 query: ``einsum`` adds
     each row in one order, so a score never depends on the row's position."""
@@ -353,6 +402,7 @@ class AnnIndex:
             np.zeros((codebooks.n_subspaces, 0), dtype=np.uint8) if codebooks else None,
             codebooks,
         )
+        self._storage = _Storage.of(self._snap)
 
     # ------------------------------------------------------------------
 
@@ -370,7 +420,9 @@ class AnnIndex:
     def add(self, ad_id: str, vector: np.ndarray) -> None:
         """Normalize, store, and (when PQ is trained) encode one vector.
 
-        A duplicate ad id replaces the stored entry with a warning.
+        A duplicate ad id replaces the stored entry with a warning. A new
+        id is written into spare rows behind the current snapshot, so its
+        cost does not grow with the index; a replacement copies the index.
         Publication is a single snapshot swap, so readers never observe
         a half-applied add.
         """
@@ -382,7 +434,10 @@ class AnnIndex:
         New ids append in first-seen order; a repeated id (already stored
         or earlier in the batch) replaces the vector at its first position,
         with one warning per repeat. A rejected vector aborts the whole
-        batch and leaves the index unchanged.
+        batch and leaves the index unchanged. A batch of new ids fills the
+        buffers' spare rows in place; one that replaces a stored id, finds
+        the buffers full, or extends a snapshot this index did not publish
+        last copies the rows into new buffers first.
         """
         batch: dict[str, np.ndarray] = {}
         for ad_id, vector in pairs:
@@ -395,26 +450,36 @@ class AnnIndex:
         if not batch:
             return
         snap = self._snap
-        stored = set(batch).intersection(snap.ids)
-        # one pass over the stored ids, and only when the batch repeats some
-        row_of = {a: i for i, a in enumerate(snap.ids) if a in stored} if stored else {}
-        new_ids = tuple(a for a in batch if a not in stored)
-        row_of.update(zip(new_ids, range(snap.size, snap.size + len(new_ids))))
+        storage = self._storage if self._storage.tip is snap else _Storage.of(snap)
+        row_of = storage.row_of
+        new_ids = tuple(a for a in batch if a not in row_of)
+        replaces = len(new_ids) < len(batch)
         for ad_id in batch:
-            if ad_id in stored:
+            if ad_id in row_of:
                 logger.warning("replacing existing index entry for ad %s", ad_id)
-        rows = np.fromiter((row_of[a] for a in batch), dtype=np.intp, count=len(batch))
-        vectors = np.concatenate(
-            [snap.vectors, np.empty((len(new_ids), self.dim), dtype=np.float32)]
+        n, end = snap.size, snap.size + len(new_ids)
+        new_rows = dict(zip(new_ids, range(n, end)))
+        rows = np.fromiter(
+            (row_of[a] if a in row_of else new_rows[a] for a in batch),
+            dtype=np.intp,
+            count=len(batch),
         )
+        # rows below n are read by published snapshots: a replacement copies them
+        vectors = _with_room(storage.vectors, 0, n, end, replaces)
         vectors[rows] = np.stack(list(batch.values()))
-        codes = snap.codes
+        codes = storage.codes
         if codes is not None:
-            codes = np.concatenate(
-                [codes, np.empty((len(codes), len(new_ids)), dtype=np.uint8)], axis=1
-            )
+            codes = _with_room(codes, 1, n, end, replaces)
             codes[:, rows] = pq_encode(snap.codebooks, vectors[rows].astype(np.float64)).T
-        self._snap = replace(snap, ids=snap.ids + new_ids, vectors=vectors, codes=codes)
+        row_of.update(new_rows)
+        tip = replace(
+            snap,
+            ids=snap.ids + new_ids,
+            vectors=vectors[:end],
+            codes=None if codes is None else codes[:, :end],
+        )
+        self._storage = _Storage(tip, vectors, codes, row_of)
+        self._snap = tip
 
     # ------------------------------------------------------------------
 

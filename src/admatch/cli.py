@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, annindex
 from .annindex import AnnIndex, degenerate_norm
 from .data import (
-    AdDescriptor,
     DatasetSplit,
     GeneratorConfig,
     PlantedOracle,
@@ -31,6 +30,7 @@ from .data import (
     build_vocab,
     generate_synthetic,
     make_instances,
+    read_ad_json,
     read_ads,
     read_log_records,
     split_by_day,
@@ -310,12 +310,13 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_add_ad(args) -> int:
+    raw, where = args.ad_json, "--ad-json"
+    if raw.startswith("@"):
+        where = raw[1:]
+        raw = Path(where).read_text()
+    descriptor = read_ad_json(raw, where)
     index = AnnIndex.load(args.index)
     model, vocab = _load_model(args)
-    raw = args.ad_json
-    if raw.startswith("@"):
-        raw = Path(raw[1:]).read_text()
-    descriptor = AdDescriptor(**json.loads(raw))
     _, vectors = compute_ad_vectors(model, [descriptor], vocab)
     index.add(descriptor.item_id, vectors[0])
     index.save(args.out)

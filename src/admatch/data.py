@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,6 +97,23 @@ class AdDescriptor:
             "cost": self.cost,
         }
 
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "AdDescriptor":
+        """An ad from its JSON object, refusing a field of the wrong type, so
+        a bad ad reaches neither the index nor the replay."""
+        ad = cls(**payload)
+        for name in ("item_id", "shop_id", "brand_id"):
+            if not isinstance(getattr(ad, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(ad, name)!r}")
+        for name in ("title_terms", "bid_keywords"):
+            terms = getattr(ad, name)
+            if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+                raise ValueError(f"{name} must be a list of strings, got {terms!r}")
+        cost = ad.cost
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not 0 <= cost < math.inf:
+            raise ValueError(f"cost must be a finite non-negative number, got {cost!r}")
+        return ad
+
 
 @dataclass
 class LogRecord:
@@ -171,7 +189,16 @@ def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
 
 
 def read_ads(path: str | Path) -> list[AdDescriptor]:
-    return _read_json_lines(path, lambda payload: AdDescriptor(**payload))
+    return _read_json_lines(path, AdDescriptor.from_dict)
+
+
+def read_ad_json(text: str, where: str) -> AdDescriptor:
+    """One ad from JSON text, parsed as ``read_ads`` parses a line; a failure
+    names ``where`` (the flag or file the text came from)."""
+    try:
+        return AdDescriptor.from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _parse_error(where, exc) from None
 
 
 # ----------------------------------------------------------------------

@@ -344,14 +344,15 @@ class TestAdds:
         codebooks = None
         if trained:
             codebooks = pq_train(random_unit(rng, 64, 8), 2, 16, 5, seed=1).codebooks
-        vectors = rng.normal(size=(60, 8))
+        vectors = rng.normal(size=(200, 8))
         # ids repeat within the batch and against the prefilled entries
-        pairs = [(f"ad{int(i):03d}", v) for i, v in zip(rng.integers(0, 35, size=60), vectors)]
+        pairs = [(f"ad{int(i):03d}", v) for i, v in zip(rng.integers(0, 120, size=200), vectors)]
         saved = []
         for batched in (False, True):
             index = AnnIndex(8, codebooks)
             for ad_id, v in pairs[:10]:
                 index.add(ad_id, v)
+            prefilled = index._snap
             caplog.clear()
             with caplog.at_level(logging.WARNING):
                 if batched:
@@ -359,15 +360,102 @@ class TestAdds:
                 else:
                     for ad_id, v in pairs[10:]:
                         index.add(ad_id, v)
+            if not batched:  # the one-row adds outgrew the buffers they started in
+                assert not np.shares_memory(index._snap.vectors, prefilled.vectors)
             path = tmp_path / f"{batched}.idx"
             index.save(path)
             saved.append((path.read_bytes(), caplog.text.count("replacing")))
         assert saved[0] == saved[1]
         assert saved[0][1] > 0
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_one_row_adds_save_the_bytes_of_one_bulk_add(self, tmp_path, trained):
+        rng = np.random.default_rng(24)
+        codebooks = None
+        if trained:
+            codebooks = pq_train(random_unit(rng, 300, 16), 4, 32, 5, seed=2).codebooks
+        pairs = [(f"ad{i:04d}", v) for i, v in enumerate(rng.normal(size=(400, 16)))]
+        grown, bulk = AnnIndex(16, codebooks), AnnIndex(16, codebooks)
+        growths = 0
+        for ad_id, v in pairs:
+            before = grown._snap.vectors
+            grown.add(ad_id, v)
+            growths += not np.shares_memory(grown._snap.vectors, before)
+        bulk.add_many(pairs)
+        grown.save(tmp_path / "grown.idx")
+        bulk.save(tmp_path / "bulk.idx")
+        assert growths > 3
+        assert (tmp_path / "grown.idx").read_bytes() == (tmp_path / "bulk.idx").read_bytes()
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             AnnIndex(3).add("z", np.ones(4))
+
+
+class TestAppendOnlyStorage:
+    """A snapshot views the first rows of growable buffers; writes past them
+    must never reach a row a published snapshot reads."""
+
+    def test_a_snapshot_keeps_its_rows_through_later_writes(self):
+        rng = np.random.default_rng(31)
+        index = filled_index(rng, 40, 8)
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=5, seed=3)
+        index.add("first", random_unit(rng, 1, 8)[0])  # copies into buffers with spare rows
+        snap = index._snap
+        ids, vectors, codes = snap.ids, snap.vectors.copy(), snap.codes.copy()
+        index.add("ad0003", random_unit(rng, 1, 8)[0])
+        for i, v in enumerate(random_unit(rng, 60, 8)):
+            index.add(f"late{i:03d}", v)
+        assert not np.shares_memory(index._snap.vectors, snap.vectors)  # the buffers grew
+        index.add("first", random_unit(rng, 1, 8)[0])
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=5, seed=4)
+        index.add("after", random_unit(rng, 1, 8)[0])
+        assert snap.ids == ids and len(index) == 102
+        np.testing.assert_array_equal(snap.vectors, vectors)
+        np.testing.assert_array_equal(snap.codes, codes)
+
+    def test_appends_share_the_buffers_and_a_replacement_copies_them(self):
+        rng = np.random.default_rng(32)
+        index = filled_index(rng, 30, 8)
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=5, seed=3)
+        index.add("a", random_unit(rng, 1, 8)[0])
+        first = index._snap
+        index.add("b", random_unit(rng, 1, 8)[0])
+        second = index._snap
+        assert np.shares_memory(first.vectors, second.vectors)
+        assert np.shares_memory(first.codes, second.codes)
+        kept = second.vectors[-2].copy()
+        index.add("a", random_unit(rng, 1, 8)[0])
+        third = index._snap
+        assert not np.shares_memory(second.vectors, third.vectors)
+        assert not np.shares_memory(second.codes, third.codes)
+        np.testing.assert_array_equal(second.vectors[-2], kept)
+        assert not np.array_equal(third.vectors[-2], kept)
+
+    def test_extending_an_older_snapshot_copies(self, caplog):
+        rng = np.random.default_rng(33)
+        index = filled_index(rng, 20, 8)
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=5, seed=3)
+        index.add("x", random_unit(rng, 1, 8)[0])
+        older = index._snap
+        index.add("b", random_unit(rng, 1, 8)[0])
+        newer = index._snap
+        row, code = newer.vectors[-1].copy(), newer.codes[:, -1].copy()
+        index._snap = older  # a writer still holding the older snapshot
+        c = random_unit(rng, 1, 8)[0]
+        index.add("c", c)
+        extended = index._snap
+        assert extended.ids == older.ids + ("c",)
+        assert not np.shares_memory(extended.vectors, newer.vectors)
+        assert not np.shares_memory(extended.codes, newer.codes)
+        assert newer.ids[-1] == "b"
+        np.testing.assert_array_equal(newer.vectors[-1], row)
+        np.testing.assert_array_equal(newer.codes[:, -1], code)
+        assert index.exact_topk(c, 1)[0][0] == "c"
+        with caplog.at_level(logging.WARNING):
+            index.add("b", random_unit(rng, 1, 8)[0])  # "b" is not in this snapshot
+        assert "replacing" not in caplog.text
+        assert index.ids() == older.ids + ("c", "b")
 
 
 class TestPqTraining:
@@ -769,22 +857,35 @@ class TestConcurrentReads:
             while not stop.is_set():
                 for q in queries:
                     try:
-                        hits = index.pq_search(q, 5)
-                        if len(hits) != len(set(h[0] for h in hits)):
-                            failures.append("duplicate ids in one snapshot read")
+                        hits = index.search_rows(q, 5)
+                        rows = hits.rows.tolist()
+                        if len(rows) != len(set(rows)):
+                            failures.append("duplicate rows in one snapshot read")
+                        if rows and max(rows) >= len(hits.ids):
+                            failures.append("a row past the searched snapshot's ids")
                     except Exception as exc:  # torn state would surface here
                         failures.append(repr(exc))
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for i, v in enumerate(new_vectors):
-            index.add(f"late{i:04d}", v)
-        stop.set()
-        for t in threads:
-            t.join()
+        growths = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for i, v in enumerate(new_vectors):
+                before = index._snap.vectors
+                index.add(f"late{i:04d}", v)
+                growths += not np.shares_memory(index._snap.vectors, before)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for t in threads:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert not failures, failures[:3]
         assert len(index) == 250
+        assert growths > 3
 
 
 class TestIndexFile:

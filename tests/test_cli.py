@@ -279,6 +279,32 @@ class TestErrors:
         assert f"checkpoint {workspace / 'model.json'} has 121 item_id ids" in err
         assert f"vocabulary {vocab} has 21" in err
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize(
+        "ad_json, defect",
+        [
+            ('{"item_id": "a1" "shop_id": "s1"}', "Expecting ',' delimiter"),
+            ('{"item_id": "a1"}', "AdDescriptor.__init__() missing 5 required"),
+        ],
+    )
+    def test_add_ad_names_the_source_of_a_bad_ad(
+        self, workspace, tmp_path, capsys, ad_json, defect, from_file
+    ):
+        source = "--ad-json"
+        if from_file:
+            source = str(tmp_path / "ad.json")
+            Path(source).write_text(ad_json)
+            ad_json = f"@{source}"
+        code, _, err = run_cli(
+            capsys, "add-ad", "--index", str(workspace / "index.idx"),
+            "--checkpoint", str(workspace / "model.json"),
+            "--vocab", str(workspace / "vocab.tsv"),
+            "--ad-json", ad_json, "--out", str(tmp_path / "out.idx"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {source}: {defect}")
+        assert not (tmp_path / "out.idx").exists()
+
     def test_debug_reraises_with_traceback(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.jsonl"):
             main([

@@ -1,6 +1,7 @@
 """Log schema, vocabulary, instance assembly, splits, and the generator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -364,6 +365,35 @@ class TestSerialization:
         assert str(exc.value).startswith(
             f"{path}, line 1: AdDescriptor.__init__() missing 5 required positional arguments"
         )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("item_id", 7, "item_id must be a string, got 7"),
+            ("shop_id", None, "shop_id must be a string, got None"),
+            ("brand_id", ["b1"], "brand_id must be a string, got ['b1']"),
+            ("title_terms", "t1 t2", "title_terms must be a list of strings, got 't1 t2'"),
+            ("bid_keywords", ["k1", 3], "bid_keywords must be a list of strings, got ['k1', 3]"),
+            ("cost", True, "cost must be a finite non-negative number, got True"),
+            ("cost", math.nan, "cost must be a finite non-negative number, got nan"),
+            ("cost", math.inf, "cost must be a finite non-negative number, got inf"),
+            ("cost", -0.5, "cost must be a finite non-negative number, got -0.5"),
+            ("cost", "1.5", "cost must be a finite non-negative number, got '1.5'"),
+        ],
+    )
+    def test_ads_refuse_a_field_of_the_wrong_type(self, tmp_path, field, value, message):
+        good = AdDescriptor("a1", "s1", "b1", ["t1"], ["t1"], 1.5).to_dict()
+        path = tmp_path / "ads.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, field: value})}\n")
+        with pytest.raises(ValueError) as exc:
+            read_ads(path)
+        assert str(exc.value) == f"{path}, line 2: {message}"
+
+    def test_ads_accept_an_integer_cost_and_empty_term_lists(self, tmp_path):
+        ad = AdDescriptor("a1", "s1", "b1", [], [], 2)
+        path = tmp_path / "ads.jsonl"
+        write_ads([ad], path)
+        assert read_ads(path) == [ad]
 
     def test_oracle_error_names_the_file(self, tmp_path):
         path = tmp_path / "oracle.json"
