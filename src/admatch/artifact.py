@@ -1,4 +1,4 @@
-"""One checked framing for the binary artifacts (vector index, ad parts).
+"""One checked framing for the binary artifacts (vector index, ad parts, checkpoint).
 
 A file is: magic (8 bytes) | format version (u32) | raw little-endian
 arrays, the first holding the header ints | ids as u32 length + UTF-8

@@ -140,13 +140,16 @@ class LogRecord:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LogRecord":
+        clicked = payload["clicked"]
+        if isinstance(clicked, bool) or clicked not in (0, 1):
+            raise ValueError(f"clicked must be 0 or 1, got {clicked!r}")
         return cls(
             user_id=payload["user_id"],
             timestamp=int(payload["timestamp"]),
             query_terms=list(payload["query_terms"]),
             behavior_items=[BehaviorEvent(**b) for b in payload["behavior_items"]],
-            ad=AdDescriptor(**payload["ad"]),
-            clicked=int(payload["clicked"]),
+            ad=AdDescriptor.from_dict(payload["ad"]),
+            clicked=int(clicked),
             day=payload["day"],
         )
 
@@ -505,6 +508,8 @@ class PlantedOracle:
     def load(cls, path: str | Path) -> "PlantedOracle":
         try:
             payload = json.loads(Path(path).read_text())
+            if payload["format_version"] != 1:
+                raise ValueError(f"oracle format version {payload['format_version']!r}, not 1")
             return cls(
                 item_categories=payload["item_categories"],
                 request_categories=payload["request_categories"],

@@ -16,7 +16,6 @@ validated once; the behavior encoder works on the whole window at once.
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from . import artifact, autodiff as ad
 from .autodiff import ParamStore, Tensor
 
 SPACES = ("item_id", "shop_id", "brand_id", "term_id", "profile_id")
@@ -45,7 +44,8 @@ ACTIVATIONS = ("relu", "tanh")
 
 PROB_CLIP = 1e-12
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_CHECKPOINT_MAGIC = b"ADMCKP01"
 
 # rows per tape-free forward pass when scoring or encoding many inputs
 INFERENCE_CHUNK = 512
@@ -708,42 +708,34 @@ class MatchingModel:
     # checkpointing
 
     def save(self, path: str | Path) -> None:
-        """Write a versioned JSON checkpoint; float64 round-trips bit-exactly."""
-        params = {}
-        for name, entry in self.params.items():
-            arr = entry.value.data
-            params[name] = {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-                # every parameter trains; the key keeps the checkpoint format
-                "trainable": True,
-                "frozen_rows": list(entry.frozen_rows),
-            }
-        payload = {
-            "format_version": CHECKPOINT_VERSION,
-            "config": asdict(self.config),
-            "vocab_sizes": self.vocab_sizes,
-            "params": params,
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        """Write a framed checkpoint: the meta length, the JSON meta (config,
+        vocab sizes, parameter names), then each parameter as float64 in
+        store order, so weights round-trip bit-exactly."""
+        names = [name for name, _ in self.params.items()]
+        meta = {"config": asdict(self.config), "vocab_sizes": self.vocab_sizes, "params": names}
+        raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+        arrays = [np.array([len(raw)], "<u8"), np.frombuffer(raw, np.uint8)]
+        arrays += [entry.value.data for _, entry in self.params.items()]
+        artifact.write(path, _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, arrays, ())
 
     @classmethod
     def load(cls, path: str | Path) -> "MatchingModel":
-        """Read ``save``'s format; a file it cannot read fails naming it."""
+        """Read ``save``'s file; a damaged or foreign one raises
+        ``ArtifactError`` naming it. Shapes come from the rebuilt model."""
+        frame = artifact.Reader(path, _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        (size,) = frame.array("<u8", (1,)).tolist()
+        raw = frame.array(np.uint8, (size,)).tobytes()
         try:
-            payload = json.loads(Path(path).read_text())
-            version = payload.get("format_version")
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version!r}")
-            model = cls(EncoderConfig(**payload["config"]), payload["vocab_sizes"], seed=0)
-            arrays = {}
-            for name, entry in payload["params"].items():
-                arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-                arrays[name] = arr.reshape(entry["shape"]).astype(np.float64)
-            model.params.load_arrays(arrays)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            meta = json.loads(raw)
+            model = cls(EncoderConfig(**meta["config"]), meta["vocab_sizes"], seed=0)
+            names = meta["params"]
+        except (KeyError, TypeError, ValueError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path}: {what}") from None
+            raise frame.error(f"checkpoint meta refused: {what}") from None
+        if names != [name for name, _ in model.params.items()]:
+            raise frame.error("its parameter names are not those of the model its config builds")
+        for _, entry in model.params.items():
+            entry.value.data[...] = frame.array("<f8", entry.value.data.shape)
         return model
 
 

@@ -455,19 +455,19 @@ def test_criterion_9_cli_recipe_determinism(tmp_path):
              "--profile-dim", "4", "--gru-hidden", "8", "--attention-hidden", "8",
              "--tower-dims", "16,16", "--prerank-hidden", "8",
              "--max-epochs", "1", "--seed", "9",
-             "--checkpoint-out", str(root / "model.json"),
+             "--checkpoint-out", str(root / "model.ckpt"),
              "--history-out", str(root / "history.csv")],
-            ["export-vectors", "--checkpoint", str(root / "model.json"),
+            ["export-vectors", "--checkpoint", str(root / "model.ckpt"),
              "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
              "--out", str(root / "vectors.idx")],
             ["build-index", "--vectors", str(root / "vectors.idx"),
              "--out", str(root / "index.idx"), "--pq-m", "4", "--pq-k", "16",
              "--pq-iterations", "8", "--seed", "9"],
-            ["precompute-ad-parts", "--checkpoint", str(root / "model.json"),
+            ["precompute-ad-parts", "--checkpoint", str(root / "model.ckpt"),
              "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
              "--out", str(root / "parts.bin")],
             ["simulate", "--logs", str(root / "logs.jsonl"),
-             "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+             "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
              "--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json"),
              "--index", str(root / "index.idx"), "--ad-parts", str(root / "parts.bin"),
              "--days", "2024-01-04", "--top-n", "5", "--k-vector", "20", "--seed", "9",
@@ -480,7 +480,7 @@ def test_criterion_9_cli_recipe_determinism(tmp_path):
                 name: (root / name).read_bytes()
                 for name in (
                     "logs.jsonl", "ads.jsonl", "oracle.json", "vocab.tsv",
-                    "model.json", "history.csv", "vectors.idx", "index.idx",
+                    "model.ckpt", "history.csv", "vectors.idx", "index.idx",
                     "parts.bin", "sim/metrics.json", "sim/impressions.jsonl",
                 )
             }

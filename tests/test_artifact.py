@@ -8,6 +8,7 @@ import pytest
 from admatch import annindex, artifact
 from admatch.annindex import AnnIndex
 from admatch.artifact import ArtifactError
+from admatch.model import SPACES, EncoderConfig, MatchingModel
 from admatch.pipeline import load_ad_parts, save_ad_parts
 
 
@@ -31,10 +32,20 @@ def parts_file(path):
     save_ad_parts(["ad0", "ad1", "adé2", "ad3"], rng.normal(size=(4, 3)), path)
 
 
+def checkpoint(path):
+    # every width 1 and two rows per table: about 1 KB, so the every-byte
+    # loops stay fast
+    widths = ("behavior_window", "item_dim", "shop_dim", "brand_dim", "term_dim",
+              "profile_dim", "gru_hidden", "attention_hidden", "prerank_hidden")
+    config = EncoderConfig(variant="GRU_RNN", tower_dims=(1, 1), **dict.fromkeys(widths, 1))
+    MatchingModel(config, dict.fromkeys(SPACES, 2), seed=43).save(path)
+
+
 ARTIFACTS = {
     "exact-index": (exact_index, AnnIndex.load),
     "pq-index": (pq_index, AnnIndex.load),
     "ad-parts": (parts_file, load_ad_parts),
+    "checkpoint": (checkpoint, MatchingModel.load),
 }
 
 
@@ -82,8 +93,9 @@ class TestVersions:
         [
             (b"ADMIDX01" + struct.pack("<IIIIQ", 1, 4, 0, 0, 0), AnnIndex.load),
             (b"ADMPRT01" + struct.pack("<IIQ", 1, 3, 0), load_ad_parts),
+            (b"ADMCKP01" + struct.pack("<IQ", 1, 0), MatchingModel.load),
         ],
-        ids=["index", "ad-parts"],
+        ids=["index", "ad-parts", "checkpoint"],
     )
     def test_old_version_asks_for_re_export(self, tmp_path, old, load):
         path = tmp_path / "old.bin"

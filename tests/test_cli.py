@@ -78,7 +78,7 @@ def workspace(tmp_path_factory):
         "train", "--logs", str(root / "logs.jsonl"), "--vocab", str(root / "vocab.tsv"),
         *SPLIT, *TINY_MODEL,
         "--max-epochs", "2", "--patience", "5", "--seed", "5",
-        "--checkpoint-out", str(root / "model.json"),
+        "--checkpoint-out", str(root / "model.ckpt"),
         "--history-out", str(root / "history.csv"),
     ]) == 0
     return root
@@ -90,12 +90,12 @@ class TestRecipe:
             capsys, "train", "--logs", str(workspace / "logs.jsonl"),
             "--vocab", str(workspace / "vocab.tsv"), *SPLIT, *TINY_MODEL,
             "--max-epochs", "2", "--patience", "5", "--seed", "5",
-            "--checkpoint-out", str(workspace / "model2.json"),
+            "--checkpoint-out", str(workspace / "model2.ckpt"),
         )
         assert code == 0
         summary = last_json(out)
         code, out, _ = run_cli(
-            capsys, "eval", "--checkpoint", str(workspace / "model2.json"),
+            capsys, "eval", "--checkpoint", str(workspace / "model2.ckpt"),
             "--logs", str(workspace / "logs.jsonl"), "--vocab", str(workspace / "vocab.tsv"),
             *SPLIT, "--split", "validation",
         )
@@ -107,7 +107,7 @@ class TestRecipe:
     def test_full_recipe_end_to_end(self, workspace, capsys):
         root = workspace
         code, out, _ = run_cli(
-            capsys, "export-vectors", "--checkpoint", str(root / "model.json"),
+            capsys, "export-vectors", "--checkpoint", str(root / "model.ckpt"),
             "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
             "--out", str(root / "vectors.idx"),
         )
@@ -121,7 +121,7 @@ class TestRecipe:
         assert code == 0 and last_json(out)["pq"] is True
 
         code, out, _ = run_cli(
-            capsys, "precompute-ad-parts", "--checkpoint", str(root / "model.json"),
+            capsys, "precompute-ad-parts", "--checkpoint", str(root / "model.ckpt"),
             "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
             "--out", str(root / "parts.bin"),
         )
@@ -129,7 +129,7 @@ class TestRecipe:
 
         code, out, _ = run_cli(
             capsys, "simulate", "--logs", str(root / "logs.jsonl"),
-            "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+            "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
             "--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json"),
             "--index", str(root / "index.idx"), "--ad-parts", str(root / "parts.bin"),
             "--days", "2024-01-04", "--top-n", "5", "--k-vector", "20",
@@ -150,14 +150,14 @@ class TestRecipe:
         }
         code, out, _ = run_cli(
             capsys, "add-ad", "--index", str(root / "index.idx"),
-            "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+            "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
             "--ad-json", json.dumps(ad), "--out", str(root / "index2.idx"),
         )
         assert code == 0 and last_json(out)["entries"] == 121
 
         code, out, _ = run_cli(
             capsys, "search", "--index", str(root / "index2.idx"),
-            "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+            "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
             "--query", "t0_1 t0_2", "-k", "121", "--exact",
         )
         assert code == 0
@@ -167,7 +167,7 @@ class TestRecipe:
     def test_simulate_refuses_an_index_ad_missing_from_the_catalog(self, workspace, capsys):
         root = workspace
         model_args = [
-            "--checkpoint", str(root / "model.json"), "--vocab", str(root / "vocab.tsv"),
+            "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
         ]
         ad = {
             "item_id": "newad", "shop_id": "shop0_0", "brand_id": "brand0_0",
@@ -216,7 +216,7 @@ def test_relu_towers_train(tmp_path, capsys):
         capsys, "train", "--logs", logs, "--vocab", vocab, *SPLIT,
         "--max-epochs", "2", "--seed", "3", "--gamma", "3", "--alpha", "0.3",
         "--no-share-tower", "--tower-dims", "16,8", "--variant", "GRU_RNN",
-        "--activation", "relu", "--checkpoint-out", str(tmp_path / "model.json"),
+        "--activation", "relu", "--checkpoint-out", str(tmp_path / "model.ckpt"),
     )
     assert code == 0, err
     assert last_json(out)["epochs_run"] == 2
@@ -256,7 +256,7 @@ class TestErrors:
         vocab = tmp_path / "bad.tsv"
         vocab.write_text("a\tterm_id\t1\nb\tterm_id\n")
         code, _, err = run_cli(
-            capsys, "eval", "--checkpoint", str(workspace / "model.json"),
+            capsys, "eval", "--checkpoint", str(workspace / "model.ckpt"),
             "--logs", str(workspace / "logs.jsonl"), "--vocab", str(vocab),
             *SPLIT, "--split", "test",
         )
@@ -271,12 +271,12 @@ class TestErrors:
         logs = str(workspace / "logs.jsonl")
         assert main(["build-vocab", "--logs", logs, "--out", str(vocab), "--top-k", "20"]) == 0
         code, out, err = run_cli(
-            capsys, "eval", "--checkpoint", str(workspace / "model.json"),
+            capsys, "eval", "--checkpoint", str(workspace / "model.ckpt"),
             "--logs", logs, "--vocab", str(vocab), *SPLIT, "--split", "test",
         )
         assert code == 1
         assert "auc" not in out
-        assert f"checkpoint {workspace / 'model.json'} has 121 item_id ids" in err
+        assert f"checkpoint {workspace / 'model.ckpt'} has 121 item_id ids" in err
         assert f"vocabulary {vocab} has 21" in err
 
     @pytest.mark.parametrize("from_file", [False, True])
@@ -297,7 +297,7 @@ class TestErrors:
             ad_json = f"@{source}"
         code, _, err = run_cli(
             capsys, "add-ad", "--index", str(workspace / "index.idx"),
-            "--checkpoint", str(workspace / "model.json"),
+            "--checkpoint", str(workspace / "model.ckpt"),
             "--vocab", str(workspace / "vocab.tsv"),
             "--ad-json", ad_json, "--out", str(tmp_path / "out.idx"),
         )

@@ -397,7 +397,40 @@ class TestSerialization:
 
     def test_oracle_error_names_the_file(self, tmp_path):
         path = tmp_path / "oracle.json"
-        path.write_text("{}")
+        path.write_text('{"format_version": 1}')
         with pytest.raises(ValueError) as exc:
             PlantedOracle.load(path)
         assert str(exc.value) == f"{path}: missing key 'item_categories'"
+
+    def test_oracle_refuses_another_format_version(self, tmp_path):
+        _, _, oracle = generate_synthetic(GeneratorConfig(seed=14, n_users=4, days=1))
+        path = tmp_path / "oracle.json"
+        oracle.save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "format_version": 2}))
+        with pytest.raises(ValueError) as exc:
+            PlantedOracle.load(path)
+        assert str(exc.value) == f"{path}: oracle format version 2, not 1"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ad": {"title_terms": "shoes"}},
+             "title_terms must be a list of strings, got 'shoes'"),
+            ({"ad": {"cost": -3}}, "cost must be a finite non-negative number, got -3"),
+            ({"clicked": 1.7}, "clicked must be 0 or 1, got 1.7"),
+            ({"clicked": 2}, "clicked must be 0 or 1, got 2"),
+            ({"clicked": True}, "clicked must be 0 or 1, got True"),
+        ],
+        ids=["ad-term-type", "ad-cost", "clicked-fraction", "clicked-range", "clicked-bool"],
+    )
+    def test_log_refuses_a_bad_ad_or_label(self, tmp_path, change, message):
+        good = simple_record().to_dict()
+        bad = {**good, **change}
+        if "ad" in change:
+            bad["ad"] = {**good["ad"], **change["ad"]}
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: {message}"

@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from admatch import autodiff as ad
+from admatch import artifact, autodiff as ad
+from admatch import model as model_module
+from admatch.artifact import ArtifactError
 from admatch.autodiff import Tape, Tensor, grad_check
 from admatch.model import (
     PAD_BEHAVIOR,
@@ -609,7 +612,7 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         cfg = tiny_config(variant="CONCATENATE_DNN", share_tower=False)
         model = MatchingModel(cfg, VOCAB, seed=42)
-        path = tmp_path / "model.ckpt.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
         loaded = MatchingModel.load(path)
         assert loaded.config == model.config
@@ -617,7 +620,7 @@ class TestCheckpoint:
         for name, entry in model.params.items():
             other = loaded.params[name]
             assert entry.value.data.tobytes() == other.data.tobytes()
-        path2 = tmp_path / "again.ckpt.json"
+        path2 = tmp_path / "again.ckpt"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
@@ -625,36 +628,60 @@ class TestCheckpoint:
         model = MatchingModel(tiny_config(), VOCAB, seed=43)
         rng = np.random.default_rng(44)
         batch = make_batch(rng, 5)
-        model.save(tmp_path / "m.json")
-        loaded = MatchingModel.load(tmp_path / "m.json")
+        model.save(tmp_path / "m.ckpt")
+        loaded = MatchingModel.load(tmp_path / "m.ckpt")
         a = model.predict(batch)
         b = loaded.predict(batch)
         np.testing.assert_array_equal(a["retrieval"], b["retrieval"])
         np.testing.assert_array_equal(a["prerank"], b["prerank"])
 
     def test_version_check(self, tmp_path):
-        model = MatchingModel(tiny_config(), VOCAB, seed=45)
-        path = tmp_path / "m.json"
-        model.save(path)
-        payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(payload)
-        with pytest.raises(ValueError, match="version"):
-            MatchingModel.load(path)
-
-    def test_load_error_names_the_file(self, tmp_path):
-        path = tmp_path / "m.json"
-        MatchingModel(tiny_config(), VOCAB, seed=46).save(path)
-        whole = path.read_text()
-        path.write_text(whole[:300])  # a truncated checkpoint
-        with pytest.raises(ValueError) as exc:
+        path = tmp_path / "m.ckpt"
+        MatchingModel(tiny_config(), VOCAB, seed=45).save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", 99) + raw[12:])
+        with pytest.raises(ArtifactError, match="version 99") as exc:
             MatchingModel.load(path)
         assert str(exc.value).startswith(f"{path}: ")
-        payload = json.loads(whole)
-        del payload["vocab_sizes"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError) as exc:
+
+    @staticmethod
+    def write_meta(path, meta):
+        """A checksum-valid checkpoint holding ``meta`` and no parameters."""
+        raw = json.dumps(meta).encode("utf-8")
+        arrays = [np.array([len(raw)], "<u8"), np.frombuffer(raw, np.uint8)]
+        magic, version = model_module._CHECKPOINT_MAGIC, model_module.CHECKPOINT_VERSION
+        artifact.write(path, magic, version, arrays, ())
+
+    def test_load_error_names_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = MatchingModel(tiny_config(), VOCAB, seed=46)
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:300])  # a truncated checkpoint
+        with pytest.raises(ArtifactError) as exc:
             MatchingModel.load(path)
-        assert str(exc.value) == f"{path}: missing key 'vocab_sizes'"
+        assert str(exc.value).startswith(f"{path}: ")
+        names = [name for name, _ in model.params.items()]
+        self.write_meta(path, {"config": dataclasses.asdict(model.config), "params": names})
+        with pytest.raises(ArtifactError) as exc:
+            MatchingModel.load(path)
+        assert str(exc.value) == f"{path}: checkpoint meta refused: missing key 'vocab_sizes'"
+
+    def test_other_parameter_names_are_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = MatchingModel(tiny_config(), VOCAB, seed=47)
+        names = [name for name, _ in model.params.items()]
+        config = dataclasses.asdict(model.config)
+        self.write_meta(path, {"config": config, "vocab_sizes": VOCAB, "params": names[::-1]})
+        with pytest.raises(ArtifactError, match="parameter names") as exc:
+            MatchingModel.load(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_json_checkpoint_from_before_the_framing_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"config": {}, "format_version": 1}, sort_keys=True))
+        with pytest.raises(ArtifactError, match="not an admatch checkpoint file") as exc:
+            MatchingModel.load(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestConfigValidation:
