@@ -266,7 +266,7 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(vector))
     if degenerate_norm(norm):
-        raise DegenerateVectorError(f"cannot index a zero-norm or non-finite vector: {norm}")
+        raise DegenerateVectorError(f"zero-norm or non-finite vector: norm {norm}")
     return vector / norm
 
 
@@ -586,7 +586,7 @@ class AnnIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "AnnIndex":
-        frame = artifact.Reader(path, _MAGIC, _FORMAT_VERSION, "index")
+        frame = artifact.Reader(path, _MAGIC, _FORMAT_VERSION, "index", "re-export it")
         dim, m_sub, k_cent, count = frame.array("<u8", (4,)).tolist()
         codebooks = codes = None
         if m_sub:

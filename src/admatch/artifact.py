@@ -44,9 +44,12 @@ def write(
 
 
 class Reader:
-    """Checked reads of a file framed by ``write``, in the order written."""
+    """Checked reads of a file framed by ``write``, in the order written; a
+    file of another version fails naming ``remedy``, the way to remake it."""
 
-    def __init__(self, path: str | Path, magic: bytes, version: int, kind: str) -> None:
+    def __init__(
+        self, path: str | Path, magic: bytes, version: int, kind: str, remedy: str
+    ) -> None:
         self._path = path
         self._data = Path(path).read_bytes()
         self._pos, self._end = 8, len(self._data) - 4  # the crc32 trailer
@@ -54,7 +57,7 @@ class Reader:
             raise self.error(f"not an admatch {kind} file (magic {self._data[:8]!r})")
         (found,) = struct.unpack_from("<I", self._data, self._take(4))
         if found != version:
-            raise self.error(f"{kind} format version {found}, not {version}: re-export it")
+            raise self.error(f"{kind} format version {found}, not {version}: {remedy}")
         if zlib.crc32(self._data[: self._end]) != int.from_bytes(self._data[-4:], "little"):
             raise self.error("checksum mismatch: the file is corrupted")
 

@@ -18,10 +18,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, annindex
-from .annindex import AnnIndex, degenerate_norm
+from .annindex import AnnIndex
 from .data import (
     DatasetSplit,
     GeneratorConfig,
@@ -333,11 +331,7 @@ def _cmd_search(args) -> int:
         profile_ids=(),
         behaviors=(PAD_BEHAVIOR,) * model.config.behavior_window,
     )
-    v_qu = model.qu_forward([request]).data[0]
-    norm = float(np.linalg.norm(v_qu))
-    if degenerate_norm(norm):
-        raise ValueError("query encoded to a zero-norm or non-finite vector")
-    unit = v_qu / norm
+    unit = annindex.normalize(model.qu_forward([request]).data[0])
     if args.exact:
         hits = index.exact_topk(unit, args.k)
     else:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -143,11 +143,22 @@ class LogRecord:
         clicked = payload["clicked"]
         if isinstance(clicked, bool) or clicked not in (0, 1):
             raise ValueError(f"clicked must be 0 or 1, got {clicked!r}")
+        query_terms = payload["query_terms"]
+        if not isinstance(query_terms, list) or not all(isinstance(t, str) for t in query_terms):
+            raise ValueError(f"query_terms must be a list of strings, got {query_terms!r}")
+        events = [BehaviorEvent(**b) for b in payload["behavior_items"]]
+        # the list types only: checking every term of every event costs ~4x more
+        for ev in events:
+            if not isinstance(ev.title_terms, list) or not isinstance(ev.query_terms, list):
+                raise ValueError(
+                    "an event's title_terms and query_terms must be lists, "
+                    f"got {ev.title_terms!r} and {ev.query_terms!r}"
+                )
         return cls(
             user_id=payload["user_id"],
             timestamp=int(payload["timestamp"]),
-            query_terms=list(payload["query_terms"]),
-            behavior_items=[BehaviorEvent(**b) for b in payload["behavior_items"]],
+            query_terms=query_terms,
+            behavior_items=events,
             ad=AdDescriptor.from_dict(payload["ad"]),
             clicked=int(clicked),
             day=payload["day"],
@@ -520,83 +531,44 @@ class PlantedOracle:
             raise _parse_error(str(path), exc) from None
 
 
-@dataclass
-class _World:
-    config: GeneratorConfig
-    items: list[dict] = field(default_factory=list)
-    items_by_category: list[list[int]] = field(default_factory=list)
-    title_pools: list[list[str]] = field(default_factory=list)
-    pair_pools: list[list[str]] = field(default_factory=list)
-
-
-def _build_world(cfg: GeneratorConfig, rng: np.random.Generator) -> _World:
-    world = _World(cfg)
+def _build_catalog(
+    cfg: GeneratorConfig, rng: np.random.Generator
+) -> tuple[list[AdDescriptor], list[list[str]], list[list[str]]]:
+    """The ``n_items`` ads, ad i in category ``i % C``, with the per-category
+    title-term pools and the shared query-term pools."""
     c_count = cfg.n_categories
-    world.title_pools = [
+    title_pools = [
         [f"t{c}_{i}" for i in range(cfg.terms_per_category)] for c in range(c_count)
     ]
     # pair pool p is shared between categories p and (p + 1) % C, which is
     # what makes tail queries ambiguous between two categories
-    world.pair_pools = [
+    pair_pools = [
         [f"q{c}_{(c + 1) % c_count}_{i}" for i in range(cfg.pair_terms)]
         for c in range(c_count)
     ]
-    world.items_by_category = [[] for _ in range(c_count)]
+    ads = []
     for i in range(cfg.n_items):
         cat = i % c_count
-        pool = world.title_pools[cat]
+        pool = title_pools[cat]
         n_title = int(rng.integers(2, 5))
         title = [pool[j] for j in rng.choice(len(pool), size=n_title, replace=False)]
         n_bid = int(rng.integers(1, 3))
         bid = [title[j] for j in rng.choice(len(title), size=n_bid, replace=False)]
-        item = {
-            "item_id": f"item{i}",
-            "category": cat,
-            "shop_id": f"shop{cat}_{int(rng.integers(cfg.shops_per_category))}",
-            "brand_id": f"brand{cat}_{int(rng.integers(cfg.brands_per_category))}",
-            "title_terms": title,
-            "bid_keywords": bid,
-            "cost": round(float(rng.uniform(0.5, 2.0)), 2),
-        }
-        world.items.append(item)
-        world.items_by_category[cat].append(i)
-    return world
+        ads.append(
+            AdDescriptor(
+                item_id=f"item{i}",
+                shop_id=f"shop{cat}_{int(rng.integers(cfg.shops_per_category))}",
+                brand_id=f"brand{cat}_{int(rng.integers(cfg.brands_per_category))}",
+                title_terms=title,
+                bid_keywords=bid,
+                cost=round(float(rng.uniform(0.5, 2.0)), 2),
+            )
+        )
+    return ads, title_pools, pair_pools
 
 
-def _make_query(
-    world: _World, category: int, rng: np.random.Generator
-) -> tuple[list[str], int | None]:
-    """Query terms for an interest plus its confusable category (if any).
-
-    Head queries name one unambiguous title term of the category (these
-    are the keyword-matchable queries). Tail queries draw from a pair
-    pool shared with a neighboring category, which only behaviors can
-    disambiguate.
-    """
-    cfg = world.config
-    c_count = cfg.n_categories
-    if rng.random() < cfg.head_query_prob:
-        pool = world.title_pools[category]
-        return [pool[int(rng.integers(len(pool)))]], None
-    if rng.random() < 0.5:
-        pool_id, confuser = category, (category + 1) % c_count
-    else:
-        pool_id, confuser = (category - 1) % c_count, (category - 1) % c_count
-    pool = world.pair_pools[pool_id]
-    n = int(rng.integers(1, 3))
-    picks = rng.choice(len(pool), size=n, replace=False)
-    return [pool[j] for j in sorted(picks)], (None if confuser == category else confuser)
-
-
-def _ad_descriptor(item: dict) -> AdDescriptor:
-    return AdDescriptor(
-        item_id=item["item_id"],
-        shop_id=item["shop_id"],
-        brand_id=item["brand_id"],
-        title_terms=list(item["title_terms"]),
-        bid_keywords=list(item["bid_keywords"]),
-        cost=item["cost"],
-    )
+def _event(ts: int, ad: AdDescriptor, query_terms: list[str]) -> BehaviorEvent:
+    return BehaviorEvent(ts, ad.item_id, ad.shop_id, ad.brand_id, ad.title_terms, query_terms)
 
 
 def generate_synthetic(
@@ -605,19 +577,40 @@ def generate_synthetic(
     """Generate impression logs, the ad repository, and the click oracle.
 
     Same seed, same bytes: the generator draws from one seeded stream in
-    a fixed order.
+    a fixed order. Every record and event points at the returned ads and
+    their term lists; nothing changes them once made.
     """
     rng = np.random.default_rng(cfg.seed)
-    world = _build_world(cfg, rng)
+    c_count = cfg.n_categories
+    ads, title_pools, pair_pools = _build_catalog(cfg, rng)
     base_day = datetime.date(2024, 1, 1)
     records: list[LogRecord] = []
-    oracle = PlantedOracle({}, {}, cfg.p_hi, cfg.p_lo)
-    for item in world.items:
-        oracle.item_categories[item["item_id"]] = item["category"]
+    item_categories = {ad.item_id: i % c_count for i, ad in enumerate(ads)}
+    oracle = PlantedOracle(item_categories, {}, cfg.p_hi, cfg.p_lo)
 
-    def pick_item(category: int) -> dict:
-        ids = world.items_by_category[category]
-        return world.items[ids[int(rng.integers(len(ids)))]]
+    def pick_ad(category: int) -> AdDescriptor:
+        count = len(range(category, cfg.n_items, c_count))
+        return ads[category + c_count * int(rng.integers(count))]
+
+    def make_query(category: int) -> tuple[list[str], int | None]:
+        """Query terms for an interest plus its confusable category (if any).
+
+        Head queries name one unambiguous title term of the category (these
+        are the keyword-matchable queries). Tail queries draw from a pair
+        pool shared with a neighboring category, which only behaviors can
+        disambiguate.
+        """
+        if rng.random() < cfg.head_query_prob:
+            pool = title_pools[category]
+            return [pool[int(rng.integers(len(pool)))]], None
+        if rng.random() < 0.5:
+            pool_id, confuser = category, (category + 1) % c_count
+        else:
+            pool_id, confuser = (category - 1) % c_count, (category - 1) % c_count
+        pool = pair_pools[pool_id]
+        n = int(rng.integers(1, 3))
+        picks = rng.choice(len(pool), size=n, replace=False)
+        return [pool[j] for j in sorted(picks)], (None if confuser == category else confuser)
 
     for user in range(cfg.n_users):
         user_id = f"u{user}"
@@ -626,11 +619,11 @@ def generate_synthetic(
         for day_idx in range(cfg.days):
             day = (base_day + datetime.timedelta(days=day_idx)).isoformat()
             ts = max(ts, day_idx * 10_000_000 + user * 1000)
-            if cfg.n_categories >= 2 and rng.random() < 0.8:
-                picks = rng.choice(cfg.n_categories, size=2, replace=False)
+            if c_count >= 2 and rng.random() < 0.8:
+                picks = rng.choice(c_count, size=2, replace=False)
                 interests = [int(picks[0]), int(picks[1])]
             else:
-                interests = [int(rng.integers(cfg.n_categories))]
+                interests = [int(rng.integers(c_count))]
             for _ in range(cfg.impressions_per_user_day):
                 current = interests[int(rng.integers(len(interests)))]
                 for _ in range(int(rng.integers(1, 4))):
@@ -638,57 +631,34 @@ def generate_synthetic(
                         b_cat = interests[1] if interests[0] == current else interests[0]
                     else:
                         b_cat = current
-                    b_item = pick_item(b_cat)
-                    b_query, _ = _make_query(world, b_cat, rng)
+                    b_ad = pick_ad(b_cat)
+                    b_query, _ = make_query(b_cat)
                     ts += int(rng.integers(1, 30))
-                    history.append(
-                        BehaviorEvent(
-                            timestamp=ts,
-                            item_id=b_item["item_id"],
-                            shop_id=b_item["shop_id"],
-                            brand_id=b_item["brand_id"],
-                            title_terms=list(b_item["title_terms"]),
-                            query_terms=b_query,
-                        )
-                    )
-                query_terms, confuser = _make_query(world, current, rng)
+                    history.append(_event(ts, b_ad, b_query))
+                query_terms, confuser = make_query(current)
                 roll = rng.random()
                 if roll < MATCH_PROB:
                     ad_cat = current
                 elif confuser is not None and roll < MATCH_PROB + cfg.confuser_prob:
                     ad_cat = confuser
                 else:
-                    ad_cat = int(rng.integers(cfg.n_categories))
-                ad = pick_item(ad_cat)
-                matched = ad["category"] == current
-                clicked = int(rng.random() < (cfg.p_hi if matched else cfg.p_lo))
+                    ad_cat = int(rng.integers(c_count))
+                ad = pick_ad(ad_cat)
+                clicked = int(rng.random() < (cfg.p_hi if ad_cat == current else cfg.p_lo))
                 ts += int(rng.integers(1, 30))
                 records.append(
                     LogRecord(
                         user_id=user_id,
                         timestamp=ts,
                         query_terms=query_terms,
-                        # events are never changed once made, so records share them
                         behavior_items=history[-HISTORY_LEN:],
-                        ad=_ad_descriptor(ad),
+                        ad=ad,
                         clicked=clicked,
                         day=day,
                     )
                 )
-                oracle.request_categories[
-                    PlantedOracle.request_key(user_id, ts)
-                ] = current
+                oracle.request_categories[PlantedOracle.request_key(user_id, ts)] = current
                 if clicked:
                     ts += 1
-                    history.append(
-                        BehaviorEvent(
-                            timestamp=ts,
-                            item_id=ad["item_id"],
-                            shop_id=ad["shop_id"],
-                            brand_id=ad["brand_id"],
-                            title_terms=list(ad["title_terms"]),
-                            query_terms=list(query_terms),
-                        )
-                    )
-    ads = [_ad_descriptor(item) for item in world.items]
+                    history.append(_event(ts, ad, query_terms))
     return records, ads, oracle

@@ -722,7 +722,9 @@ class MatchingModel:
     def load(cls, path: str | Path) -> "MatchingModel":
         """Read ``save``'s file; a damaged or foreign one raises
         ``ArtifactError`` naming it. Shapes come from the rebuilt model."""
-        frame = artifact.Reader(path, _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        frame = artifact.Reader(
+            path, _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "re-run train"
+        )
         (size,) = frame.array("<u8", (1,)).tolist()
         raw = frame.array(np.uint8, (size,)).tobytes()
         try:

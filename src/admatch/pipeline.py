@@ -42,7 +42,9 @@ from .annindex import (
     OVERFETCH_FACTOR,
     RERANK,
     AnnIndex,
+    DegenerateVectorError,
     degenerate_norm,
+    normalize,
 )
 from .autodiff import Tensor
 from .model import INFERENCE_CHUNK, MatchingModel, PrerankScorer
@@ -122,8 +124,8 @@ def build_exact_index(
     """Export all ad vectors into a fresh exact-mode index.
 
     Ads whose encoder output has a zero or non-finite norm are skipped
-    with a warning; the inner product against the stored unit vectors
-    equals cosine against the raw tower outputs.
+    with a warning; the index normalizes the rest, so the inner product
+    against a stored vector equals cosine against the raw tower output.
     """
     ids, vectors = compute_ad_vectors(model, ads, vocab)
     pairs = []
@@ -133,7 +135,7 @@ def build_exact_index(
                 "skipping ad %s: degenerate zero-norm or non-finite encoder output", ad_id
             )
         else:
-            pairs.append((ad_id, row / norm))
+            pairs.append((ad_id, row))
     index = AnnIndex(model.config.d)
     index.add_many(pairs)
     return index
@@ -155,7 +157,7 @@ def save_ad_parts(ids: Sequence[str], parts: np.ndarray, path: str | Path) -> No
 
 
 def load_ad_parts(path: str | Path) -> tuple[list[str], np.ndarray]:
-    frame = artifact.Reader(path, _PARTS_MAGIC, _PARTS_VERSION, "ad-parts")
+    frame = artifact.Reader(path, _PARTS_MAGIC, _PARTS_VERSION, "ad-parts", "re-export it")
     width, count = frame.array("<u8", (2,)).tolist()
     parts = frame.array("<f8", (count, width))
     return frame.ids(count), parts
@@ -168,11 +170,11 @@ def load_ad_parts(path: str | Path) -> tuple[list[str], np.ndarray]:
 def _unit_query(query_vector: np.ndarray) -> np.ndarray | None:
     """The vector path's query, normalized; None, with a warning, when its
     norm is zero or non-finite."""
-    norm = float(np.linalg.norm(query_vector))
-    if degenerate_norm(norm):
+    try:
+        return normalize(query_vector)
+    except DegenerateVectorError:
         logger.warning("degenerate zero-norm or non-finite query vector; skipping vector path")
         return None
-    return query_vector / norm
 
 
 def retrieve(

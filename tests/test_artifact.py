@@ -89,18 +89,19 @@ class TestDamage:
 
 class TestVersions:
     @pytest.mark.parametrize(
-        "old, load",
+        "old, load, remedy",
         [
-            (b"ADMIDX01" + struct.pack("<IIIIQ", 1, 4, 0, 0, 0), AnnIndex.load),
-            (b"ADMPRT01" + struct.pack("<IIQ", 1, 3, 0), load_ad_parts),
-            (b"ADMCKP01" + struct.pack("<IQ", 1, 0), MatchingModel.load),
+            (b"ADMIDX01" + struct.pack("<IIIIQ", 1, 4, 0, 0, 0), AnnIndex.load, "re-export"),
+            (b"ADMPRT01" + struct.pack("<IIQ", 1, 3, 0), load_ad_parts, "re-export"),
+            # nothing exports a checkpoint: training writes it
+            (b"ADMCKP01" + struct.pack("<IQ", 1, 0), MatchingModel.load, "re-run train"),
         ],
         ids=["index", "ad-parts", "checkpoint"],
     )
-    def test_old_version_asks_for_re_export(self, tmp_path, old, load):
+    def test_old_version_names_its_remedy(self, tmp_path, old, load, remedy):
         path = tmp_path / "old.bin"
         path.write_bytes(old)
-        with pytest.raises(ArtifactError, match="re-export") as info:
+        with pytest.raises(ArtifactError, match=remedy) as info:
             load(path)
         assert str(path) in str(info.value)
 

@@ -1,12 +1,19 @@
 """Log schema, vocabulary, instance assembly, splits, and the generator."""
 
+import datetime
+import hashlib
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from admatch import data as data_module
 from admatch.data import (
+    CURRENT_INTEREST_BIAS,
+    HISTORY_LEN,
+    MATCH_PROB,
     AdDescriptor,
     BehaviorEvent,
     CoverageError,
@@ -247,7 +254,233 @@ class TestSplitByDay:
             DatasetSplit(("2024-01-01", "2024-01-02", "2024-01-05"), "2024-01-03")
 
 
+# The generator as it was when every record built its own copy of its ad
+# from an item dict: the catalog-table generator must give the same bytes.
+
+
+@dataclass
+class _ReferenceWorld:
+    config: GeneratorConfig
+    items: list[dict] = field(default_factory=list)
+    items_by_category: list[list[int]] = field(default_factory=list)
+    title_pools: list[list[str]] = field(default_factory=list)
+    pair_pools: list[list[str]] = field(default_factory=list)
+
+
+def _reference_build_world(cfg: GeneratorConfig, rng: np.random.Generator) -> _ReferenceWorld:
+    world = _ReferenceWorld(cfg)
+    c_count = cfg.n_categories
+    world.title_pools = [
+        [f"t{c}_{i}" for i in range(cfg.terms_per_category)] for c in range(c_count)
+    ]
+    # pair pool p is shared between categories p and (p + 1) % C, which is
+    # what makes tail queries ambiguous between two categories
+    world.pair_pools = [
+        [f"q{c}_{(c + 1) % c_count}_{i}" for i in range(cfg.pair_terms)]
+        for c in range(c_count)
+    ]
+    world.items_by_category = [[] for _ in range(c_count)]
+    for i in range(cfg.n_items):
+        cat = i % c_count
+        pool = world.title_pools[cat]
+        n_title = int(rng.integers(2, 5))
+        title = [pool[j] for j in rng.choice(len(pool), size=n_title, replace=False)]
+        n_bid = int(rng.integers(1, 3))
+        bid = [title[j] for j in rng.choice(len(title), size=n_bid, replace=False)]
+        item = {
+            "item_id": f"item{i}",
+            "category": cat,
+            "shop_id": f"shop{cat}_{int(rng.integers(cfg.shops_per_category))}",
+            "brand_id": f"brand{cat}_{int(rng.integers(cfg.brands_per_category))}",
+            "title_terms": title,
+            "bid_keywords": bid,
+            "cost": round(float(rng.uniform(0.5, 2.0)), 2),
+        }
+        world.items.append(item)
+        world.items_by_category[cat].append(i)
+    return world
+
+
+def _reference_make_query(
+    world: _ReferenceWorld, category: int, rng: np.random.Generator
+) -> tuple[list[str], int | None]:
+    """Query terms for an interest plus its confusable category (if any).
+
+    Head queries name one unambiguous title term of the category (these
+    are the keyword-matchable queries). Tail queries draw from a pair
+    pool shared with a neighboring category, which only behaviors can
+    disambiguate.
+    """
+    cfg = world.config
+    c_count = cfg.n_categories
+    if rng.random() < cfg.head_query_prob:
+        pool = world.title_pools[category]
+        return [pool[int(rng.integers(len(pool)))]], None
+    if rng.random() < 0.5:
+        pool_id, confuser = category, (category + 1) % c_count
+    else:
+        pool_id, confuser = (category - 1) % c_count, (category - 1) % c_count
+    pool = world.pair_pools[pool_id]
+    n = int(rng.integers(1, 3))
+    picks = rng.choice(len(pool), size=n, replace=False)
+    return [pool[j] for j in sorted(picks)], (None if confuser == category else confuser)
+
+
+def _reference_ad_descriptor(item: dict) -> AdDescriptor:
+    return AdDescriptor(
+        item_id=item["item_id"],
+        shop_id=item["shop_id"],
+        brand_id=item["brand_id"],
+        title_terms=list(item["title_terms"]),
+        bid_keywords=list(item["bid_keywords"]),
+        cost=item["cost"],
+    )
+
+
+def reference_generate_synthetic(
+    cfg: GeneratorConfig,
+) -> tuple[list[LogRecord], list[AdDescriptor], PlantedOracle]:
+    """Generate impression logs, the ad repository, and the click oracle.
+
+    Same seed, same bytes: the generator draws from one seeded stream in
+    a fixed order.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    world = _reference_build_world(cfg, rng)
+    base_day = datetime.date(2024, 1, 1)
+    records: list[LogRecord] = []
+    oracle = PlantedOracle({}, {}, cfg.p_hi, cfg.p_lo)
+    for item in world.items:
+        oracle.item_categories[item["item_id"]] = item["category"]
+
+    def pick_item(category: int) -> dict:
+        ids = world.items_by_category[category]
+        return world.items[ids[int(rng.integers(len(ids)))]]
+
+    for user in range(cfg.n_users):
+        user_id = f"u{user}"
+        history: list[BehaviorEvent] = []
+        ts = user * 1000
+        for day_idx in range(cfg.days):
+            day = (base_day + datetime.timedelta(days=day_idx)).isoformat()
+            ts = max(ts, day_idx * 10_000_000 + user * 1000)
+            if cfg.n_categories >= 2 and rng.random() < 0.8:
+                picks = rng.choice(cfg.n_categories, size=2, replace=False)
+                interests = [int(picks[0]), int(picks[1])]
+            else:
+                interests = [int(rng.integers(cfg.n_categories))]
+            for _ in range(cfg.impressions_per_user_day):
+                current = interests[int(rng.integers(len(interests)))]
+                for _ in range(int(rng.integers(1, 4))):
+                    if len(interests) > 1 and rng.random() > CURRENT_INTEREST_BIAS:
+                        b_cat = interests[1] if interests[0] == current else interests[0]
+                    else:
+                        b_cat = current
+                    b_item = pick_item(b_cat)
+                    b_query, _ = _reference_make_query(world, b_cat, rng)
+                    ts += int(rng.integers(1, 30))
+                    history.append(
+                        BehaviorEvent(
+                            timestamp=ts,
+                            item_id=b_item["item_id"],
+                            shop_id=b_item["shop_id"],
+                            brand_id=b_item["brand_id"],
+                            title_terms=list(b_item["title_terms"]),
+                            query_terms=b_query,
+                        )
+                    )
+                query_terms, confuser = _reference_make_query(world, current, rng)
+                roll = rng.random()
+                if roll < MATCH_PROB:
+                    ad_cat = current
+                elif confuser is not None and roll < MATCH_PROB + cfg.confuser_prob:
+                    ad_cat = confuser
+                else:
+                    ad_cat = int(rng.integers(cfg.n_categories))
+                ad = pick_item(ad_cat)
+                matched = ad["category"] == current
+                clicked = int(rng.random() < (cfg.p_hi if matched else cfg.p_lo))
+                ts += int(rng.integers(1, 30))
+                records.append(
+                    LogRecord(
+                        user_id=user_id,
+                        timestamp=ts,
+                        query_terms=query_terms,
+                        # events are never changed once made, so records share them
+                        behavior_items=history[-HISTORY_LEN:],
+                        ad=_reference_ad_descriptor(ad),
+                        clicked=clicked,
+                        day=day,
+                    )
+                )
+                oracle.request_categories[
+                    PlantedOracle.request_key(user_id, ts)
+                ] = current
+                if clicked:
+                    ts += 1
+                    history.append(
+                        BehaviorEvent(
+                            timestamp=ts,
+                            item_id=ad["item_id"],
+                            shop_id=ad["shop_id"],
+                            brand_id=ad["brand_id"],
+                            title_terms=list(ad["title_terms"]),
+                            query_terms=list(query_terms),
+                        )
+                    )
+    ads = [_reference_ad_descriptor(item) for item in world.items]
+    return records, ads, oracle
+
+
+
+# seed 7 at defaults is the shipped demo world; the rest stress the catalog's
+# shape: many users, a large catalog, uneven and single categories
+REFERENCE_CONFIGS = {
+    "seed7-defaults": dict(seed=7),
+    "seed1-100-users": dict(seed=1, n_users=100),
+    "8000-items": dict(seed=5, n_users=30, n_items=8000),
+    "37-items-5-categories": dict(seed=3, n_users=60, n_items=37, n_categories=5),
+    "1-category": dict(seed=2, n_users=60, n_categories=1),
+    "seed0-short": dict(seed=0, n_users=50, days=2, impressions_per_user_day=20),
+}
+
+
+def generated_digests(records, ads, oracle):
+    def digest(rows):
+        lines = (json.dumps(r.to_dict(), sort_keys=True) for r in rows)
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    return digest(records), digest(ads), json.dumps(vars(oracle), sort_keys=True)
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS.values(), ids=REFERENCE_CONFIGS)
+    def test_same_bytes_as_reference(self, kwargs):
+        cfg = GeneratorConfig(**kwargs)
+        got = generated_digests(*generate_synthetic(cfg))
+        assert got == generated_digests(*reference_generate_synthetic(cfg))
+
+    def test_records_and_events_share_the_catalog(self):
+        records, ads, _ = generate_synthetic(GeneratorConfig(seed=7, n_users=20))
+        catalog = {id(ad) for ad in ads}
+        assert all(id(rec.ad) in catalog for rec in records)
+        by_id = {ad.item_id: ad for ad in ads}
+        events = [ev for rec in records for ev in rec.behavior_items]
+        assert all(ev.title_terms is by_id[ev.item_id].title_terms for ev in events)
+
+    def test_one_ad_descriptor_per_item(self, monkeypatch):
+        made = []
+
+        class Counted(AdDescriptor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "AdDescriptor", Counted)
+        cfg = GeneratorConfig(seed=7, n_users=20)
+        generate_synthetic(cfg)
+        assert len(made) == cfg.n_items
+
     def test_same_seed_identical_stream(self):
         cfg = GeneratorConfig(seed=11, n_users=10, days=2)
         r1, ads1, o1 = generate_synthetic(cfg)
@@ -434,3 +667,36 @@ class TestSerialization:
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
         assert str(exc.value) == f"{path}, line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ("red shoes", "query_terms must be a list of strings, got 'red shoes'"),
+            (["red", 3], "query_terms must be a list of strings, got ['red', 3]"),
+        ],
+        ids=["string", "non-string-term"],
+    )
+    def test_log_refuses_query_terms_not_a_list_of_strings(self, tmp_path, terms, message):
+        # a string would read as one query term per character
+        good = simple_record().to_dict()
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'query_terms': terms})}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: {message}"
+
+    @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
+    def test_log_refuses_event_terms_not_a_list(self, tmp_path, field):
+        # a string would add one vocabulary term per character
+        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
+        bad = json.loads(json.dumps(good))
+        bad["behavior_items"][1][field] = "abc"
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        title, query = (("'abc'", "['a']") if field == "title_terms" else ("['a']", "'abc'"))
+        assert str(exc.value) == (
+            f"{path}, line 2: an event's title_terms and query_terms must be lists, "
+            f"got {title} and {query}"
+        )

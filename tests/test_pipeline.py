@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from admatch.annindex import normalize
 from admatch.autodiff import Tensor
 from admatch.data import (
     GeneratorConfig,
@@ -340,6 +341,20 @@ class TestExport:
         index = build_exact_index(model, ads, vocab)
         assert len(index) == len(ads)
         assert index.dim == model.config.d
+
+    def test_stores_one_normalization_of_each_raw_row(self, small_world, monkeypatch, caplog):
+        # the export divides each encoder row by its norm once, in the index
+        model, ads, vocab = small_world
+        ids, raw = compute_ad_vectors(model, ads[:12], vocab)
+        raw[3] = 0.0
+        monkeypatch.setattr(pipeline, "compute_ad_vectors", lambda *_: (ids, raw))
+        with caplog.at_level(logging.WARNING):
+            index = build_exact_index(model, ads[:12], vocab)
+        kept = [i for i in range(len(ids)) if i != 3]
+        assert index.ids() == tuple(ids[i] for i in kept)
+        expected = np.stack([normalize(raw[i]).astype(np.float32) for i in kept])
+        assert index._snap.vectors.tobytes() == expected.tobytes()
+        assert f"skipping ad {ids[3]}: degenerate zero-norm" in caplog.text
 
 
 class TestMetrics:
