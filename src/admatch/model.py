@@ -771,6 +771,10 @@ class PrerankScorer:
         return v_a @ self.w_ad
 
     def score_from_parts(self, q_part: np.ndarray, a_parts: np.ndarray) -> np.ndarray:
-        hidden = self._act(Tensor(q_part[None, :] + a_parts)).data
-        logit = hidden @ self.w_out + self.b_out
+        """Scores of [n, H] ad parts against one query part, [H], or one per
+        row, [n, H]. The output layer is an ``einsum``, which adds each row in
+        one order, so a row's score does not depend on the other rows in the
+        call (a gemv's does)."""
+        hidden = self._act(Tensor(q_part + a_parts)).data
+        logit = np.einsum("ij,j->i", hidden, self.w_out) + self.b_out
         return 1.0 / (1.0 + np.exp(-logit))

@@ -465,6 +465,49 @@ class TestPrerankHead:
         np.testing.assert_allclose(split, direct, atol=1e-9)
 
 
+class TestScoresDoNotDependOnTheOtherRows:
+    """A candidate's pre-rank score depends only on its ad part and its query
+    part: a subset of rows, or many requests scored in one call, gives each
+    row the bits of its own request's full call. Weights and parts are
+    non-dyadic, so a kernel that rounds by position shows."""
+
+    @staticmethod
+    def scorer(width, seed):
+        model = MatchingModel(tiny_config(prerank_hidden=width), VOCAB, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name in ("prerank/W1", "prerank/b1", "prerank/W2"):
+            data = model.params[name].data
+            data[...] = rng.normal(size=data.shape) / math.sqrt(width)
+        return PrerankScorer(model), rng
+
+    # einsum buffers 8,192 elements: 64 divides that, while at 100 rows
+    # straddle two buffers; 600 rows fill several either way
+    @pytest.mark.parametrize("width", [64, 100])
+    def test_a_subset_of_rows_keeps_the_full_calls_bits(self, width):
+        scorer, rng = self.scorer(width, 81)
+        q_part = scorer.q_part(rng.normal(size=8))
+        a_parts = rng.normal(size=(600, width))
+        full = scorer.score_from_parts(q_part, a_parts)
+        # sizes that leave each remainder of a 2-, 4- or 8-row kernel block
+        for size in (1, 2, 3, 5, 6, 7, 257, 598, 599):
+            subset = np.sort(rng.permutation(600)[:size])
+            subset_scores = scorer.score_from_parts(q_part, a_parts[subset])
+            assert subset_scores.tobytes() == full[subset].tobytes()
+
+    @pytest.mark.parametrize("width", [64, 100])
+    def test_forty_requests_in_one_call_keep_their_own_bits(self, width):
+        scorer, rng = self.scorer(width, 82)
+        q_parts = np.stack([scorer.q_part(v) for v in rng.normal(size=(40, 8))])
+        sizes = rng.integers(1, 900, size=40)
+        a_parts = rng.normal(size=(int(sizes.sum()), width))
+        one_by_one = np.concatenate([
+            scorer.score_from_parts(q, a)
+            for q, a in zip(q_parts, np.split(a_parts, np.cumsum(sizes)[:-1]))
+        ])
+        together = scorer.score_from_parts(np.repeat(q_parts, sizes, axis=0), a_parts)
+        assert together.tobytes() == one_by_one.tobytes()
+
+
 class TestPrerankSplit:
     def test_recombination_identity_d8(self):
         model = MatchingModel(tiny_config(prerank_hidden=5), VOCAB, seed=37)
