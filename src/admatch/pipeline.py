@@ -13,7 +13,11 @@ product (with the layer bias folded in) is computed once per request.
 
 ``retrieve`` and ``prerank`` serve one request with ``Candidate``
 objects. ``simulate`` replays a log on integer catalog rows with the same
-scoring and ranking, and keeps its impressions as columns.
+scoring and ranking, and keeps its impressions as columns. It retrieves
+request by request, then scores, verifies, ranks and samples clicks in
+array passes over a block of requests' candidate rows: a candidate's
+pre-rank score depends only on its ad and its query, so a pass gives it
+the bits a per-request call would.
 """
 
 from __future__ import annotations
@@ -212,16 +216,6 @@ def retrieve(
     return candidates
 
 
-def _rank(
-    scorer: PrerankScorer, v_qu: np.ndarray, a_parts: np.ndarray, top_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split scores of candidates given in ad-id order, and the positions of
-    the top N: descending score, exact ties in ad-id order (the sort is
-    stable)."""
-    scores = scorer.score_from_parts(scorer.q_part(v_qu), a_parts)
-    return scores, np.argsort(-scores, kind="stable")[:top_n]
-
-
 def prerank(
     candidates: dict[str, Candidate],
     v_qu: np.ndarray,
@@ -259,7 +253,8 @@ def prerank(
         )
         _, vectors = compute_ad_vectors(model, [ads_by_id[a] for a in missing], vocab)
         a_parts[misses] = scorer.a_part(vectors)
-    scores, top = _rank(scorer, v_qu, a_parts, top_n)
+    scores = scorer.score_from_parts(scorer.q_part(v_qu), a_parts)
+    top = np.argsort(-scores, kind="stable")[:top_n]  # exact ties stay in ad-id order
     for ad_id, score in zip(ordered, scores.tolist()):
         candidates[ad_id].prerank_score = score
     return [candidates[ordered[i]] for i in top.tolist()]
@@ -345,16 +340,17 @@ class Impressions(Sequence):
         ad_ids: Sequence[str],
         costs: Sequence[float],
         requests: Sequence[tuple[str, int]],
-        columns: Sequence[tuple[np.ndarray, ...]],
+        lengths: Sequence[int],
+        blocks: Sequence[tuple[np.ndarray, ...]],
     ) -> "Impressions":
-        """Joins each request's (rows, paths, retrieval, prerank, clicked)."""
+        """Joins blocks of (rows, paths, retrieval, prerank, clicked) columns,
+        in which request i presented the next ``lengths[i]`` rows."""
         dtypes = (np.intp, np.uint8, np.float64, np.float64, bool)
         joined = [
-            np.concatenate([c[k] for c in columns] or [np.zeros(0, dtype)])
+            np.concatenate([b[k] for b in blocks] or [np.zeros(0, dtype)])
             for k, dtype in enumerate(dtypes)
         ]
-        offsets = np.cumsum([0] + [len(c[0]) for c in columns])
-        return cls(ad_ids, costs, requests, offsets, *joined)
+        return cls(ad_ids, costs, requests, np.cumsum([0, *lengths]), *joined)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -420,6 +416,15 @@ def simulate(
     the trained head, ``model.prerank_prob``, and the maximum absolute
     deviation is reported in the metrics.
 
+    Requests go in blocks of ``INFERENCE_CHUNK``, the query-encoding
+    batch. Within a block, retrieval runs one request at a time and marks
+    each request's rows and paths in a catalog-sized mask; the rest runs
+    in array passes over the block's candidate rows. Scoring and the split
+    check take ``INFERENCE_CHUNK`` rows per pass (a row's score does not
+    depend on the rows beside it), one ``lexsort`` over (request, score)
+    picks every top N, and one draw per presented ad samples the clicks,
+    the same stream as one draw per request.
+
     Before the replay, each catalog ad is encoded at most once: every ad
     when ``verify_split`` is on or no parts table is given, else only the
     ads the table lacks, in one batch. A row's parts come from the table
@@ -474,15 +479,6 @@ def simulate(
     )
 
     m = model.config.behavior_window
-    requests = [request_from_record(r, vocab, m) for r in records]
-    v_qu_all = np.zeros((0, model.config.d))
-    if requests:
-        chunks = [
-            model.qu_forward(requests[lo : lo + INFERENCE_CHUNK]).data
-            for lo in range(0, len(requests), INFERENCE_CHUNK)
-        ]
-        v_qu_all = np.concatenate(chunks, axis=0)
-
     rng = np.random.default_rng(config.seed)
     split_dev = 0.0
     keyword_rows: dict[str, np.ndarray] = {}
@@ -490,56 +486,87 @@ def simulate(
     index_to_catalog = np.zeros(0, dtype=np.intp)  # ... and their catalog rows
     no_rows, no_scores = np.zeros(0, dtype=np.intp), np.zeros(0)
     exact_warned = False
+    path_bits = np.zeros(len(catalog), dtype=np.uint8)  # one request's paths, by catalog row
+    vector_score = np.zeros(len(catalog))  # ... and its vector-path scores
     presented: list[tuple[str, int]] = []
-    columns: list[tuple[np.ndarray, ...]] = []
-    for rec, v_qu in zip(records, v_qu_all):
-        kw_rows = no_rows
-        if bidword_index is not None:
-            raw_query = " ".join(rec.query_terms)
-            kw_rows = keyword_rows.get(raw_query)
-            if kw_rows is None:
-                matched = sorted(row_of[a] for a in bidword_index.lookup(raw_query))
-                kw_rows = keyword_rows[raw_query] = np.array(matched, dtype=np.intp)
-        vec_rows, vec_scores = no_rows, no_scores
-        unit = _unit_query(v_qu) if use_vector else None
-        if unit is not None:
-            hits = ann_index.search_rows(
-                unit, config.k_vector, config.overfetch_factor, config.rerank
-            )
-            if not hits.pq and not exact_warned:
-                logger.warning(EXACT_FALLBACK_WARNING)
-                exact_warned = True
-            if hits.ids is not index_ids:
-                # rows index the ids of the snapshot that scored them
-                _refuse_missing(hits.ids, "the ad catalog", row_of, "indexed")
-                index_ids = hits.ids
-                index_to_catalog = np.array([row_of[a] for a in index_ids], dtype=np.intp)
-            vec_rows, vec_scores = index_to_catalog[hits.rows], hits.scores
-        rows = np.union1d(kw_rows, vec_rows)
-        if not rows.size:
+    lengths: list[int] = []
+    blocks: list[tuple[np.ndarray, ...]] = []
+    for lo in range(0, len(records), INFERENCE_CHUNK):
+        block = records[lo : lo + INFERENCE_CHUNK]
+        v_qu = model.qu_forward([request_from_record(r, vocab, m) for r in block]).data
+        # retrieval, one request at a time: each served request's rows in
+        # catalog order, with their path bits and vector-path scores
+        served, candidates = [], []
+        for i, rec in enumerate(block):
+            kw_rows = no_rows
+            if bidword_index is not None:
+                raw_query = " ".join(rec.query_terms)
+                kw_rows = keyword_rows.get(raw_query)
+                if kw_rows is None:
+                    matched = sorted(row_of[a] for a in bidword_index.lookup(raw_query))
+                    kw_rows = keyword_rows[raw_query] = np.array(matched, dtype=np.intp)
+            vec_rows, vec_scores = no_rows, no_scores
+            unit = _unit_query(v_qu[i]) if use_vector else None
+            if unit is not None:
+                hits = ann_index.search_rows(
+                    unit, config.k_vector, config.overfetch_factor, config.rerank
+                )
+                if not hits.pq and not exact_warned:
+                    logger.warning(EXACT_FALLBACK_WARNING)
+                    exact_warned = True
+                if hits.ids is not index_ids:
+                    # rows index the ids of the snapshot that scored them
+                    _refuse_missing(hits.ids, "the ad catalog", row_of, "indexed")
+                    index_ids = hits.ids
+                    index_to_catalog = np.array([row_of[a] for a in index_ids], dtype=np.intp)
+                vec_rows, vec_scores = index_to_catalog[hits.rows], hits.scores
+            path_bits[kw_rows] = KEYWORD_BIT
+            path_bits[vec_rows] |= VECTOR_BIT
+            vector_score[vec_rows] = vec_scores
+            rows = np.flatnonzero(path_bits)
+            if rows.size:
+                served.append(i)
+                candidates.append((rows, path_bits[rows], vector_score[rows]))
+            path_bits[rows] = 0
+            vector_score[vec_rows] = 0.0
+        if not served:
             continue
-        paths = np.zeros(rows.size, dtype=np.uint8)
-        paths[np.searchsorted(rows, kw_rows)] = KEYWORD_BIT
-        at = np.searchsorted(rows, vec_rows)
-        paths[at] |= VECTOR_BIT
-        retrieval = np.zeros(rows.size)
-        retrieval[at] = vec_scores
 
-        scores, top = _rank(scorer, v_qu, parts[rows], config.top_n)
-        if config.verify_split:
-            head = model.prerank_prob(
-                Tensor(np.tile(v_qu, (rows.size, 1))), Tensor(vectors[rows])
-            ).data
-            split_dev = max(split_dev, float(np.abs(head - scores).max()))
+        # the block's candidates as one column set, request after request
+        counts = np.array([len(c[0]) for c in candidates])
+        rows, paths, retrieval = (np.concatenate(col) for col in zip(*candidates))
+        owner = np.repeat(np.arange(len(served)), counts)  # position in ``served``
+        v_served = v_qu[served]
+        q_parts = np.stack([scorer.q_part(v) for v in v_served])
+        scores = np.empty(len(rows))
+        for a in range(0, len(rows), INFERENCE_CHUNK):
+            chunk = slice(a, a + INFERENCE_CHUNK)
+            scores[chunk] = scorer.score_from_parts(q_parts[owner[chunk]], parts[rows[chunk]])
+            if config.verify_split:
+                head = model.prerank_prob(
+                    Tensor(v_served[owner[chunk]]), Tensor(vectors[rows[chunk]])
+                ).data
+                split_dev = max(split_dev, float(np.abs(head - scores[chunk]).max()))
 
-        selected = rows[top]
+        # each request's top N: descending score, exact ties in catalog (ad-id)
+        # order, as lexsort is stable; its segment's ranks count from its start
+        order = np.lexsort((-scores, owner))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        top = order[rank < config.top_n]
+        selected, at = rows[top], owner[top]
+        category = np.array([
+            category_codes.get(oracle.request_category(block[i].user_id, block[i].timestamp), -1)
+            for i in served
+        ])
+        # one draw per presented ad, in presentation order: the stream of
+        # per-request draws
         draws = rng.random(size=selected.size)
-        category = category_codes.get(oracle.request_category(rec.user_id, rec.timestamp), -1)
-        clicked = draws < np.where(category_of[selected] == category, oracle.p_hi, oracle.p_lo)
-        presented.append((rec.user_id, rec.timestamp))
-        columns.append((selected, paths[top], retrieval[top], scores[top], clicked))
+        clicked = draws < np.where(category_of[selected] == category[at], oracle.p_hi, oracle.p_lo)
+        presented.extend((block[i].user_id, block[i].timestamp) for i in served)
+        lengths.extend(np.minimum(counts, config.top_n).tolist())
+        blocks.append((selected, paths[top], retrieval[top], scores[top], clicked))
 
-    impressions = Impressions.collect(catalog, costs, presented, columns)
+    impressions = Impressions.collect(catalog, costs, presented, lengths, blocks)
     clicked_rows = impressions.rows[impressions.clicked].tolist()
     # summed in impression order, one add at a time
     cost = functools.reduce(operator.add, [costs[r] for r in clicked_rows], 0.0)

@@ -422,6 +422,33 @@ class TestSimulate:
         result = simulate(records[:20], model, vocab, ann, ads, oracle, cfg)
         assert result.metrics["prerank_split_max_abs_dev"] > 1e-9
 
+    def test_a_request_replays_alone_as_it_does_in_a_block(self, world, monkeypatch):
+        # the block's array passes score and rank each request's rows as its
+        # own replay does; only the click draws follow the stream's position.
+        # The query tower is not batch-invariant, so each request is encoded
+        # alone in both replays
+        records, ads, oracle, vocab, model, ann = world
+        encode = model.qu_forward
+        monkeypatch.setattr(
+            model, "qu_forward",
+            lambda requests: Tensor(np.concatenate([encode([r]).data for r in requests])),
+        )
+        cfg = PipelineConfig(top_n=40, k_vector=60, seed=9)
+
+        def served(impressions):
+            return [
+                json.dumps({k: v for k, v in row.items() if k not in ("clicked", "cost")})
+                for row in impressions
+            ]
+
+        block = simulate(records[:48], model, vocab, ann, ads, oracle, cfg)
+        alone = [
+            served(simulate([rec], model, vocab, ann, ads, oracle, cfg).impressions)
+            for rec in records[:48]
+        ]
+        assert block.metrics["request_count"] == 48 and len(block.impressions) > 48 * 20
+        assert served(block.impressions) == [row for rows in alone for row in rows]
+
     def test_vector_path_lifts_pr(self, world):
         records, ads, oracle, vocab, model, ann = world
         base = PipelineConfig(paths=("keyword",), top_n=8, k_vector=30, seed=9)
@@ -672,7 +699,9 @@ class TestReplayMatchesReference:
             (np.array([0]), np.array([2], np.uint8), np.array([np.inf]),
              np.array([1e-300]), np.array([True])),
         ]
-        rows = Impressions.collect(["a\u00e9", "b"], [np.nan, 2], [("u1", 7), ("u\"2", 8)], columns)
+        rows = Impressions.collect(
+            ["a\u00e9", "b"], [np.nan, 2], [("u1", 7), ("u\"2", 8)], [2, 1], columns
+        )
         impressions, _ = written_files(SimulationResult(rows, {}), tmp_path)
         want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
         assert impressions == want.encode()
