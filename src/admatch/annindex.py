@@ -14,6 +14,13 @@ ADC scan takes one ``take`` per subspace and adds each row's M terms in
 ``sum(axis=1)`` order. One row-wise kernel, ``_dots``, gives every exact
 score, so a score never depends on the row's position. A re-ranked search
 whose pool (``k * overfetch_factor``) covers the index skips the ADC.
+Where a search keeps k of more rows exactly (an exact search, a covering
+pool, a re-ranked pool), a float32 gemv scores those rows first, and only
+the rows within 2e of its k-th score go on to ``_dots``; e bounds the
+gemv's error, from the snapshot's recorded bound on its row norms (a
+loaded file's rows are read as stored). Results are the unfiltered ones,
+bit for bit, whatever BLAS's summation order or thread count
+(``_exact_top`` derives e).
 
 Search works on integer rows of the snapshot; ad ids are read only to
 break exact ties and to name the rows returned. The k best (the ADC pool
@@ -276,6 +283,8 @@ class _Snapshot:
     vectors: np.ndarray  # [n x d] float32, unit norm
     codes: np.ndarray | None  # [M x n] uint8, subspace-major, when PQ is trained
     codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
+    # a bound on the rows' norms for the float32 filter; inf (unknown) turns it off
+    max_norm: float = math.inf
 
     @property
     def size(self) -> int:
@@ -322,6 +331,91 @@ def _dots(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Exact scores of float32 rows against the float64 query: ``einsum`` adds
     each row in one order, so a score never depends on the row's position."""
     return np.einsum("ij,j->i", vectors, query)
+
+
+def _filter_scores(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The float32 filter's scores: a gemv, in whatever order BLAS adds."""
+    return vectors @ query.astype(np.float32)
+
+
+def _max_norm(vectors: np.ndarray) -> float:
+    """The largest row norm of [n x d] float32 rows, summed in float64 (NaN
+    or inf when a row is not finite)."""
+    if not len(vectors):
+        return 0.0
+    return float(np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64).max()))
+
+
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
+# the filter's query and rows stay below this norm, so no float32 product or
+# partial sum can overflow (float32 reaches 2**128)
+_FILTER_NORM_LIMIT = 2.0**60
+
+
+def _filter_error(d: int, max_norm: float, query_norm: float) -> float | None:
+    """e, a bound on |float32 gemv score - ``_dots`` score| of every row, or
+    None where the bound does not hold (a row or the query too large, or not
+    finite). See ``_exact_top`` for the derivation."""
+    if not (max_norm <= _FILTER_NORM_LIMIT and query_norm <= _FILTER_NORM_LIMIT):
+        return None
+
+    def gamma(u: float) -> float:
+        return d * u / (1.0 - d * u)
+
+    e = (gamma(_U32) * (1.0 + _U32) + _U32 + gamma(_U64)) * max_norm * query_norm
+    # the margin covers the rounding of the norms, of e and of the cut; the
+    # absolute term, float32 and float64 underflow (2**-150 per product or
+    # rounded query element at most)
+    return e * (1.0 + 2.0**-20) + d * (1.0 + max_norm) * 2.0**-148
+
+
+def _exact_top(
+    snap: _Snapshot, rows: np.ndarray, query: np.ndarray, query_norm: float, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_rows`` of ``rows`` by their ``_dots`` scores, which only the
+    rows that can reach the result are given.
+
+    When k < len(rows), a float32 gemv first scores every row, f, and only
+    the rows with f >= f_k - 2e go on to ``_dots`` (f_k is the k-th largest
+    f). e bounds |f - s| for every row, s being its ``_dots`` score. With
+    t = v.q exact, u32 = 2**-24, u64 = 2**-53 and gamma_d(u) = du / (1 - du)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1):
+
+    - the query rounds to float32 element by element, q' = q(1 + delta) with
+      |delta| <= u32, so |v.q' - t| <= u32 |v|.|q|;
+    - a float32 dot of d terms, in any order, with or without FMA, is within
+      gamma_d(u32) |v|.|q'| <= gamma_d(u32)(1 + u32) |v|.|q| of v.q';
+    - ``_dots`` is within gamma_d(u64) |v|.|q| of t (a float32 v is exact in
+      float64);
+
+    and |v|.|q| <= ||v|| ||q|| <= max_norm ||q|| (Cauchy-Schwarz), so
+
+        e = (gamma_d(u32)(1 + u32) + u32 + gamma_d(u64)) max_norm ||q||.
+
+    max_norm is the snapshot's recorded bound on its rows' norms, not 1: a
+    loaded file's rows are read as stored. The filter keeps every row of the
+    result: at least k rows have f >= f_k, each with s >= f - e, so the k-th
+    largest s is s_k >= f_k - e, and a row with s >= s_k (each row of the
+    result, and each tied with its last) has f >= s - e >= f_k - 2e. A
+    survivor's ``_dots`` score has the bits it has anywhere, so the result is
+    the unfiltered one, bit for bit, whatever the gemv's summation order or
+    thread count.
+    """
+    e = _filter_error(snap.vectors.shape[1], snap.max_norm, query_norm) if k < len(rows) else None
+    if e is not None:
+        f = _row_scores(_filter_scores, snap, rows, query)
+        kth = np.partition(f, len(f) - k)[len(f) - k]
+        rows = rows[f >= np.float64(kth) - 2.0 * e]  # compared in float64
+    return _top_rows(snap.ids, rows, _row_scores(_dots, snap, rows, query), k)
+
+
+def _row_scores(kernel, snap: _Snapshot, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """``kernel``'s scores of the snapshot's ``rows``. Past half the index one
+    pass over every row beats a gather: per-call medians of ``_dots`` cross at
+    40-80% of 600 rows, 45-60% of 8,000, 30-45% of 100,000 (d 128, one thread)."""
+    if 2 * len(rows) > snap.size:
+        return kernel(snap.vectors, query)[rows]
+    return kernel(snap.vectors[rows], query)
 
 
 def _adc(lookup: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -401,6 +495,7 @@ class AnnIndex:
             np.zeros((0, dim), dtype=np.float32),
             np.zeros((codebooks.n_subspaces, 0), dtype=np.uint8) if codebooks else None,
             codebooks,
+            max_norm=0.0,
         )
         self._storage = _Storage.of(self._snap)
 
@@ -477,6 +572,7 @@ class AnnIndex:
             ids=snap.ids + new_ids,
             vectors=vectors[:end],
             codes=None if codes is None else codes[:, :end],
+            max_norm=max(snap.max_norm, _max_norm(vectors[rows])),
         )
         self._storage = _Storage(tip, vectors, codes, row_of)
         self._snap = tip
@@ -558,8 +654,7 @@ class AnnIndex:
         cb = snap.codebooks if pq else None
         if cb is None or (rerank and k * overfetch_factor >= snap.size):
             # exact search, or a re-ranked pool that would hold every row
-            exact = _dots(snap.vectors, query)
-            return RowHits(ids, *_top_rows(ids, all_rows, exact, k), pq=cb is not None)
+            return RowHits(ids, *_exact_top(snap, all_rows, query, norm, k), pq=cb is not None)
         # lookup[m, c] = dot(query subvector m, centroid c of subspace m)
         lookup = (cb.table @ query.reshape(cb.n_subspaces, cb.sub_dim, 1))[:, :, 0]
         approx = _adc(lookup, snap.codes)
@@ -567,11 +662,7 @@ class AnnIndex:
             # the pool's first k under the same total order are the top k
             return RowHits(ids, *_top_rows(ids, all_rows, approx, k), pq=True)
         pool = _chosen(ids, all_rows, approx, k * overfetch_factor)  # rows, unordered
-        # past half the index one pass over every row beats a gather: per-call medians
-        # cross at 40-80% of 600 rows, 45-60% of 8,000, 30-45% of 100,000 (d 128, one thread)
-        whole = 2 * len(pool) > snap.size
-        exact = _dots(snap.vectors, query)[pool] if whole else _dots(snap.vectors[pool], query)
-        return RowHits(ids, *_top_rows(ids, pool, exact, k), pq=True)
+        return RowHits(ids, *_exact_top(snap, pool, query, norm, k), pq=True)
 
     # ------------------------------------------------------------------
     # file format: header (dim, M, K, count), codebooks, codes, vectors, ids
@@ -600,5 +691,5 @@ class AnnIndex:
             (repeat, _), = Counter(ids).most_common(1)
             raise frame.error(f"ad id {repeat!r} is stored more than once")
         index = cls(dim, codebooks)
-        index._snap = _Snapshot(ids, vectors, codes, codebooks)
+        index._snap = _Snapshot(ids, vectors, codes, codebooks, _max_norm(vectors))
         return index

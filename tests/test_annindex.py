@@ -822,6 +822,177 @@ class TestScoresDoNotDependOnPosition:
                 assert hits[i][1] == hits[i + 1][1]
 
 
+def filter_bound(d, max_norm, query_norm):
+    """The float32 filter's error bound, derived here on its own:
+    (gamma_d(u32)(1 + u32) + u32 + gamma_d(u64)) max_norm ||q||."""
+    u32, u64 = 2.0**-24, 2.0**-53
+    gamma32, gamma64 = d * u32 / (1 - d * u32), d * u64 / (1 - d * u64)
+    return (gamma32 * (1 + u32) + u32 + gamma64) * max_norm * query_norm
+
+
+def search_options(n, k):
+    """Every search of k rows: exact, covering, a gathered pool, a pool over
+    half the index (these keep k of more rows exactly), and ADC alone."""
+    return [
+        dict(pq=False),
+        dict(overfetch_factor=n),
+        dict(overfetch_factor=2),
+        dict(overfetch_factor=max(1, 3 * n // (4 * k))),
+        dict(rerank=False),
+    ]
+
+
+def searches(index, q, k):
+    return [index.search_rows(q, k, **options) for options in search_options(len(index), k)]
+
+
+class TestFloat32Filter:
+    """The exact re-rank scores only the rows a float32 gemv leaves within 2e
+    of its k-th score; rows and score bits stay those of the unfiltered
+    search, which ``_filter_error`` returning None gives."""
+
+    @staticmethod
+    def assert_unfiltered(monkeypatch, index, queries, ks):
+        found = [[searches(index, q, k) for k in ks] for q in queries]
+        with monkeypatch.context() as m:
+            m.setattr(annindex, "_filter_error", lambda *args: None)
+            want = [[searches(index, q, k) for k in ks] for q in queries]
+        for got_q, want_q in zip(found, want):
+            for got_k, want_k in zip(got_q, want_q):
+                for got, hits in zip(got_k, want_k):
+                    assert got.rows.tolist() == hits.rows.tolist()
+                    assert got.scores.tobytes() == hits.scores.tobytes()
+                    assert got.pq == hits.pq
+
+    @pytest.mark.parametrize("d", [64, 100])
+    def test_random_data(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        n = 1500
+        index = index_of(None, random_unit(rng, n, d), [f"r{i:05d}" for i in rng.permutation(n)])
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=2, seed=1)
+        scored = []
+        dots = annindex._dots
+        monkeypatch.setattr(annindex, "_dots", lambda v, q: scored.append(len(v)) or dots(v, q))
+        queries = rng.normal(size=(3, d)) * np.array([[1.0], [1e-3], [37.5]])
+        self.assert_unfiltered(monkeypatch, index, queries, [1, 7, 300, n - 1])
+        assert min(scored) < 20  # the filter ran: a k of 1 or 7 met few rows
+
+    def test_ties_at_the_cut_with_equal_non_dyadic_vectors(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, d, k = 900, 64, 40
+        vectors = random_unit(rng, n, d).astype(np.float32)
+        q = rng.normal(size=d)
+        order = np.argsort(-annindex._dots(vectors, q))
+        # six copies of the k-th row, taken from far below it, tie with it at
+        # ranks k to k + 6, across the cut
+        vectors[rng.choice(order[k + 20 :], size=6, replace=False)] = vectors[order[k - 1]]
+        index = index_of(None, vectors, [f"t{i:04d}" for i in rng.permutation(n)])
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=2, seed=2)
+        scores = index.search_rows(q, k + 8, pq=False).scores
+        assert len(set(scores[k - 1 : k + 6].tolist())) == 1 and scores[k - 2] > scores[k - 1]
+        self.assert_unfiltered(monkeypatch, index, [q], [k - 3, k, k + 3])
+
+    @pytest.mark.parametrize("scale", [1e-3, 7.3, 2.0**61])
+    def test_a_loaded_index_with_non_unit_rows(self, monkeypatch, tmp_path, scale):
+        # rows near one direction, most of norm 40 times ``scale``, so their
+        # scores nearly tie: a bound that took the rows for unit vectors would
+        # cut true top rows. At 2**61 the filter is off (a float32 product
+        # could overflow)
+        rng = np.random.default_rng(6)
+        n, d = 700, 64
+        base = random_unit(rng, 1, d)[0]
+        rows = base + 1e-6 * rng.normal(size=(n, d))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows *= scale * np.where(rng.random(size=(n, 1)) < 0.9, 40.0, 0.5)
+        path = tmp_path / "scaled.idx"
+        header = np.array((d, 0, 0, n), "<u8")
+        artifact.write(
+            path, annindex._MAGIC, annindex._FORMAT_VERSION,
+            (header, rows.astype("<f4")), [f"s{i:04d}" for i in range(n)],
+        )
+        index = AnnIndex.load(path)
+        queries = [base, base + 1e-3 * rng.normal(size=d), rng.normal(size=d)]
+        self.assert_unfiltered(monkeypatch, index, queries, [1, 25, 349])
+
+    def test_a_zero_query(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        index = filled_index(rng, 400, 64)
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=2, seed=3)
+        hits = index.search_rows(np.zeros(64), 30, pq=False)
+        assert hits.scores.tolist() == [0.0] * 30
+        assert [index.ids()[r] for r in hits.rows] == sorted(index.ids())[:30]
+        self.assert_unfiltered(monkeypatch, index, [np.zeros(64)], [1, 30])
+
+    def test_k_at_least_the_pool(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 300
+        index = filled_index(rng, n, 64)
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=2, seed=4)
+        called = []
+        monkeypatch.setattr(annindex, "_filter_scores", lambda v, q: called.append(1))
+        for q in rng.normal(size=(2, 64)):
+            for k in (n, n + 5):
+                hits = index.search_rows(q, k, pq=False)
+                assert sorted(hits.rows.tolist()) == list(range(n))
+            index.search_rows(q, 20, overfetch_factor=1)  # a pool of k rows
+        assert called == []
+        monkeypatch.undo()
+        self.assert_unfiltered(monkeypatch, index, rng.normal(size=(2, 64)), [n - 1, n, n + 5])
+
+    @pytest.mark.parametrize("d", [64, 100])
+    def test_float32_scores_anywhere_within_e_keep_the_result(self, monkeypatch, d):
+        # the bound holds for any summation order, so any float32 scores within
+        # e of the exact ones must give the result; the worst push the result's
+        # rows down by e and the rest, near-ties just below the cut, up by e
+        rng = np.random.default_rng(d + 1)
+        n, k = 800, 30
+        vectors = random_unit(rng, n, d)
+        q = rng.normal(size=d)
+        order = np.argsort(-(vectors @ q))
+        # from far below the cut: two copies of the k-th row, and two rows
+        # that score about 0.3e under it
+        kth, far = vectors[order[k - 1]], rng.choice(order[k + 20 :], size=4, replace=False)
+        step = 0.3 * filter_bound(d, 1.0, np.linalg.norm(q)) / np.linalg.norm(q) ** 2
+        vectors[far] = [kth, kth, kth - step * q, kth - 1.5 * step * q]
+        index = index_of(None, vectors, [f"w{i:04d}" for i in rng.permutation(n)])
+        index.train_pq(n_subspaces=4, n_centroids=16, iterations=2, seed=5)
+        norms = [np.linalg.norm(v) for v in stored_vectors(index).values()]
+        e = filter_bound(d, max(norms), np.linalg.norm(q))
+        # the k-th row and its copies tie across the cut; the near rows follow
+        ranked = index.search_rows(q, k + 4, pq=False).scores
+        assert ranked[k - 1] == ranked[k + 1] > ranked[k + 2] > ranked[k + 3] > ranked[k - 1] - e
+        for options in search_options(n, k):
+            want = index.search_rows(q, k, **options)
+            cut = want.scores[-1]  # the k-th exact score this search keeps
+
+            def worst(v, query):
+                exact = annindex._dots(v, query)
+                return np.where(exact >= cut, exact - e, exact + e)
+
+            with monkeypatch.context() as m:
+                m.setattr(annindex, "_filter_scores", worst)
+                got = index.search_rows(q, k, **options)
+            assert got.rows.tolist() == want.rows.tolist()
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+    def test_the_gemv_stays_within_e(self):
+        # parallel |v| and |q| make ||v|| ||q|| = |v|.|q|; one large product and
+        # many that round the running sum up, and cancelling halves
+        rng = np.random.default_rng(9)
+        for d in (16, 64, 100, 128):
+            small = np.float32(2.0**-12 * (1 + 2.0**-20))
+            rows = [np.concatenate(([1.0], np.full(d - 1, small)))]
+            rows.append(np.where(np.arange(d) % 2, 1.0, -1.0) * rng.uniform(0.9, 1.1, d))
+            rows.extend(rng.normal(size=(50, d)))
+            vectors = np.array(rows, dtype=np.float32)
+            for q in (vectors[0].astype(np.float64) * (1 + 2.0**-25), *rng.normal(size=(5, d))):
+                f = annindex._filter_scores(vectors, q).astype(np.float64)
+                exact = annindex._dots(vectors, q)
+                norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+                bound = filter_bound(d, norms.max(), np.linalg.norm(q))
+                assert np.abs(f - exact).max() <= bound
+
+
 class TestConcurrentReads:
     def test_search_during_retrain_reads_one_snapshot(self, monkeypatch):
         rng = np.random.default_rng(78)
