@@ -147,8 +147,20 @@ class LogRecord:
         if not isinstance(query_terms, list) or not all(isinstance(t, str) for t in query_terms):
             raise ValueError(f"query_terms must be a list of strings, got {query_terms!r}")
         events = [BehaviorEvent(**b) for b in payload["behavior_items"]]
-        # the list types only: checking every term of every event costs ~4x more
+        # the types only: checking every term of every event costs ~4x more
         for ev in events:
+            if type(ev.timestamp) is not int:  # a bool is refused too
+                raise ValueError(f"an event's timestamp must be an integer, got {ev.timestamp!r}")
+            if not (
+                isinstance(ev.item_id, str)
+                and isinstance(ev.shop_id, str)
+                and isinstance(ev.brand_id, str)
+            ):
+                name = next(
+                    n for n in ("item_id", "shop_id", "brand_id")
+                    if not isinstance(getattr(ev, n), str)
+                )
+                raise ValueError(f"an event's {name} must be a string, got {getattr(ev, name)!r}")
             if not isinstance(ev.title_terms, list) or not isinstance(ev.query_terms, list):
                 raise ValueError(
                     "an event's title_terms and query_terms must be lists, "

@@ -18,7 +18,7 @@ from admatch.annindex import AnnIndex
 from admatch.cli import main
 from admatch.data import GeneratorConfig
 from admatch.model import EncoderConfig
-from admatch.pipeline import PipelineConfig
+from admatch.pipeline import CatalogMismatchError, PipelineConfig
 from admatch.training import TrainConfig
 
 
@@ -182,16 +182,32 @@ class TestRecipe:
              "--out", str(root / "catalog_parts.bin")],
         ):
             assert run_cli(capsys, *argv)[0] == 0
-        code, _, err = run_cli(
-            capsys, "simulate", "--logs", str(root / "logs.jsonl"), *model_args,
-            "--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json"),
+        replay = [
+            "simulate", "--logs", str(root / "logs.jsonl"), *model_args,
             "--index", str(root / "plus_new.idx"),
             "--ad-parts", str(root / "catalog_parts.bin"), "--days", "2024-01-04",
-            "--k-vector", "121", "--out-dir", str(root / "refused"),
-        )
+            "--k-vector", "121",
+        ]
+        unchanged = ["--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json")]
+        code, _, err = run_cli(capsys, *replay, *unchanged, "--out-dir", str(root / "refused"))
         assert code == 1
         assert "error: the ad catalog lacks 1 of the indexed ads; first: newad" in err
         assert not (root / "refused").exists()
+        with pytest.raises(CatalogMismatchError, match="indexed ads; first: newad$"):
+            main([*replay, *unchanged, "--out-dir", str(root / "refused"), "--debug"])
+
+        # the remedy the README gives: the new ad in --ads and in the oracle
+        with open(root / "ads.jsonl") as fh:
+            (root / "ads_new.jsonl").write_text(fh.read() + json.dumps(ad) + "\n")
+        oracle = json.loads((root / "oracle.json").read_text())
+        oracle["item_categories"]["newad"] = 0
+        (root / "oracle_new.json").write_text(json.dumps(oracle))
+        code, out, err = run_cli(
+            capsys, *replay, "--ads", str(root / "ads_new.jsonl"),
+            "--oracle", str(root / "oracle_new.json"), "--out-dir", str(root / "replayed"),
+        )
+        assert code == 0 and last_json(out)["request_count"] == 100
+        assert b'"ad_id": "newad"' in (root / "replayed" / "impressions.jsonl").read_bytes()
 
     def test_gamma_sweep_single_value(self, workspace, capsys):
         code, out, _ = run_cli(

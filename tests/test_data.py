@@ -685,6 +685,42 @@ class TestSerialization:
             read_log_records(path)
         assert str(exc.value) == f"{path}, line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("5", "an event's timestamp must be an integer, got '5'"),
+            (5.0, "an event's timestamp must be an integer, got 5.0"),
+            (True, "an event's timestamp must be an integer, got True"),
+            (None, "an event's timestamp must be an integer, got None"),
+        ],
+        ids=["string", "float", "bool", "null"],
+    )
+    def test_log_refuses_an_event_timestamp_not_an_integer(self, tmp_path, value, message):
+        # a string timestamp used to read, then fail ordering the window
+        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
+        bad = json.loads(json.dumps(good))
+        bad["behavior_items"][1]["timestamp"] = value
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("item_id", 7), ("shop_id", None), ("brand_id", ["b1"]), ("item_id", True)],
+    )
+    def test_log_refuses_an_event_id_not_a_string(self, tmp_path, field, value):
+        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
+        bad = json.loads(json.dumps(good))
+        bad["behavior_items"][0][field] = value
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        message = f"an event's {field} must be a string, got {value!r}"
+        assert str(exc.value) == f"{path}, line 3: {message}"
+
     @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
     def test_log_refuses_event_terms_not_a_list(self, tmp_path, field):
         # a string would add one vocabulary term per character
