@@ -280,7 +280,7 @@ def normalize(vector: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
-    vectors: np.ndarray  # [n x d] float32, unit norm
+    vectors: np.ndarray  # [n x d] float32, unit norm (a loaded file's: as stored)
     codes: np.ndarray | None  # [M x n] uint8, subspace-major, when PQ is trained
     codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
     # a bound on the rows' norms for the float32 filter; inf (unknown) turns it off

@@ -551,8 +551,8 @@ def simulate(
         # each request's top N: descending score, exact ties in catalog (ad-id)
         # order, as lexsort is stable; its segment's ranks count from its start
         order = np.lexsort((-scores, owner))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        top = order[rank < config.top_n]
+        starts = np.cumsum(counts) - counts
+        top = order[np.arange(len(rows)) - starts[owner] < config.top_n]
         selected, at = rows[top], owner[top]
         category = np.array([
             category_codes.get(oracle.request_category(block[i].user_id, block[i].timestamp), -1)
