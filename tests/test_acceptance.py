@@ -5,12 +5,20 @@ lines as they pass. The heavy fixtures (planted datasets, trainings)
 are module-scoped so criteria can share them.
 """
 
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admatch
 from admatch.annindex import AnnIndex
 from admatch.autodiff import grad_check
 from admatch.cli import main as cli_main
@@ -438,53 +446,56 @@ def test_criterion_8_vector_path_pr_lift(planted_small):
 # criterion 9: end-to-end CLI determinism
 
 
+RECIPE_ARTIFACTS = (
+    "logs.jsonl", "ads.jsonl", "oracle.json", "vocab.tsv",
+    "model.ckpt", "history.csv", "vectors.idx", "index.idx",
+    "parts.bin", "sim/metrics.json", "sim/impressions.jsonl",
+)
+
+
+def recipe_steps(root):
+    """The seeded small-world recipe, one CLI argv per stage, writing under ``root``."""
+    root = str(root)
+    return [
+        ["gen-data", "--users", "30", "--items", "150", "--categories", "5",
+         "--days", "4", "--impressions-per-user-day", "4", "--seed", "9",
+         "--out-dir", root],
+        ["build-vocab", "--logs", f"{root}/logs.jsonl",
+         "--out", f"{root}/vocab.tsv", "--top-k", "5000"],
+        ["train", "--logs", f"{root}/logs.jsonl", "--vocab", f"{root}/vocab.tsv",
+         "--train-days", "2024-01-01,2024-01-02,2024-01-03", "--test-day", "2024-01-04",
+         "--item-dim", "8", "--shop-dim", "4", "--brand-dim", "4", "--term-dim", "8",
+         "--profile-dim", "4", "--gru-hidden", "8", "--attention-hidden", "8",
+         "--tower-dims", "16,16", "--prerank-hidden", "8",
+         "--max-epochs", "1", "--seed", "9",
+         "--checkpoint-out", f"{root}/model.ckpt",
+         "--history-out", f"{root}/history.csv"],
+        ["export-vectors", "--checkpoint", f"{root}/model.ckpt",
+         "--ads", f"{root}/ads.jsonl", "--vocab", f"{root}/vocab.tsv",
+         "--out", f"{root}/vectors.idx"],
+        ["build-index", "--vectors", f"{root}/vectors.idx",
+         "--out", f"{root}/index.idx", "--pq-m", "4", "--pq-k", "16",
+         "--pq-iterations", "8", "--seed", "9"],
+        ["precompute-ad-parts", "--checkpoint", f"{root}/model.ckpt",
+         "--ads", f"{root}/ads.jsonl", "--vocab", f"{root}/vocab.tsv",
+         "--out", f"{root}/parts.bin"],
+        ["simulate", "--logs", f"{root}/logs.jsonl",
+         "--checkpoint", f"{root}/model.ckpt", "--vocab", f"{root}/vocab.tsv",
+         "--ads", f"{root}/ads.jsonl", "--oracle", f"{root}/oracle.json",
+         "--index", f"{root}/index.idx", "--ad-parts", f"{root}/parts.bin",
+         "--days", "2024-01-04", "--top-n", "5", "--k-vector", "20", "--seed", "9",
+         "--out-dir", f"{root}/sim"],
+    ]
+
+
 def test_criterion_9_cli_recipe_determinism(tmp_path):
     artifacts = []
     for run in ("one", "two"):
         root = tmp_path / run
         root.mkdir()
-        steps = [
-            ["gen-data", "--users", "30", "--items", "150", "--categories", "5",
-             "--days", "4", "--impressions-per-user-day", "4", "--seed", "9",
-             "--out-dir", str(root)],
-            ["build-vocab", "--logs", str(root / "logs.jsonl"),
-             "--out", str(root / "vocab.tsv"), "--top-k", "5000"],
-            ["train", "--logs", str(root / "logs.jsonl"), "--vocab", str(root / "vocab.tsv"),
-             "--train-days", "2024-01-01,2024-01-02,2024-01-03", "--test-day", "2024-01-04",
-             "--item-dim", "8", "--shop-dim", "4", "--brand-dim", "4", "--term-dim", "8",
-             "--profile-dim", "4", "--gru-hidden", "8", "--attention-hidden", "8",
-             "--tower-dims", "16,16", "--prerank-hidden", "8",
-             "--max-epochs", "1", "--seed", "9",
-             "--checkpoint-out", str(root / "model.ckpt"),
-             "--history-out", str(root / "history.csv")],
-            ["export-vectors", "--checkpoint", str(root / "model.ckpt"),
-             "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
-             "--out", str(root / "vectors.idx")],
-            ["build-index", "--vectors", str(root / "vectors.idx"),
-             "--out", str(root / "index.idx"), "--pq-m", "4", "--pq-k", "16",
-             "--pq-iterations", "8", "--seed", "9"],
-            ["precompute-ad-parts", "--checkpoint", str(root / "model.ckpt"),
-             "--ads", str(root / "ads.jsonl"), "--vocab", str(root / "vocab.tsv"),
-             "--out", str(root / "parts.bin")],
-            ["simulate", "--logs", str(root / "logs.jsonl"),
-             "--checkpoint", str(root / "model.ckpt"), "--vocab", str(root / "vocab.tsv"),
-             "--ads", str(root / "ads.jsonl"), "--oracle", str(root / "oracle.json"),
-             "--index", str(root / "index.idx"), "--ad-parts", str(root / "parts.bin"),
-             "--days", "2024-01-04", "--top-n", "5", "--k-vector", "20", "--seed", "9",
-             "--out-dir", str(root / "sim")],
-        ]
-        for step in steps:
+        for step in recipe_steps(root):
             assert cli_main(step) == 0, f"step failed: {step[0]}"
-        artifacts.append(
-            {
-                name: (root / name).read_bytes()
-                for name in (
-                    "logs.jsonl", "ads.jsonl", "oracle.json", "vocab.tsv",
-                    "model.ckpt", "history.csv", "vectors.idx", "index.idx",
-                    "parts.bin", "sim/metrics.json", "sim/impressions.jsonl",
-                )
-            }
-        )
+        artifacts.append({name: (root / name).read_bytes() for name in RECIPE_ARTIFACTS})
     mismatched = [n for n in artifacts[0] if artifacts[0][n] != artifacts[1][n]]
     report(
         9,
@@ -492,3 +503,68 @@ def test_criterion_9_cli_recipe_determinism(tmp_path):
         not mismatched,
         f"(checked {len(artifacts[0])} artifacts{'; mismatch: ' + ', '.join(mismatched) if mismatched else ''})",
     )
+
+
+# ----------------------------------------------------------------------
+# the recipe's bytes pinned across changes, per numpy / BLAS / machine
+
+GOLDEN_RECIPE = Path(__file__).parent / "golden" / "recipe.json"
+
+RUN_RECIPE = """
+import json, sys
+from admatch.cli import main
+for step in json.loads(sys.argv[1]):
+    if main(step) != 0:
+        sys.exit(f"step failed: {step[0]}")
+"""
+
+
+def build_key() -> dict:
+    """What the golden digests hold for: numpy, its BLAS and the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "machine": platform.machine(),
+    }
+
+
+def recipe_digests(root: Path) -> dict:
+    """Run the recipe in one fresh interpreter at one BLAS thread; sha256 per artifact."""
+    src = str(Path(admatch.__file__).resolve().parents[1])
+    env = {
+        **os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path]),
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_RECIPE, json.dumps(recipe_steps(root))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {n: hashlib.sha256((root / n).read_bytes()).hexdigest() for n in RECIPE_ARTIFACTS}
+
+
+def test_recipe_bytes_match_the_golden_file(tmp_path):
+    golden = json.loads(GOLDEN_RECIPE.read_text())
+    key = build_key()
+    if golden["key"] != key:
+        pytest.skip(f"golden digests are for {golden['key']}, not this build's {key}")
+    digests = recipe_digests(tmp_path)
+    changed = [n for n in RECIPE_ARTIFACTS if digests[n] != golden["sha256"][n]]
+    assert not changed, (
+        f"recipe artifacts changed bytes: {', '.join(changed)}. If on purpose, "
+        "regenerate with `PYTHONPATH=src python tests/test_acceptance.py` and "
+        "say which artifacts changed and why in CHANGES.md"
+    )
+
+
+if __name__ == "__main__":
+    # regenerate tests/golden/recipe.json for this build
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_RECIPE.parent.mkdir(exist_ok=True)
+        GOLDEN_RECIPE.write_text(
+            json.dumps({"key": build_key(), "sha256": recipe_digests(Path(tmp))},
+                       indent=2, sort_keys=True) + "\n"
+        )
