@@ -33,7 +33,7 @@ from .data import (
     read_log_records,
     split_by_day,
     write_ads,
-    write_jsonl,
+    write_log_records,
 )
 from .evaluation import (
     ablation_suite,
@@ -206,7 +206,7 @@ def _cmd_gen_data(args) -> int:
     records, ads, oracle = generate_synthetic(_config(GeneratorConfig, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(records, out / "logs.jsonl")
+    write_log_records(records, out / "logs.jsonl")
     write_ads(ads, out / "ads.jsonl")
     oracle.save(out / "oracle.json")
     logger.info("wrote %d records, %d ads to %s", len(records), len(ads), out)

@@ -62,18 +62,9 @@ class BehaviorEvent:
     title_terms: list[str]
     query_terms: list[str]
 
-    # explicit fields: dataclasses.asdict (a recursive deep copy) and
-    # **vars(...) cost several times more, and the JSONL writer calls this
-    # once per event of every record
     def to_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "item_id": self.item_id,
-            "shop_id": self.shop_id,
-            "brand_id": self.brand_id,
-            "title_terms": list(self.title_terms),
-            "query_terms": list(self.query_terms),
-        }
+        return {**vars(self), "title_terms": list(self.title_terms),
+                "query_terms": list(self.query_terms)}
 
 
 @dataclass
@@ -140,15 +131,20 @@ class LogRecord:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LogRecord":
+        """A record from its JSON object, refusing a field of the wrong type. An
+        event or ad that is already built (``read_log_records`` reuses them) is kept."""
         clicked = payload["clicked"]
         if isinstance(clicked, bool) or clicked not in (0, 1):
             raise ValueError(f"clicked must be 0 or 1, got {clicked!r}")
         query_terms = payload["query_terms"]
         if not isinstance(query_terms, list) or not all(isinstance(t, str) for t in query_terms):
             raise ValueError(f"query_terms must be a list of strings, got {query_terms!r}")
-        events = [BehaviorEvent(**b) for b in payload["behavior_items"]]
+        raw = payload["behavior_items"]
+        events = [b if type(b) is BehaviorEvent else BehaviorEvent(**b) for b in raw]
         # the types only: checking every term of every event costs ~4x more
-        for ev in events:
+        for ev, b in zip(events, raw):
+            if ev is b:
+                continue
             if type(ev.timestamp) is not int:  # a bool is refused too
                 raise ValueError(f"an event's timestamp must be an integer, got {ev.timestamp!r}")
             if not (
@@ -166,15 +162,15 @@ class LogRecord:
                     "an event's title_terms and query_terms must be lists, "
                     f"got {ev.title_terms!r} and {ev.query_terms!r}"
                 )
-        return cls(
-            user_id=payload["user_id"],
-            timestamp=int(payload["timestamp"]),
-            query_terms=query_terms,
-            behavior_items=events,
-            ad=AdDescriptor.from_dict(payload["ad"]),
-            clicked=int(clicked),
-            day=payload["day"],
-        )
+        user_id, timestamp, ad = payload["user_id"], payload["timestamp"], payload["ad"]
+        ad = ad if type(ad) is AdDescriptor else AdDescriptor.from_dict(ad)
+        day = payload["day"]
+        for name, value in (("user_id", user_id), ("day", day)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if type(timestamp) is not int:  # a bool is refused too
+            raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+        return cls(user_id, timestamp, query_terms, events, ad, int(clicked), day)
 
 
 def write_jsonl(rows: Iterable, path: str | Path) -> None:
@@ -206,8 +202,75 @@ def _read_json_lines(path: str | Path, parse) -> list:
     return rows
 
 
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True)
+
+
+def write_log_records(records: Iterable[LogRecord], path: str | Path) -> None:
+    """``write_jsonl``'s bytes for log records, with each distinct event and
+    ad object encoded once per file: a line is joined from those parts."""
+    parts: dict[int, str] = {}  # id -> JSON of each event and ad
+    held = []  # every record, so that no id is reused while parts lives
+    with open(path, "w") as fh:
+        for rec in records:
+            held.append(rec)
+            encoded = []
+            for obj in (rec.ad, *rec.behavior_items):
+                part = parts.get(id(obj))
+                if part is None:
+                    part = parts[id(obj)] = _SORTED_JSON.encode(obj.to_dict())
+                encoded.append(part)
+            rest = {k: v for k, v in vars(rec).items() if k not in ("ad", "behavior_items")}
+            events = ", ".join(encoded[1:])
+            fh.write(f'{{"ad": {encoded[0]}, "behavior_items": [{events}], '
+                     f'{_SORTED_JSON.encode(rest)[1:]}\n')
+
+
 def read_log_records(path: str | Path) -> list[LogRecord]:
-    return _read_json_lines(path, LogRecord.from_dict)
+    """Every record of a JSON Lines log, as ``LogRecord.from_dict`` reads it.
+
+    An event or ad whose raw fields equal, in value and type, those of one
+    already read reuses that object: it is not built or checked again. So
+    records share equal events and ads, as generated ones do; treat them
+    as read-only.
+    """
+    # events by the hash of (timestamp, item, shop, brand), checked on a hit:
+    # a tuple kept per event costs the garbage collector more than it saves
+    events: dict[int, BehaviorEvent] = {}
+    ads: dict[tuple, AdDescriptor] = {}  # by (item, shop, brand, cost)
+
+    def parse(payload) -> LogRecord:
+        if type(payload) is not dict:  # from_dict refuses it
+            return LogRecord.from_dict(payload)
+        raw, ad = payload.get("behavior_items"), payload.get("ad")
+        for i, b in enumerate(raw if type(raw) is list else ()):
+            try:
+                fields = (b["timestamp"], b["item_id"], b["shop_id"], b["brand_id"])
+                hit = events.get(hash(fields))
+            except (KeyError, TypeError):  # not an object, a missing key, unhashable
+                continue
+            # a hit needs equal types too: 1, 1.0 and true are equal
+            if (hit is not None and len(b) == 6 and type(fields[0]) is int
+                    and fields == (hit.timestamp, hit.item_id, hit.shop_id, hit.brand_id)
+                    and b.get("title_terms") == hit.title_terms
+                    and b.get("query_terms") == hit.query_terms):
+                raw[i] = hit
+        try:
+            hit = ads.get((ad["item_id"], ad["shop_id"], ad["brand_id"], ad["cost"]))
+        except (KeyError, TypeError):
+            hit = None
+        if hit is not None and type(ad["cost"]) is type(hit.cost) and ad == hit.to_dict():
+            payload["ad"] = hit
+        record = LogRecord.from_dict(payload)
+        for ev, b in zip(record.behavior_items, raw):
+            # only all-string terms, so that equal lists mean equal types
+            if ev is not b and all(type(t) is str for t in ev.title_terms + ev.query_terms):
+                events[hash((ev.timestamp, ev.item_id, ev.shop_id, ev.brand_id))] = ev
+        cost = record.ad.cost
+        if record.ad is not hit and (cost or type(cost) is int):  # a float 0 may be -0.0
+            ads[(record.ad.item_id, record.ad.shop_id, record.ad.brand_id, cost)] = record.ad
+        return record
+
+    return _read_json_lines(path, parse)
 
 
 def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
@@ -294,19 +357,24 @@ class Vocabulary:
 
 
 def _space_counts(records: Sequence[LogRecord]) -> dict[str, Counter]:
+    """Token counts per space. Records share event and ad objects, so each
+    distinct object is counted once, weighted by the records holding it."""
     counts: dict[str, Counter] = {space: Counter() for space in SPACES}
+    terms = counts["term_id"]
+    held = [rec.ad for rec in records]
     for rec in records:
-        counts["term_id"].update(rec.query_terms)
-        for ev in rec.behavior_items:
-            counts["item_id"][ev.item_id] += 1
-            counts["shop_id"][ev.shop_id] += 1
-            counts["brand_id"][ev.brand_id] += 1
-            counts["term_id"].update(ev.title_terms)
-            counts["term_id"].update(ev.query_terms)
-        counts["item_id"][rec.ad.item_id] += 1
-        counts["shop_id"][rec.ad.shop_id] += 1
-        counts["brand_id"][rec.ad.brand_id] += 1
-        counts["term_id"].update(rec.ad.title_terms)
+        terms.update(rec.query_terms)
+        held += rec.behavior_items
+    objects = dict(zip(map(id, held), held))
+    for key, n in Counter(map(id, held)).items():
+        obj = objects[key]
+        counts["item_id"][obj.item_id] += n
+        counts["shop_id"][obj.shop_id] += n
+        counts["brand_id"][obj.brand_id] += n
+        for t in obj.title_terms:
+            terms[t] += n
+        for t in getattr(obj, "query_terms", ()):  # an ad's bid keywords are not counted
+            terms[t] += n
     return counts
 
 
@@ -347,26 +415,30 @@ def ad_item_from_descriptor(ad: AdDescriptor, vocab: Vocabulary) -> AdItem:
     )
 
 
-def request_from_record(record: LogRecord, vocab: Vocabulary, m: int) -> QueryRequest:
+def request_from_record(
+    record: LogRecord, vocab: Vocabulary, m: int, mapped: dict | None = None
+) -> QueryRequest:
     """Map a record to model inputs: latest m prior behaviors, left-padded.
 
     Behaviors at or after the impression timestamp are excluded so no
-    instance can see the future.
+    instance can see the future. ``mapped`` keeps each event's
+    ``BehaviorItem`` across calls, by event id: the caller keeps those
+    events alive while it passes the map.
     """
     prior = [ev for ev in record.behavior_items if ev.timestamp < record.timestamp]
     prior.sort(key=lambda ev: ev.timestamp)
-    recent = prior[-m:]
-    items = tuple(
-        BehaviorItem(
-            item_id=vocab.id_for("item_id", ev.item_id),
-            shop_id=vocab.id_for("shop_id", ev.shop_id),
-            brand_id=vocab.id_for("brand_id", ev.brand_id),
-            title_term_ids=vocab.ids_for("term_id", ev.title_terms),
-            query_term_ids=vocab.ids_for("term_id", ev.query_terms),
-        )
-        for ev in recent
-    )
-    behaviors = (PAD_BEHAVIOR,) * (m - len(items)) + items
+    mapped = {} if mapped is None else mapped
+    items = []
+    for ev in prior[-m:]:
+        item = mapped.get(id(ev))
+        if item is None:
+            item = mapped[id(ev)] = BehaviorItem(
+                vocab.id_for("item_id", ev.item_id), vocab.id_for("shop_id", ev.shop_id),
+                vocab.id_for("brand_id", ev.brand_id), vocab.ids_for("term_id", ev.title_terms),
+                vocab.ids_for("term_id", ev.query_terms),
+            )
+        items.append(item)
+    behaviors = (PAD_BEHAVIOR,) * (m - len(items)) + tuple(items)
     return QueryRequest(
         query_term_ids=vocab.ids_for("term_id", record.query_terms),
         profile_ids=(),
@@ -379,14 +451,17 @@ def make_instances(
     vocab: Vocabulary,
     m: int = EncoderConfig.behavior_window,
 ) -> Iterator[ImpressionInstance]:
-    """Labeled training instances, one per impression record."""
+    """Labeled training instances, one per record; each distinct event and ad is mapped once."""
     if m < 1:
         raise ValueError(f"behavior window m must be >= 1, got {m}")
+    events, ads, held = {}, {}, []  # held keeps every record, so no id is reused
     for record in records:
+        held.append(record)
+        ad = ads.get(id(record.ad))
+        if ad is None:
+            ad = ads[id(record.ad)] = ad_item_from_descriptor(record.ad, vocab)
         yield ImpressionInstance(
-            request=request_from_record(record, vocab, m),
-            ad=ad_item_from_descriptor(record.ad, vocab),
-            label=int(record.clicked),
+            request=request_from_record(record, vocab, m, events), ad=ad, label=int(record.clicked)
         )
 
 

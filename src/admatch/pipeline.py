@@ -479,6 +479,7 @@ def simulate(
     )
 
     m = model.config.behavior_window
+    mapped: dict = {}  # each distinct event's BehaviorItem, for request_from_record
     rng = np.random.default_rng(config.seed)
     split_dev = 0.0
     keyword_rows: dict[str, np.ndarray] = {}
@@ -493,7 +494,7 @@ def simulate(
     blocks: list[tuple[np.ndarray, ...]] = []
     for lo in range(0, len(records), INFERENCE_CHUNK):
         block = records[lo : lo + INFERENCE_CHUNK]
-        v_qu = model.qu_forward([request_from_record(r, vocab, m) for r in block]).data
+        v_qu = model.qu_forward([request_from_record(r, vocab, m, mapped) for r in block]).data
         # retrieval, one request at a time: each served request's rows in
         # catalog order, with their path bits and vector-path scores
         served, candidates = [], []

@@ -31,6 +31,7 @@ from admatch.data import (
     split_by_day,
     write_ads,
     write_jsonl,
+    write_log_records,
 )
 from admatch.model import PAD_BEHAVIOR
 
@@ -736,3 +737,200 @@ class TestSerialization:
             f"{path}, line 2: an event's title_terms and query_terms must be lists, "
             f"got {title} and {query}"
         )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5.7, "timestamp must be an integer, got 5.7"),
+            ("12", "timestamp must be an integer, got '12'"),
+            (True, "timestamp must be an integer, got True"),
+        ],
+        ids=["float", "string", "bool"],
+    )
+    def test_log_refuses_a_record_timestamp_not_an_integer(self, tmp_path, value, message):
+        # int() used to read 5.7 as 5, "12" as 12 and true as 1
+        good = simple_record().to_dict()
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'timestamp': value})}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: {message}"
+
+    @pytest.mark.parametrize("value", [7, None, ["u1"]])
+    def test_log_refuses_a_user_id_not_a_string(self, tmp_path, value):
+        good = simple_record().to_dict()
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'user_id': value})}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: user_id must be a string, got {value!r}"
+
+    @pytest.mark.parametrize("value", [20240101, None])
+    def test_log_refuses_a_day_not_a_string(self, tmp_path, value):
+        # a day of another type used to land silently in no split
+        good = simple_record().to_dict()
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'day': value})}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 2: day must be a string, got {value!r}"
+
+
+def plain_read(path):
+    """The log read without reuse: ``LogRecord.from_dict`` of each line's JSON."""
+    records = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                records.append(LogRecord.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}, line {number}: {what}") from None
+    return records
+
+
+def outcome(read, path):
+    """A read's error text, or its records as JSON lines, which tell 1, 1.0
+    and true apart."""
+    try:
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in read(path)]
+    except ValueError as exc:
+        return str(exc)
+
+
+DROP = object()
+
+
+def with_field(payload, where, value):
+    """A copy of a record's JSON object with one field set (or dropped, for
+    ``DROP``); ``where`` is a key path such as ``("ad", "cost")``."""
+    copy = json.loads(json.dumps(payload))
+    inner = copy
+    for key in where[:-1]:
+        inner = inner[key]
+    if value is DROP:
+        del inner[where[-1]]
+    else:
+        inner[where[-1]] = value
+    return copy
+
+
+# twin values of one field: equal to Python (1 == 1.0 == True), or a list
+# and its lone string, or a kept type that the reader must not merge
+TWINS = {
+    "event-timestamp": (("behavior_items", 0, "timestamp"), [1, True, 1.0]),
+    "event-timestamp-same-hash": (("behavior_items", 0, "timestamp"), [-1, -2]),  # both hash to -2
+    "event-title-terms": (("behavior_items", 0, "title_terms"), [["ab"], "ab"]),
+    "event-terms-not-strings": (("behavior_items", 0, "query_terms"), [[1], [True], [1.0]]),
+    "event-item-id": (("behavior_items", 0, "item_id"), ["1", 1, True]),
+    "ad-cost": (("ad", "cost"), [1, 1.0, True]),
+    "ad-signed-zero-cost": (("ad", "cost"), [0.0, -0.0, 0]),
+    "ad-title-terms": (("ad", "title_terms"), [["ab"], "ab"]),
+    "ad-terms-not-strings": (("ad", "title_terms"), [[1], [True]]),
+}
+TWIN_CASES = [
+    pytest.param(where, first, second, id=f"{name}-{i}-{j}")
+    for name, (where, values) in TWINS.items()
+    for i, first in enumerate(values)
+    for j, second in enumerate(values)
+    if i != j
+]
+
+
+class TestReadReuse:
+    """Reused events and ads never change what a record reads as."""
+
+    def base(self):
+        return simple_record(behaviors=[event(5, terms=("ab",)), event(6)]).to_dict()
+
+    @pytest.mark.parametrize("where, first, second", TWIN_CASES)
+    def test_twin_lines_read_as_a_fresh_parse_reads_them(self, tmp_path, where, first, second):
+        path = tmp_path / "logs.jsonl"
+        lines = [json.dumps(with_field(self.base(), where, v), sort_keys=True)
+                 for v in (first, second, first)]
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(plain_read, path)
+        assert outcome(read_log_records, path) == expected
+        if isinstance(expected, list):  # each line keeps its own values and types
+            assert expected == lines
+
+    @pytest.mark.parametrize("where", [("behavior_items", 0), ("ad",)], ids=["event", "ad"])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_an_extra_or_missing_key_fails_as_before(self, tmp_path, where, change):
+        good = self.base()
+        key = where + (("extra",) if change == "extra" else ("title_terms",))
+        bad = with_field(good, key, 1 if change == "extra" else DROP)
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        expected = outcome(plain_read, path)
+        assert isinstance(expected, str) and expected.startswith(f"{path}, line 2: ")
+        assert outcome(read_log_records, path) == expected
+
+    def test_a_check_fires_on_the_first_and_a_later_occurrence(self, tmp_path):
+        good, bad = self.base(), with_field(self.base(), ("behavior_items", 1, "timestamp"), "6")
+        path = tmp_path / "logs.jsonl"
+        for lines, number in (([bad, good], 1), ([good, good, bad], 3)):
+            path.write_text("".join(json.dumps(p) + "\n" for p in lines))
+            with pytest.raises(ValueError) as exc:
+                read_log_records(path)
+            assert str(exc.value) == (
+                f"{path}, line {number}: an event's timestamp must be an integer, got '6'"
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs", [REFERENCE_CONFIGS[n] for n in ("seed7-defaults", "37-items-5-categories",
+                                                  "seed0-short")],
+    )
+    def test_generated_logs_read_as_a_plain_parse_reads_them(self, tmp_path, kwargs):
+        records, _, _ = generate_synthetic(GeneratorConfig(**kwargs))
+        path = tmp_path / "logs.jsonl"
+        write_log_records(records, path)
+        plain = plain_read(path)
+        assert read_log_records(path) == plain
+        assert outcome(read_log_records, path) == outcome(plain_read, path)
+
+    def test_equal_events_and_ads_come_back_as_one_object(self, tmp_path):
+        shared = event(5)
+        path = tmp_path / "logs.jsonl"
+        write_log_records(
+            [simple_record(ts=10, behaviors=[shared]),
+             simple_record(ts=20, behaviors=[event(5), event(7)])], path,
+        )
+        first, second = read_log_records(path)
+        assert second.behavior_items[0] is first.behavior_items[0]
+        assert second.behavior_items[1] is not first.behavior_items[0]
+        assert second.ad is first.ad
+
+    def test_vocab_and_instances_match_unshared_records(self, tmp_path):
+        records, _, _ = generate_synthetic(GeneratorConfig(seed=4, n_users=30, days=2))
+        path = tmp_path / "logs.jsonl"
+        write_log_records(records, path)
+        shared, plain = read_log_records(path), plain_read(path)
+        vocab = build_vocab(plain, top_k=40)
+        assert build_vocab(shared, top_k=40)._maps == vocab._maps
+        assert list(make_instances(shared, vocab, m=6)) == list(make_instances(plain, vocab, m=6))
+
+
+class TestWriteLog:
+    """Each line of the log writer is ``json.dumps(record.to_dict(), sort_keys=True)``."""
+
+    def lines_match(self, records, path):
+        write_log_records(records, path)
+        expected = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+        assert path.read_text().splitlines() == expected
+        write_jsonl(records, path.with_suffix(".plain"))
+        assert path.read_bytes() == path.with_suffix(".plain").read_bytes()
+
+    @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS.values(), ids=REFERENCE_CONFIGS)
+    def test_generated_logs(self, tmp_path, kwargs):
+        records, _, _ = generate_synthetic(GeneratorConfig(**kwargs))
+        self.lines_match(records, tmp_path / "logs.jsonl")
+
+    def test_hand_made_records(self, tmp_path):
+        odd = 'q"uo\\te é ☃ \n'
+        shared = event(3, item=odd, terms=(odd, "plain"), query=("ü",))
+        int_cost = simple_record(user=odd, ts=10, terms=(odd,), behaviors=[shared, event(4)])
+        int_cost.ad = AdDescriptor(odd, "s\"1", "b1", [odd], [odd], 2)
+        float_cost = simple_record(ts=20, behaviors=[shared, event(4)], day=odd)
+        empty = simple_record(ts=30, behaviors=[])
+        self.lines_match([int_cost, float_cost, empty, float_cost], tmp_path / "logs.jsonl")
