@@ -17,10 +17,11 @@ whose pool (``k * overfetch_factor``) covers the index skips the ADC.
 Where a search keeps k of more rows exactly (an exact search, a covering
 pool, a re-ranked pool), a float32 gemv scores those rows first, and only
 the rows within 2e of its k-th score go on to ``_dots``; e bounds the
-gemv's error, from the snapshot's recorded bound on its row norms (a
-loaded file's rows are read as stored). Results are the unfiltered ones,
-bit for bit, whatever BLAS's summation order or thread count
-(``_exact_top`` derives e).
+gemv's error. Results are the unfiltered ones, bit for bit, whatever
+BLAS's summation order or thread count (``_exact_top`` derives e). e holds
+because every stored row is a unit vector (``add`` normalizes it, ``load``
+refuses a row whose norm is not within 2**-20 of 1) and a query's norm is
+at most 2**60 (``search_rows`` refuses a larger one).
 
 Search works on integer rows of the snapshot; ad ids are read only to
 break exact ties and to name the rows returned. The k best (the ADC pool
@@ -85,7 +86,7 @@ EXACT_FALLBACK_WARNING = "PQ codebooks absent; falling back to exact search"
 
 
 class DegenerateVectorError(ValueError):
-    """A zero-norm or non-finite vector cannot be indexed or searched."""
+    """A zero-norm or non-finite vector, or a query of norm above 2**60."""
 
 
 class PqTrainingError(ValueError):
@@ -280,11 +281,9 @@ def normalize(vector: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Snapshot:
     ids: tuple[str, ...]
-    vectors: np.ndarray  # [n x d] float32, unit norm (a loaded file's: as stored)
+    vectors: np.ndarray  # [n x d] float32 unit rows
     codes: np.ndarray | None  # [M x n] uint8, subspace-major, when PQ is trained
     codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
-    # a bound on the rows' norms for the float32 filter; inf (unknown) turns it off
-    max_norm: float = math.inf
 
     @property
     def size(self) -> int:
@@ -338,30 +337,21 @@ def _filter_scores(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     return vectors @ query.astype(np.float32)
 
 
-def _max_norm(vectors: np.ndarray) -> float:
-    """The largest row norm of [n x d] float32 rows, summed in float64 (NaN
-    or inf when a row is not finite)."""
-    if not len(vectors):
-        return 0.0
-    return float(np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64).max()))
-
-
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
-# the filter's query and rows stay below this norm, so no float32 product or
-# partial sum can overflow (float32 reaches 2**128)
-_FILTER_NORM_LIMIT = 2.0**60
+_ROW_NORM_SLACK = 2.0**-20  # every stored row's norm is within it of 1
+# a query's norm stays below this, so no float32 product or partial sum of
+# the filter can overflow (float32 reaches 2**128)
+_QUERY_NORM_LIMIT = 2.0**60
 
 
-def _filter_error(d: int, max_norm: float, query_norm: float) -> float | None:
-    """e, a bound on |float32 gemv score - ``_dots`` score| of every row, or
-    None where the bound does not hold (a row or the query too large, or not
-    finite). See ``_exact_top`` for the derivation."""
-    if not (max_norm <= _FILTER_NORM_LIMIT and query_norm <= _FILTER_NORM_LIMIT):
-        return None
+def _filter_error(d: int, query_norm: float) -> float:
+    """e, a bound on |float32 gemv score - ``_dots`` score| of every row. See
+    ``_exact_top`` for the derivation."""
 
     def gamma(u: float) -> float:
         return d * u / (1.0 - d * u)
 
+    max_norm = 1.0 + _ROW_NORM_SLACK
     e = (gamma(_U32) * (1.0 + _U32) + _U32 + gamma(_U64)) * max_norm * query_norm
     # the margin covers the rounding of the norms, of e and of the cut; the
     # absolute term, float32 and float64 underflow (2**-150 per product or
@@ -392,17 +382,18 @@ def _exact_top(
 
         e = (gamma_d(u32)(1 + u32) + u32 + gamma_d(u64)) max_norm ||q||.
 
-    max_norm is the snapshot's recorded bound on its rows' norms, not 1: a
-    loaded file's rows are read as stored. The filter keeps every row of the
-    result: at least k rows have f >= f_k, each with s >= f - e, so the k-th
-    largest s is s_k >= f_k - e, and a row with s >= s_k (each row of the
-    result, and each tied with its last) has f >= s - e >= f_k - 2e. A
-    survivor's ``_dots`` score has the bits it has anywhere, so the result is
-    the unfiltered one, bit for bit, whatever the gemv's summation order or
-    thread count.
+    max_norm = 1 + 2**-20 bounds every stored row's norm: ``add`` stores the
+    float32 rounding of a unit vector, within 2**-24 of norm 1, and ``load``
+    refuses a row whose float64 norm is not within 2**-20 of 1. The filter
+    keeps every row of the result: at least k rows have f >= f_k, each with
+    s >= f - e, so the k-th largest s is s_k >= f_k - e, and a row with
+    s >= s_k (each row of the result, and each tied with its last) has
+    f >= s - e >= f_k - 2e. A survivor's ``_dots`` score has the bits it has
+    anywhere, so the result is the unfiltered one, bit for bit, whatever the
+    gemv's summation order or thread count.
     """
-    e = _filter_error(snap.vectors.shape[1], snap.max_norm, query_norm) if k < len(rows) else None
-    if e is not None:
+    if k < len(rows):
+        e = _filter_error(snap.vectors.shape[1], query_norm)
         f = _row_scores(_filter_scores, snap, rows, query)
         kth = np.partition(f, len(f) - k)[len(f) - k]
         rows = rows[f >= np.float64(kth) - 2.0 * e]  # compared in float64
@@ -434,12 +425,12 @@ def _by_id(ids: Sequence[str], rows: np.ndarray, picks: Iterable[int]) -> list[i
 
 def _chosen(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best of ``rows`` (scored ``scores``), unordered: all
-    above the k-th score, then the smallest ids tied with it. NaN ranks last."""
+    above the k-th score, then the smallest ids tied with it."""
     if k >= len(scores):
         return np.arange(len(scores))
     top = np.argpartition(-scores, k - 1)[:k]
     kth = scores[top[-1]]
-    tied = np.isnan(scores) if np.isnan(kth) else scores == kth
+    tied = scores == kth
     if np.count_nonzero(tied) > 1:  # the k-th score is shared: keep the smallest ids
         above = top[~tied[top]]
         at_cut = _by_id(ids, rows, np.flatnonzero(tied).tolist())[: k - len(above)]
@@ -457,8 +448,7 @@ def _top_rows(
     # order below, which fixes the result whatever order the sort left
     keep = keep[np.argsort(-scores[keep])]
     ranked_scores = scores[keep]
-    nan = np.isnan(ranked_scores)
-    tied = (ranked_scores[1:] == ranked_scores[:-1]) | (nan[1:] & nan[:-1])
+    tied = ranked_scores[1:] == ranked_scores[:-1]
     if tied.any():
         # a run of equal scores spans ranks edges[2i] .. edges[2i + 1]
         edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0]))))
@@ -495,7 +485,6 @@ class AnnIndex:
             np.zeros((0, dim), dtype=np.float32),
             np.zeros((codebooks.n_subspaces, 0), dtype=np.uint8) if codebooks else None,
             codebooks,
-            max_norm=0.0,
         )
         self._storage = _Storage.of(self._snap)
 
@@ -572,7 +561,6 @@ class AnnIndex:
             ids=snap.ids + new_ids,
             vectors=vectors[:end],
             codes=None if codes is None else codes[:, :end],
-            max_norm=max(snap.max_norm, _max_norm(vectors[rows])),
         )
         self._storage = _Storage(tip, vectors, codes, row_of)
         self._snap = tip
@@ -636,8 +624,8 @@ class AnnIndex:
         PQ search on a snapshot without codebooks is exact, with ``pq``
         False in the result; one whose re-ranked pool would hold every row
         is exact too, with ``pq`` True. A query with a NaN or infinite
-        element (its norm is non-finite) raises DegenerateVectorError before
-        anything is scored.
+        element (its norm is non-finite) or a norm above 2**60 raises
+        DegenerateVectorError before anything is scored.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -645,9 +633,10 @@ class AnnIndex:
             raise ValueError("overfetch_factor must be >= 1")
         query = np.asarray(query, dtype=np.float64)
         norm = float(np.linalg.norm(query))
-        if not math.isfinite(norm):
-            # a zero query stays valid: every row scores 0 and ties break by id
-            raise DegenerateVectorError(f"cannot search a non-finite query: norm {norm}")
+        if not norm <= _QUERY_NORM_LIMIT:  # NaN fails too; a zero query is valid
+            raise DegenerateVectorError(
+                f"cannot search a non-finite query or one of norm above 2**60: norm {norm}"
+            )
         snap = self._snap
         ids = snap.ids
         all_rows = np.arange(snap.size)
@@ -679,17 +668,26 @@ class AnnIndex:
     def load(cls, path: str | Path) -> "AnnIndex":
         frame = artifact.Reader(path, _MAGIC, _FORMAT_VERSION, "index", "re-export it")
         dim, m_sub, k_cent, count = frame.array("<u8", (4,)).tolist()
+        if not dim or not (dim % m_sub == 0 and 1 <= k_cent <= 256 if m_sub else k_cent == 0):
+            raise frame.error(f"no index has dim {dim}, M {m_sub} and K {k_cent}")
         codebooks = codes = None
         if m_sub:
             codebooks = PqCodebooks(frame.array("<f4", (m_sub, k_cent, dim // m_sub)))
+            if not np.isfinite(codebooks.centroids).all():
+                raise frame.error("a PQ centroid is not finite")
             codes = np.ascontiguousarray(frame.array(np.uint8, (count, m_sub)).T)
             if count and int(codes.max()) >= k_cent:
                 raise frame.error(f"PQ code {codes.max()} is out of range for {k_cent} centroids")
         vectors = frame.array("<f4", (count, dim))
         ids = tuple(frame.ids(count))
+        frame.done()
         if len(set(ids)) < count:
             (repeat, _), = Counter(ids).most_common(1)
             raise frame.error(f"ad id {repeat!r} is stored more than once")
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= _ROW_NORM_SLACK))  # NaN is off too
+        if len(off):
+            raise frame.error(f"ad {ids[off[0]]!r} has norm {norms[off[0]]}, not 1")
         index = cls(dim, codebooks)
-        index._snap = _Snapshot(ids, vectors, codes, codebooks, _max_norm(vectors))
+        index._snap = _Snapshot(ids, vectors, codes, codebooks)
         return index

@@ -3,9 +3,9 @@
 A file is: magic (8 bytes) | format version (u32) | raw little-endian
 arrays, the first holding the header ints | ids as u32 length + UTF-8
 bytes | crc32 of everything before it (u32). ``Reader`` checks magic,
-version and checksum, and the remaining length before every array or id
-it takes, so a damaged or foreign file raises ``ArtifactError`` naming
-the file.
+version and checksum, the remaining length before every array or id it
+takes, and that no byte is left after the last (``done``), so a damaged,
+forged or foreign file raises ``ArtifactError`` naming the file.
 """
 
 from __future__ import annotations
@@ -84,3 +84,8 @@ class Reader:
             start = self._take(length)
             out.append(self._data[start : start + length].decode("utf-8"))
         return out
+
+    def done(self) -> None:
+        """Refuse a payload with bytes left after the loader's last read."""
+        if self._pos != self._end:
+            raise self.error(f"{self._end - self._pos} unread bytes at offset {self._pos}")

@@ -71,38 +71,32 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 SPLITS = ("train", "validation", "test")  # in split_by_day's order
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+def _apply_config_file(subparser: argparse.ArgumentParser, path: str) -> None:
+    """Set flag defaults from a file of ``key = value`` lines (blank lines
+    and ``#`` comments skipped). Each key is a flag's name without its
+    dashes, with underscores read as dashes. A flag that takes no value
+    reads the key as a boolean: ``no-rerank = true`` turns re-ranking off.
+    A line that fails names the file and the line."""
+    actions = {s.lstrip("-"): a for a in subparser._actions for s in a.option_strings}
+    defaults = {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
-
-
-def _apply_config_defaults(
-    subparser: argparse.ArgumentParser, overrides: dict[str, str]
-) -> None:
-    """Each key is a flag's name without its dashes, with underscores read
-    as dashes, and sets that flag's default. A flag that takes no value
-    reads the key as a boolean: ``no-rerank = true`` turns re-ranking off."""
-    actions = {s.lstrip("-"): a for a in subparser._actions for s in a.option_strings}
-    defaults = {}
-    for key, raw in overrides.items():
-        action = actions.get(key.replace("_", "-"))
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if action.nargs == 0:
-            truthy = raw.lower() in ("1", "true", "yes", "on")
-            defaults[action.dest] = truthy == action.const
-        elif action.type is not None:
-            defaults[action.dest] = action.type(raw)
-        else:
-            defaults[action.dest] = raw
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            action = actions.get(key.replace("_", "-"))
+            if action is None:
+                raise ValueError(f"unknown config key {key!r}")
+            if action.nargs == 0:
+                truthy = raw.lower() in ("1", "true", "yes", "on")
+                defaults[action.dest] = truthy == action.const
+            else:
+                defaults[action.dest] = raw if action.type is None else action.type(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
     subparser.set_defaults(**defaults)
 
 
@@ -518,9 +512,8 @@ def main(argv=None) -> int:
     if known.config:
         command = next((a for a in argv if not a.startswith("-")), None)
         try:
-            overrides = _parse_config_file(known.config)
             if command in registry:
-                _apply_config_defaults(registry[command], overrides)
+                _apply_config_file(registry[command], known.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -738,6 +738,7 @@ class MatchingModel:
             raise frame.error("its parameter names are not those of the model its config builds")
         for _, entry in model.params.items():
             entry.value.data[...] = frame.array("<f8", entry.value.data.shape)
+        frame.done()
         return model
 
 

@@ -164,7 +164,9 @@ def load_ad_parts(path: str | Path) -> tuple[list[str], np.ndarray]:
     frame = artifact.Reader(path, _PARTS_MAGIC, _PARTS_VERSION, "ad-parts", "re-export it")
     width, count = frame.array("<u8", (2,)).tolist()
     parts = frame.array("<f8", (count, width))
-    return frame.ids(count), parts
+    ids = frame.ids(count)
+    frame.done()
+    return ids, parts
 
 
 # ----------------------------------------------------------------------

@@ -690,6 +690,24 @@ class TestPqSearch:
             with pytest.raises(DegenerateVectorError, match="non-finite"):
                 search()
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_query_above_2_to_the_60_rejected(self, trained):
+        # the float32 filter could overflow past it
+        rng = np.random.default_rng(27)
+        index = filled_index(rng, 40, 4)
+        if trained:
+            index.train_pq(n_subspaces=2, n_centroids=8, iterations=3, seed=27)
+        top = index.exact_topk(np.array([1.0, 0.0, 0.0, 0.0]), 2)
+        assert index.exact_topk(np.array([2.0**60, 0.0, 0.0, 0.0]), 2)[0][0] == top[0][0]
+        query = np.array([0.0, 0.6, 0.0, 0.8]) * 2.0**61
+        for search in (
+            lambda: index.exact_topk(query, 2),
+            lambda: index.pq_search(query, 2),
+            lambda: index.search_rows(query, 2),
+        ):
+            with pytest.raises(DegenerateVectorError, match="above 2"):
+                search()
+
     def test_search_rows_names_the_rows_of_pq_search(self):
         rng = np.random.default_rng(18)
         index = filled_index(rng, 40, 4)
@@ -822,6 +840,13 @@ class TestScoresDoNotDependOnPosition:
                 assert hits[i][1] == hits[i + 1][1]
 
 
+def forge_index(path, header, arrays, ids):
+    """A checksum-valid index file framed as ``save`` frames one, holding
+    the given header ints, arrays and ids."""
+    header = np.array(header, "<u8")
+    artifact.write(path, annindex._MAGIC, annindex._FORMAT_VERSION, (header, *arrays), ids)
+
+
 def filter_bound(d, max_norm, query_norm):
     """The float32 filter's error bound, derived here on its own:
     (gamma_d(u32)(1 + u32) + u32 + gamma_d(u64)) max_norm ||q||."""
@@ -849,13 +874,13 @@ def searches(index, q, k):
 class TestFloat32Filter:
     """The exact re-rank scores only the rows a float32 gemv leaves within 2e
     of its k-th score; rows and score bits stay those of the unfiltered
-    search, which ``_filter_error`` returning None gives."""
+    search, which ``_filter_error`` returning inf gives (every row survives)."""
 
     @staticmethod
     def assert_unfiltered(monkeypatch, index, queries, ks):
         found = [[searches(index, q, k) for k in ks] for q in queries]
         with monkeypatch.context() as m:
-            m.setattr(annindex, "_filter_error", lambda *args: None)
+            m.setattr(annindex, "_filter_error", lambda *args: math.inf)
             want = [[searches(index, q, k) for k in ks] for q in queries]
         for got_q, want_q in zip(found, want):
             for got_k, want_k in zip(got_q, want_q):
@@ -893,11 +918,9 @@ class TestFloat32Filter:
         self.assert_unfiltered(monkeypatch, index, [q], [k - 3, k, k + 3])
 
     @pytest.mark.parametrize("scale", [1e-3, 7.3, 2.0**61])
-    def test_a_loaded_index_with_non_unit_rows(self, monkeypatch, tmp_path, scale):
-        # rows near one direction, most of norm 40 times ``scale``, so their
-        # scores nearly tie: a bound that took the rows for unit vectors would
-        # cut true top rows. At 2**61 the filter is off (a float32 product
-        # could overflow)
+    def test_a_file_with_non_unit_rows_is_refused(self, tmp_path, scale):
+        # rows near one direction, most of norm 40 times ``scale``: the
+        # filter's bound holds for unit rows only, so ``load`` refuses them
         rng = np.random.default_rng(6)
         n, d = 700, 64
         base = random_unit(rng, 1, d)[0]
@@ -905,14 +928,10 @@ class TestFloat32Filter:
         rows /= np.linalg.norm(rows, axis=1)[:, None]
         rows *= scale * np.where(rng.random(size=(n, 1)) < 0.9, 40.0, 0.5)
         path = tmp_path / "scaled.idx"
-        header = np.array((d, 0, 0, n), "<u8")
-        artifact.write(
-            path, annindex._MAGIC, annindex._FORMAT_VERSION,
-            (header, rows.astype("<f4")), [f"s{i:04d}" for i in range(n)],
-        )
-        index = AnnIndex.load(path)
-        queries = [base, base + 1e-3 * rng.normal(size=d), rng.normal(size=d)]
-        self.assert_unfiltered(monkeypatch, index, queries, [1, 25, 349])
+        forge_index(path, (d, 0, 0, n), [rows.astype("<f4")], [f"s{i:04d}" for i in range(n)])
+        with pytest.raises(ArtifactError, match="ad 's0000' has norm .*, not 1") as err:
+            AnnIndex.load(path)
+        assert str(path) in str(err.value)
 
     def test_a_zero_query(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -1120,6 +1139,52 @@ class TestIndexFile:
         with pytest.raises(ArtifactError, match="'a' is stored more than once") as err:
             AnnIndex.load(path)
         assert str(path) in str(err.value)
+
+    @staticmethod
+    def assert_refused(path, match):
+        with pytest.raises(ArtifactError, match=match) as err:
+            AnnIndex.load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_a_non_finite_or_zero_row_is_refused(self, tmp_path, bad):
+        # a NaN row used to load, and rank last in every search
+        path = tmp_path / "rows.idx"
+        vectors = np.float32([[0.6, 0.8, 0.0, 0.0], [bad, bad * 0.5, 0.0, 0.0]])
+        forge_index(path, (4, 0, 0, 2), [vectors], ["a", "b"])
+        self.assert_refused(path, "ad 'b' has norm .*, not 1")
+
+    def test_rows_within_2_to_the_minus_20_of_unit_load(self, tmp_path):
+        path = tmp_path / "near.idx"
+        rows = np.float32([[1.0 + 2.0**-21, 0.0], [0.0, 1.0 - 2.0**-21]])
+        forge_index(path, (2, 0, 0, 2), [rows], ["a", "b"])
+        assert len(AnnIndex.load(path)) == 2
+        rows[1, 1] = 1.0 - 2.0**-19
+        forge_index(path, (2, 0, 0, 2), [rows], ["a", "b"])
+        self.assert_refused(path, "ad 'b' has norm")
+
+    def test_a_non_finite_centroid_is_refused(self, tmp_path):
+        path = tmp_path / "centroids.idx"
+        centroids = np.zeros((2, 4, 2), np.float32)
+        centroids[1, 3, 0] = np.nan
+        codes = np.zeros((2, 2), np.uint8)
+        vectors = np.float32([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 0.8, 0.6]])
+        forge_index(path, (4, 2, 4, 2), [centroids, codes, vectors], ["a", "b"])
+        self.assert_refused(path, "centroid is not finite")
+
+    @pytest.mark.parametrize(
+        "dim, m, k",
+        [(0, 0, 0), (4, 3, 4), (4, 2, 0), (4, 2, 257), (4, 0, 4)],
+        ids=["dim-0", "M-not-dividing-dim", "K-0", "K-257", "K-without-M"],
+    )
+    def test_a_header_save_never_writes_is_refused(self, tmp_path, dim, m, k):
+        # arrays of the shapes the header names, so only the header is wrong
+        path = tmp_path / "header.idx"
+        arrays = [np.eye(2, dim, dtype=np.float32)]
+        if m:
+            arrays[:0] = [np.zeros((m, k, dim // m), np.float32), np.zeros((2, m), np.uint8)]
+        forge_index(path, (dim, m, k, 2), arrays, ["a", "b"])
+        self.assert_refused(path, f"no index has dim {dim}, M {m} and K {k}")
 
 
 class TestLayering:

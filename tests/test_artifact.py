@@ -117,3 +117,24 @@ class TestHeaderBeyondPayload:
         )
         with pytest.raises(ArtifactError, match="truncated"):
             AnnIndex.load(path)
+
+
+class TestBytesPastThePayload:
+    @pytest.mark.parametrize("kind", ["exact-index", "ad-parts", "checkpoint"])
+    def test_an_array_no_loader_reads_is_refused(self, tmp_path, monkeypatch, kind):
+        # a checksum-valid file with 20 more bytes after the last array: an
+        # index or ad-parts file reads them as empty ids, and leaves its own
+        # ids unread
+        write = artifact.write
+        monkeypatch.setattr(
+            artifact, "write",
+            lambda path, magic, version, arrays, ids: write(
+                path, magic, version, [*arrays, np.zeros(20, np.uint8)], ids
+            ),
+        )
+        make, load = ARTIFACTS[kind]
+        path = tmp_path / "forged.bin"
+        make(path)
+        with pytest.raises(ArtifactError, match="unread bytes") as info:
+            load(path)
+        assert str(path) in str(info.value)

@@ -507,14 +507,16 @@ class TestConfigFile:
         cfg = tmp_path / "x.cfg"
         cfg.write_text(line + "\n")
         _, registry = cli.build_parser()
-        cli._apply_config_defaults(registry[command], cli._parse_config_file(str(cfg)))
+        cli._apply_config_file(registry[command], str(cfg))
         config = cli._config(config_class, parsed_defaults(registry[command]))
         assert getattr(config, field) == expected
 
-    def test_search_k_key(self):
+    def test_search_k_key(self, tmp_path):
         # a single-dash flag is a key too
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("k = 4\n")
         _, registry = cli.build_parser()
-        cli._apply_config_defaults(registry["search"], {"k": "4"})
+        cli._apply_config_file(registry["search"], str(cfg))
         assert parsed_defaults(registry["search"]).k == 4
 
     # a field name is not a flag name, and build-index has no --no-pq
@@ -541,3 +543,21 @@ class TestConfigFile:
         )
         assert code == 2
         assert "key=value" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bogus = 9", "unknown config key 'bogus'"),
+            ("users = abc", "invalid literal for int() with base 10: 'abc'"),
+            ("just some words", "expected key=value, got 'just some words'"),
+        ],
+        ids=["unknown-key", "bad-value", "malformed-line"],
+    )
+    def test_config_error_names_the_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"# defaults\nseed = 3\n\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"error: {cfg}, line 4: {message}\n"

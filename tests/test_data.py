@@ -723,6 +723,24 @@ class TestSerialization:
         assert str(exc.value) == f"{path}, line 3: {message}"
 
     @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
+    @pytest.mark.parametrize("term", [1, None, ["a"]], ids=["int", "null", "list"])
+    def test_log_refuses_an_event_term_not_a_string(self, tmp_path, field, term):
+        # an int term used to read, then stop build-vocab sorting its terms
+        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
+        bad = json.loads(json.dumps(good))
+        bad["behavior_items"][1][field] = ["b", term]
+        path = tmp_path / "logs.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        title = ["b", term] if field == "title_terms" else ["a"]
+        query = ["b", term] if field == "query_terms" else ["a"]
+        assert str(exc.value) == (
+            f"{path}, line 2: an event's title_terms and query_terms must be lists of strings, "
+            f"got {title!r} and {query!r}"
+        )
+
+    @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
     def test_log_refuses_event_terms_not_a_list(self, tmp_path, field):
         # a string would add one vocabulary term per character
         good = simple_record(behaviors=[event(5), event(6)]).to_dict()
@@ -734,7 +752,7 @@ class TestSerialization:
             read_log_records(path)
         title, query = (("'abc'", "['a']") if field == "title_terms" else ("['a']", "'abc'"))
         assert str(exc.value) == (
-            f"{path}, line 2: an event's title_terms and query_terms must be lists, "
+            f"{path}, line 2: an event's title_terms and query_terms must be lists of strings, "
             f"got {title} and {query}"
         )
 
