@@ -272,7 +272,11 @@ def degenerate_norm(norm: float) -> bool:
 
 def normalize(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(vector))
+    with np.errstate(over="ignore"):  # finite elements above about 1e154 overflow it
+        norm = float(np.linalg.norm(vector))
+    if norm == math.inf and np.isfinite(vector).all():
+        vector = vector / np.abs(vector).max()
+        norm = float(np.linalg.norm(vector))
     if degenerate_norm(norm):
         raise DegenerateVectorError(f"zero-norm or non-finite vector: norm {norm}")
     return vector / norm
@@ -632,7 +636,8 @@ class AnnIndex:
         if overfetch_factor < 1:
             raise ValueError("overfetch_factor must be >= 1")
         query = np.asarray(query, dtype=np.float64)
-        norm = float(np.linalg.norm(query))
+        with np.errstate(over="ignore"):  # an overflow to inf is above 2**60 too
+            norm = float(np.linalg.norm(query))
         if not norm <= _QUERY_NORM_LIMIT:  # NaN fails too; a zero query is valid
             raise DegenerateVectorError(
                 f"cannot search a non-finite query or one of norm above 2**60: norm {norm}"

@@ -75,7 +75,8 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: str) -> None:
     """Set flag defaults from a file of ``key = value`` lines (blank lines
     and ``#`` comments skipped). Each key is a flag's name without its
     dashes, with underscores read as dashes. A flag that takes no value
-    reads the key as a boolean: ``no-rerank = true`` turns re-ranking off.
+    reads the key as a boolean, spelled 1/true/yes/on or 0/false/no/off in
+    any case: ``no-rerank = true`` turns re-ranking off.
     A line that fails names the file and the line."""
     actions = {s.lstrip("-"): a for a in subparser._actions for s in a.option_strings}
     defaults = {}
@@ -92,6 +93,8 @@ def _apply_config_file(subparser: argparse.ArgumentParser, path: str) -> None:
                 raise ValueError(f"unknown config key {key!r}")
             if action.nargs == 0:
                 truthy = raw.lower() in ("1", "true", "yes", "on")
+                if not truthy and raw.lower() not in ("0", "false", "no", "off"):
+                    raise ValueError(f"{key} takes 1/true/yes/on or 0/false/no/off, got {raw!r}")
                 defaults[action.dest] = truthy == action.const
             else:
                 defaults[action.dest] = raw if action.type is None else action.type(raw)

@@ -1,10 +1,12 @@
 """Session-log schema, vocabularies, instance assembly, and synthetic logs.
 
-Logs are JSON Lines, one impression record per line. Each record is
-self-contained: it carries the user's merged (organic + sponsored)
-behavior history up to the impression, the query, the ad, and the click
-label. Vocabularies map string tokens to dense ids per id space with
-frequency truncation; id 0 is reserved for pad/out-of-vocabulary.
+Logs are JSON Lines. A record is one impression: the user's merged
+(organic + sponsored) behavior history up to the impression, the query,
+the ad, and the click label. The log stores each behavior event and ad
+once, on a line of its own, and a record names them by number (see
+``write_log_records``). Vocabularies map string tokens to dense ids per
+id space with frequency truncation; id 0 is reserved for
+pad/out-of-vocabulary.
 
 The synthetic generator plants a recoverable structure: items belong to
 latent categories, a user session holds one or two interest categories,
@@ -23,6 +25,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -62,9 +65,25 @@ class BehaviorEvent:
     title_terms: list[str]
     query_terms: list[str]
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "title_terms": list(self.title_terms),
-                "query_terms": list(self.query_terms)}
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "BehaviorEvent":
+        """An event from its JSON object, refusing a field of the wrong type."""
+        ev = cls(**payload)
+        if type(ev.timestamp) is not int:  # a bool is refused too
+            raise ValueError(f"an event's timestamp must be an integer, got {ev.timestamp!r}")
+        for name in ("item_id", "shop_id", "brand_id"):
+            if not isinstance(getattr(ev, name), str):
+                raise ValueError(f"an event's {name} must be a string, got {getattr(ev, name)!r}")
+        if not (
+            isinstance(ev.title_terms, list)
+            and isinstance(ev.query_terms, list)
+            and all(type(t) is str for t in ev.title_terms + ev.query_terms)
+        ):
+            raise ValueError(
+                "an event's title_terms and query_terms must be lists of strings, "
+                f"got {ev.title_terms!r} and {ev.query_terms!r}"
+            )
+        return ev
 
 
 @dataclass
@@ -77,16 +96,6 @@ class AdDescriptor:
     title_terms: list[str]
     bid_keywords: list[str]
     cost: float
-
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "shop_id": self.shop_id,
-            "brand_id": self.brand_id,
-            "title_terms": list(self.title_terms),
-            "bid_keywords": list(self.bid_keywords),
-            "cost": self.cost,
-        }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "AdDescriptor":
@@ -118,69 +127,43 @@ class LogRecord:
     clicked: int
     day: str
 
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "timestamp": self.timestamp,
-            "query_terms": list(self.query_terms),
-            "behavior_items": [ev.to_dict() for ev in self.behavior_items],
-            "ad": self.ad.to_dict(),
-            "clicked": self.clicked,
-            "day": self.day,
-        }
-
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "LogRecord":
-        """A record from its JSON object, refusing a field of the wrong type. An
-        event or ad that is already built (``read_log_records`` reuses them) is kept."""
+    def from_dict(
+        cls, payload: Mapping, events: Sequence[BehaviorEvent], ads: Sequence[AdDescriptor]
+    ) -> "LogRecord":
+        """A record from its line of a log, refusing a field of the wrong type.
+        Its ``behavior_items`` are numbers of ``events`` and its ``ad`` is a
+        number of ``ads``: the record shares the objects they name."""
         clicked = payload["clicked"]
         if isinstance(clicked, bool) or clicked not in (0, 1):
             raise ValueError(f"clicked must be 0 or 1, got {clicked!r}")
         query_terms = payload["query_terms"]
         if not isinstance(query_terms, list) or not all(isinstance(t, str) for t in query_terms):
             raise ValueError(f"query_terms must be a list of strings, got {query_terms!r}")
-        raw = payload["behavior_items"]
-        events = [b if type(b) is BehaviorEvent else BehaviorEvent(**b) for b in raw]
-        for ev, b in zip(events, raw):
-            if ev is b:
-                continue
-            if type(ev.timestamp) is not int:  # a bool is refused too
-                raise ValueError(f"an event's timestamp must be an integer, got {ev.timestamp!r}")
-            if not (
-                isinstance(ev.item_id, str)
-                and isinstance(ev.shop_id, str)
-                and isinstance(ev.brand_id, str)
-            ):
-                name = next(
-                    n for n in ("item_id", "shop_id", "brand_id")
-                    if not isinstance(getattr(ev, n), str)
-                )
-                raise ValueError(f"an event's {name} must be a string, got {getattr(ev, name)!r}")
-            if not (
-                isinstance(ev.title_terms, list)
-                and isinstance(ev.query_terms, list)
-                and all(type(t) is str for t in ev.title_terms + ev.query_terms)
-            ):
-                raise ValueError(
-                    "an event's title_terms and query_terms must be lists of strings, "
-                    f"got {ev.title_terms!r} and {ev.query_terms!r}"
-                )
-        user_id, timestamp, ad = payload["user_id"], payload["timestamp"], payload["ad"]
-        ad = ad if type(ad) is AdDescriptor else AdDescriptor.from_dict(ad)
-        day = payload["day"]
+        numbers, ad = payload["behavior_items"], payload["ad"]
+        # a number is an int (not a bool) that names a line above
+        if type(numbers) is not list or not all(
+            type(n) is int and 0 <= n < len(events) for n in numbers
+        ):
+            raise ValueError(f"behavior_items must be a list of event numbers from 0 to "
+                             f"{len(events) - 1}, got {numbers!r}")
+        if type(ad) is not int or not 0 <= ad < len(ads):
+            raise ValueError(f"ad must be an ad number from 0 to {len(ads) - 1}, got {ad!r}")
+        user_id, timestamp, day = payload["user_id"], payload["timestamp"], payload["day"]
         for name, value in (("user_id", user_id), ("day", day)):
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
         if type(timestamp) is not int:  # a bool is refused too
             raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
-        return cls(user_id, timestamp, query_terms, events, ad, int(clicked), day)
+        behavior = [events[n] for n in numbers]
+        return cls(user_id, timestamp, query_terms, behavior, ads[ad], int(clicked), day)
 
 
 def write_jsonl(rows: Iterable, path: str | Path) -> None:
+    """One JSON object per line: a dict as it is, a dataclass as its fields."""
     with open(path, "w") as fh:
         for row in rows:
-            payload = row.to_dict() if hasattr(row, "to_dict") else row
-            fh.write(json.dumps(payload, sort_keys=True))
+            fh.write(json.dumps(row if type(row) is dict else vars(row), sort_keys=True))
             fh.write("\n")
 
 
@@ -191,88 +174,88 @@ def _parse_error(where: str, exc: Exception) -> ValueError:
     return ValueError(f"{where}: {what}")
 
 
-def _read_json_lines(path: str | Path, parse) -> list:
-    """``parse`` of each non-blank line's JSON; a line that fails to
-    parse fails naming the file and its 1-based line number."""
-    rows = []
+def _read_json_lines(path: str | Path, parse) -> int:
+    """Call ``parse`` on each non-blank line's JSON; a line that fails to
+    parse fails naming the file and its 1-based line number. Returns the
+    number of lines."""
+    number = 0
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(parse(json.loads(line)))
+                    parse(json.loads(line))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _parse_error(f"{path}, line {number}", exc) from None
-    return rows
+    return number
 
 
-_SORTED_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True)
+LOG_FORMAT_VERSION = 2
 
 
 def write_log_records(records: Iterable[LogRecord], path: str | Path) -> None:
-    """``write_jsonl``'s bytes for log records, with each distinct event and
-    ad object encoded once per file: a line is joined from those parts."""
-    parts: dict[int, str] = {}  # id -> JSON of each event and ad
-    held = []  # every record, so that no id is reused while parts lives
-    with open(path, "w") as fh:
-        for rec in records:
-            held.append(rec)
-            encoded = []
-            for obj in (rec.ad, *rec.behavior_items):
-                part = parts.get(id(obj))
-                if part is None:
-                    part = parts[id(obj)] = _SORTED_JSON.encode(obj.to_dict())
-                encoded.append(part)
-            rest = {k: v for k, v in vars(rec).items() if k not in ("ad", "behavior_items")}
-            events = ", ".join(encoded[1:])
-            fh.write(f'{{"ad": {encoded[0]}, "behavior_items": [{events}], '
-                     f'{_SORTED_JSON.encode(rest)[1:]}\n')
+    """Write a log in format 2, which stores each event and ad object once.
+
+    Line 1 is the header ``{"ads": A, "events": E, "format_version": 2}``.
+    The next E lines hold one event each and the next A lines one ad each,
+    numbered from 0 in the order the records first name them. Then each
+    record's line names its ``behavior_items`` by event number and its
+    ``ad`` by ad number, so it refers only to lines above it.
+    """
+    records = list(records)  # keeps every object alive while ids name them
+    events = {id(ev): ev for rec in records for ev in rec.behavior_items}
+    ads = {id(rec.ad): rec.ad for rec in records}
+    event_numbers = {key: n for n, key in enumerate(events)}
+    ad_numbers = {key: n for n, key in enumerate(ads)}
+    header = {"ads": len(ads), "events": len(events), "format_version": LOG_FORMAT_VERSION}
+    rows = (
+        {**vars(rec), "ad": ad_numbers[id(rec.ad)],
+         "behavior_items": [event_numbers[id(ev)] for ev in rec.behavior_items]}
+        for rec in records
+    )
+    write_jsonl(chain([header], events.values(), ads.values(), rows), path)
+
+
+def _log_counts(header) -> tuple[int, int]:
+    """The event and ad counts of a log's header line."""
+    if type(header) is not dict or sorted(header) != ["ads", "events", "format_version"] or (
+        header["format_version"] != LOG_FORMAT_VERSION
+    ):
+        raise ValueError('not the log header {"ads": A, "events": E, "format_version": 2}; '
+                         "re-run gen-data")
+    counts = header["events"], header["ads"]
+    if not all(type(n) is int and n >= 0 for n in counts):  # a bool is refused too
+        raise ValueError(f"the header's counts must be non-negative integers, got {header}")
+    return counts
 
 
 def read_log_records(path: str | Path) -> list[LogRecord]:
-    """Every record of a JSON Lines log, as ``LogRecord.from_dict`` reads it.
+    """Every record of a log that ``write_log_records`` wrote, checking each
+    event and ad line once. Records share the objects that their numbers
+    name: treat them as read-only. A bad line, a missing or other header
+    (as in a log older than format 2), a number that names no line above,
+    or a file that ends inside a section fails naming the file and line."""
+    events: list[BehaviorEvent] = []
+    ads: list[AdDescriptor] = []
+    records: list[LogRecord] = []
+    counts: list[int] = []  # of events and ads, from the header
 
-    An event or ad whose raw fields equal, in value and type, those of one
-    already read reuses that object: it is not built or checked again. So
-    records share equal events and ads, as generated ones do; treat them
-    as read-only.
-    """
-    # events by the hash of (timestamp, item, shop, brand), checked on a hit:
-    # a tuple kept per event costs the garbage collector more than it saves
-    events: dict[int, BehaviorEvent] = {}
-    ads: dict[tuple, AdDescriptor] = {}  # by (item, shop, brand, cost)
+    def parse(payload) -> None:
+        if not counts:
+            counts.extend(_log_counts(payload))
+        elif len(events) < counts[0]:
+            events.append(BehaviorEvent.from_dict(payload))
+        elif len(ads) < counts[1]:
+            ads.append(AdDescriptor.from_dict(payload))
+        else:
+            records.append(LogRecord.from_dict(payload, events, ads))
 
-    def parse(payload) -> LogRecord:
-        if type(payload) is not dict:  # from_dict refuses it
-            return LogRecord.from_dict(payload)
-        raw, ad = payload.get("behavior_items"), payload.get("ad")
-        for i, b in enumerate(raw if type(raw) is list else ()):
-            try:
-                fields = (b["timestamp"], b["item_id"], b["shop_id"], b["brand_id"])
-                hit = events.get(hash(fields))
-            except (KeyError, TypeError):  # not an object, a missing key, unhashable
-                continue
-            # a hit needs equal types too: 1, 1.0 and true are equal
-            if (hit is not None and len(b) == 6 and type(fields[0]) is int
-                    and fields == (hit.timestamp, hit.item_id, hit.shop_id, hit.brand_id)
-                    and b.get("title_terms") == hit.title_terms
-                    and b.get("query_terms") == hit.query_terms):
-                raw[i] = hit
-        try:
-            hit = ads.get((ad["item_id"], ad["shop_id"], ad["brand_id"], ad["cost"]))
-        except (KeyError, TypeError):
-            hit = None
-        if hit is not None and type(ad["cost"]) is type(hit.cost) and ad == hit.to_dict():
-            payload["ad"] = hit
-        record = LogRecord.from_dict(payload)
-        for ev, b in zip(record.behavior_items, raw):
-            if ev is not b:  # its terms are strings, so equal lists mean equal types
-                events[hash((ev.timestamp, ev.item_id, ev.shop_id, ev.brand_id))] = ev
-        cost = record.ad.cost
-        if record.ad is not hit and (cost or type(cost) is int):  # a float 0 may be -0.0
-            ads[(record.ad.item_id, record.ad.shop_id, record.ad.brand_id, cost)] = record.ad
-        return record
-
-    return _read_json_lines(path, parse)
+    end = f"{path}, line {_read_json_lines(path, parse) + 1}"
+    if not counts:
+        raise ValueError(f"{end}: the log header is missing; re-run gen-data")
+    if len(events) < counts[0] or len(ads) < counts[1]:
+        raise ValueError(f"{end}: the file ends after {len(events)} of {counts[0]} events "
+                         f"and {len(ads)} of {counts[1]} ads")
+    return records
 
 
 def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
@@ -280,7 +263,9 @@ def write_ads(ads: Iterable[AdDescriptor], path: str | Path) -> None:
 
 
 def read_ads(path: str | Path) -> list[AdDescriptor]:
-    return _read_json_lines(path, AdDescriptor.from_dict)
+    ads: list[AdDescriptor] = []
+    _read_json_lines(path, lambda payload: ads.append(AdDescriptor.from_dict(payload)))
+    return ads
 
 
 def read_ad_json(text: str, where: str) -> AdDescriptor:
@@ -610,12 +595,18 @@ class PlantedOracle:
             payload = json.loads(Path(path).read_text())
             if payload["format_version"] != 1:
                 raise ValueError(f"oracle format version {payload['format_version']!r}, not 1")
-            return cls(
-                item_categories=payload["item_categories"],
-                request_categories=payload["request_categories"],
-                p_hi=float(payload["p_hi"]),
-                p_lo=float(payload["p_lo"]),
-            )
+            categories = {key: payload[key] for key in ("item_categories", "request_categories")}
+            for key, mapping in categories.items():
+                # a bool category is refused too
+                if type(mapping) is not dict or any(type(c) is not int for c in mapping.values()):
+                    raise ValueError(f"{key} must map each key to an integer category")
+            p_hi, p_lo = payload["p_hi"], payload["p_lo"]
+            for name, p in (("p_hi", p_hi), ("p_lo", p_lo)):
+                if type(p) not in (int, float):  # a bool or a string is refused
+                    raise ValueError(f"{name} must be a number, got {p!r}")
+            if not 0 <= p_lo <= p_hi <= 1:  # GeneratorConfig's rule; NaN fails it
+                raise ValueError(f"need 0 <= p_lo <= p_hi <= 1, got p_lo {p_lo!r}, p_hi {p_hi!r}")
+            return cls(**categories, p_hi=float(p_hi), p_lo=float(p_lo))
         except (KeyError, TypeError, ValueError) as exc:
             raise _parse_error(str(path), exc) from None
 

@@ -338,6 +338,15 @@ class TestAdds:
         assert list(after) == list(before)
         assert all(np.array_equal(after[a], v) for a, v in before.items())
 
+    @pytest.mark.parametrize("scale", [1e200, 1e308], ids=["1e200", "1e308"])
+    def test_a_finite_vector_whose_norm_overflows_is_stored_as_its_unit_vector(self, scale):
+        # its plain norm is inf, which used to warn of an overflow and be refused
+        index = AnnIndex(3)
+        index.add("big", np.array([0.6, 0.0, -0.8]) * scale)
+        index.add("small", np.array([0.6, 0.0, -0.8]))
+        stored = stored_vectors(index)
+        assert np.array_equal(stored["big"], stored["small"])
+
     @pytest.mark.parametrize("trained", [False, True])
     def test_add_many_saves_same_bytes_as_sequential_adds(self, tmp_path, caplog, trained):
         rng = np.random.default_rng(21)
@@ -706,6 +715,22 @@ class TestPqSearch:
             lambda: index.search_rows(query, 2),
         ):
             with pytest.raises(DegenerateVectorError, match="above 2"):
+                search()
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_a_finite_query_whose_norm_overflows_is_rejected(self, trained):
+        # its plain norm is inf, which used to warn of an overflow
+        rng = np.random.default_rng(28)
+        index = filled_index(rng, 40, 4)
+        if trained:
+            index.train_pq(n_subspaces=2, n_centroids=8, iterations=3, seed=28)
+        query = np.array([1e200, 0.0, 0.0, -1e200])
+        for search in (
+            lambda: index.exact_topk(query, 2),
+            lambda: index.pq_search(query, 2),
+            lambda: index.search_rows(query, 2),
+        ):
+            with pytest.raises(DegenerateVectorError, match=r"above 2\*\*60: norm inf"):
                 search()
 
     def test_search_rows_names_the_rows_of_pq_search(self):

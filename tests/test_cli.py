@@ -499,6 +499,8 @@ class TestConfigFile:
             ("simulate", "paths = vector", PipelineConfig, "paths", ("vector",)),
             ("train", "tower-dims = 32,16", EncoderConfig, "tower_dims", (32, 16)),
             ("train", "no-share-tower = true", EncoderConfig, "share_tower", False),
+            ("simulate", "no-rerank = OFF", PipelineConfig, "rerank", True),
+            ("train", "no-share-tower = On", EncoderConfig, "share_tower", False),
             ("gen-data", "impressions_per_user_day = 2", GeneratorConfig,
              "impressions_per_user_day", 2),
         ],
@@ -545,19 +547,26 @@ class TestConfigFile:
         assert "key=value" in err
 
     @pytest.mark.parametrize(
-        "line, message",
+        "command, line, message",
         [
-            ("bogus = 9", "unknown config key 'bogus'"),
-            ("users = abc", "invalid literal for int() with base 10: 'abc'"),
-            ("just some words", "expected key=value, got 'just some words'"),
+            ("gen-data", "bogus = 9", "unknown config key 'bogus'"),
+            ("gen-data", "users = abc", "invalid literal for int() with base 10: 'abc'"),
+            ("gen-data", "just some words", "expected key=value, got 'just some words'"),
+            # a misspelled boolean used to read as false, leaving re-ranking on
+            ("simulate", "no-rerank = ture",
+             "no-rerank takes 1/true/yes/on or 0/false/no/off, got 'ture'"),
+            ("simulate", "no-verify-split = flase",
+             "no-verify-split takes 1/true/yes/on or 0/false/no/off, got 'flase'"),
         ],
-        ids=["unknown-key", "bad-value", "malformed-line"],
+        ids=["unknown-key", "bad-value", "malformed-line", "bool-ture", "bool-flase"],
     )
-    def test_config_error_names_the_file_and_line(self, tmp_path, capsys, line, message):
+    def test_config_error_names_the_file_and_line(
+        self, tmp_path, capsys, command, line, message
+    ):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"# defaults\nseed = 3\n\n{line}\n")
         code, _, err = run_cli(
-            capsys, "gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "x"),
+            capsys, command, "--config", str(cfg), "--out-dir", str(tmp_path / "x"),
         )
         assert code == 2
         assert err == f"error: {cfg}, line 4: {message}\n"

@@ -30,7 +30,6 @@ from admatch.data import (
     read_log_records,
     split_by_day,
     write_ads,
-    write_jsonl,
     write_log_records,
 )
 from admatch.model import PAD_BEHAVIOR
@@ -72,6 +71,34 @@ def event(ts, item="i1", terms=("a",), query=("a",)):
         title_terms=list(terms),
         query_terms=list(query),
     )
+
+
+def record_dict(rec):
+    """A record as one JSON object, its events and ad inline."""
+    return {**vars(rec), "behavior_items": list(map(vars, rec.behavior_items)),
+            "ad": vars(rec.ad)}
+
+
+def row(rec, events=(), ad=0):
+    """A record's line of a log: ``rec``'s fields, its events and ad named by number."""
+    return {**vars(rec), "behavior_items": list(events), "ad": ad}
+
+
+NO_HEADER = object()
+
+
+def write_log(path, events=(), ads=(), records=(), header=None):
+    """Write a log of JSON values and return ``path``: the header (counting
+    ``events`` and ``ads`` unless given; none for ``NO_HEADER``), then one
+    line per event, ad and record. A string is written as its line's text.
+
+    Line 1 is the header, event n is line n + 2, ad n is line
+    len(events) + n + 2, and the records follow."""
+    if header is None:
+        header = {"ads": len(ads), "events": len(events), "format_version": 2}
+    values = ([] if header is NO_HEADER else [header]) + [*events, *ads, *records]
+    path.write_text("".join((v if isinstance(v, str) else json.dumps(v)) + "\n" for v in values))
+    return path
 
 
 class TestBuildVocab:
@@ -447,11 +474,12 @@ REFERENCE_CONFIGS = {
 
 
 def generated_digests(records, ads, oracle):
-    def digest(rows):
-        lines = (json.dumps(r.to_dict(), sort_keys=True) for r in rows)
+    def digest(dicts):
+        lines = (json.dumps(d, sort_keys=True) for d in dicts)
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
-    return digest(records), digest(ads), json.dumps(vars(oracle), sort_keys=True)
+    return (digest(map(record_dict, records)), digest(map(vars, ads)),
+            json.dumps(vars(oracle), sort_keys=True))
 
 
 class TestGenerator:
@@ -486,7 +514,7 @@ class TestGenerator:
         cfg = GeneratorConfig(seed=11, n_users=10, days=2)
         r1, ads1, o1 = generate_synthetic(cfg)
         r2, ads2, o2 = generate_synthetic(cfg)
-        dump = lambda rows: "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in rows)
+        dump = lambda rows: "\n".join(json.dumps(record_dict(r), sort_keys=True) for r in rows)
         assert dump(r1) == dump(r2)
         assert ads1 == ads2
         assert o1.request_categories == o2.request_categories
@@ -494,7 +522,7 @@ class TestGenerator:
     def test_different_seed_differs(self):
         r1, _, _ = generate_synthetic(GeneratorConfig(seed=1, n_users=10, days=2))
         r2, _, _ = generate_synthetic(GeneratorConfig(seed=2, n_users=10, days=2))
-        assert any(a.to_dict() != b.to_dict() for a, b in zip(r1, r2))
+        assert any(record_dict(a) != record_dict(b) for a, b in zip(r1, r2))
 
     def test_matched_click_rate_within_binomial_bound(self):
         cfg = GeneratorConfig(seed=5, n_users=150, days=3)
@@ -560,9 +588,9 @@ class TestSerialization:
             GeneratorConfig(seed=12, n_users=6, days=2)
         )
         lp = tmp_path / "logs.jsonl"
-        write_jsonl(records, lp)
+        write_log_records(records, lp)
         loaded = read_log_records(lp)
-        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+        assert loaded == records
 
     def test_ads_round_trip(self, tmp_path):
         _, ads, _ = generate_synthetic(GeneratorConfig(seed=13, n_users=4, days=1))
@@ -578,18 +606,19 @@ class TestSerialization:
         assert loaded == oracle
 
     def test_log_error_names_the_file_and_line(self, tmp_path):
-        good = json.dumps(simple_record().to_dict())
-        no_timestamp = dict(simple_record().to_dict())
+        rec = simple_record()
+        good = row(rec)
+        no_timestamp = dict(good)
         del no_timestamp["timestamp"]
         path = tmp_path / "logs.jsonl"
-        path.write_text(f"{good}\n\n{json.dumps(no_timestamp)}\n")
+        write_log(path, [], [vars(rec.ad)], [good, "", no_timestamp])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 3: missing key 'timestamp'"
-        path.write_text(good[:40] + "\n")  # a truncated line
+        assert str(exc.value) == f"{path}, line 5: missing key 'timestamp'"
+        write_log(path, [], [vars(rec.ad)], [json.dumps(good)[:40]])  # a truncated line
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value).startswith(f"{path}, line 1: ")
+        assert str(exc.value).startswith(f"{path}, line 3: ")
 
     def test_ads_error_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "ads.jsonl"
@@ -616,7 +645,7 @@ class TestSerialization:
         ],
     )
     def test_ads_refuse_a_field_of_the_wrong_type(self, tmp_path, field, value, message):
-        good = AdDescriptor("a1", "s1", "b1", ["t1"], ["t1"], 1.5).to_dict()
+        good = vars(AdDescriptor("a1", "s1", "b1", ["t1"], ["t1"], 1.5))
         path = tmp_path / "ads.jsonl"
         path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, field: value})}\n")
         with pytest.raises(ValueError) as exc:
@@ -646,6 +675,59 @@ class TestSerialization:
             PlantedOracle.load(path)
         assert str(exc.value) == f"{path}: oracle format version 2, not 1"
 
+    def oracle_with(self, tmp_path, **changes):
+        payload = {"format_version": 1, "item_categories": {"item0": 0, "item1": 1},
+                   "request_categories": {"u0|5": 1}, "p_hi": 0.6, "p_lo": 0.05, **changes}
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_oracle_accepts_integer_probabilities(self, tmp_path):
+        oracle = PlantedOracle.load(self.oracle_with(tmp_path, p_hi=1, p_lo=0))
+        assert (oracle.p_hi, oracle.p_lo) == (1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_hi", "NaN"), ("p_lo", True), ("p_hi", None), ("p_lo", "0.05"), ("p_hi", [0.6])],
+    )
+    def test_oracle_refuses_a_click_probability_not_a_number(self, tmp_path, field, value):
+        # "NaN" used to load as nan, so nothing was ever clicked; true as 1.0
+        path = self.oracle_with(tmp_path, **{field: value})
+        with pytest.raises(ValueError) as exc:
+            PlantedOracle.load(path)
+        assert str(exc.value) == f"{path}: {field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "p_lo, p_hi",
+        [(-0.1, 0.6), (0.05, 1.5), (0.7, 0.6), (0.05, math.nan), (math.nan, 0.6)],
+        ids=["p_lo-negative", "p_hi-above-1", "p_lo-above-p_hi", "p_hi-nan", "p_lo-nan"],
+    )
+    def test_oracle_refuses_probabilities_outside_the_generator_rule(self, tmp_path, p_lo, p_hi):
+        with pytest.raises(ValueError):
+            GeneratorConfig(p_lo=p_lo, p_hi=p_hi)  # the same rule
+        path = self.oracle_with(tmp_path, p_lo=p_lo, p_hi=p_hi)
+        with pytest.raises(ValueError) as exc:
+            PlantedOracle.load(path)
+        assert str(exc.value) == (
+            f"{path}: need 0 <= p_lo <= p_hi <= 1, got p_lo {p_lo!r}, p_hi {p_hi!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("item_categories", {"item0": 0, "item1": 1.0}),
+            ("item_categories", {"item0": True}),
+            ("request_categories", {"u0|5": "1"}),
+            ("request_categories", [1]),
+        ],
+        ids=["float", "bool", "string", "not-an-object"],
+    )
+    def test_oracle_refuses_a_category_not_an_integer(self, tmp_path, field, value):
+        path = self.oracle_with(tmp_path, **{field: value})
+        with pytest.raises(ValueError) as exc:
+            PlantedOracle.load(path)
+        assert str(exc.value) == f"{path}: {field} must map each key to an integer category"
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -659,15 +741,19 @@ class TestSerialization:
         ids=["ad-term-type", "ad-cost", "clicked-fraction", "clicked-range", "clicked-bool"],
     )
     def test_log_refuses_a_bad_ad_or_label(self, tmp_path, change, message):
-        good = simple_record().to_dict()
-        bad = {**good, **change}
-        if "ad" in change:
-            bad["ad"] = {**good["ad"], **change["ad"]}
+        rec = simple_record()
+        good_ad = vars(rec.ad)
         path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        if "ad" in change:  # the bad ad is line 3
+            bad_ad = {**good_ad, **change["ad"]}
+            write_log(path, [], [good_ad, bad_ad], [row(rec, ad=0), row(rec, ad=1)])
+            line = 3
+        else:  # the bad record is line 4
+            write_log(path, [], [good_ad], [row(rec), {**row(rec), **change}])
+            line = 4
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: {message}"
+        assert str(exc.value) == f"{path}, line {line}: {message}"
 
     @pytest.mark.parametrize(
         "terms, message",
@@ -679,12 +765,21 @@ class TestSerialization:
     )
     def test_log_refuses_query_terms_not_a_list_of_strings(self, tmp_path, terms, message):
         # a string would read as one query term per character
-        good = simple_record().to_dict()
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'query_terms': terms})}\n")
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [], [vars(rec.ad)],
+                         [row(rec), {**row(rec), "query_terms": terms}])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: {message}"
+        assert str(exc.value) == f"{path}, line 4: {message}"
+
+    def two_event_log(self, path, field=None, value=None, bad=1):
+        """A log of one record naming two events; with ``field``, event
+        ``bad`` (line ``bad + 2``) has ``value`` there."""
+        events = [vars(event(5)), vars(event(6))]
+        if field is not None:
+            events[bad] = {**events[bad], field: value}
+        rec = simple_record()
+        return write_log(path, events, [vars(rec.ad)], [row(rec, [0, 1])])
 
     @pytest.mark.parametrize(
         "value, message",
@@ -698,61 +793,45 @@ class TestSerialization:
     )
     def test_log_refuses_an_event_timestamp_not_an_integer(self, tmp_path, value, message):
         # a string timestamp used to read, then fail ordering the window
-        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
-        bad = json.loads(json.dumps(good))
-        bad["behavior_items"][1]["timestamp"] = value
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        path = self.two_event_log(tmp_path / "logs.jsonl", "timestamp", value)
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: {message}"
+        assert str(exc.value) == f"{path}, line 3: {message}"
 
     @pytest.mark.parametrize(
         "field, value",
         [("item_id", 7), ("shop_id", None), ("brand_id", ["b1"]), ("item_id", True)],
     )
     def test_log_refuses_an_event_id_not_a_string(self, tmp_path, field, value):
-        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
-        bad = json.loads(json.dumps(good))
-        bad["behavior_items"][0][field] = value
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+        path = self.two_event_log(tmp_path / "logs.jsonl", field, value, bad=0)
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
         message = f"an event's {field} must be a string, got {value!r}"
-        assert str(exc.value) == f"{path}, line 3: {message}"
+        assert str(exc.value) == f"{path}, line 2: {message}"
 
     @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
     @pytest.mark.parametrize("term", [1, None, ["a"]], ids=["int", "null", "list"])
     def test_log_refuses_an_event_term_not_a_string(self, tmp_path, field, term):
         # an int term used to read, then stop build-vocab sorting its terms
-        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
-        bad = json.loads(json.dumps(good))
-        bad["behavior_items"][1][field] = ["b", term]
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        path = self.two_event_log(tmp_path / "logs.jsonl", field, ["b", term])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
         title = ["b", term] if field == "title_terms" else ["a"]
         query = ["b", term] if field == "query_terms" else ["a"]
         assert str(exc.value) == (
-            f"{path}, line 2: an event's title_terms and query_terms must be lists of strings, "
+            f"{path}, line 3: an event's title_terms and query_terms must be lists of strings, "
             f"got {title!r} and {query!r}"
         )
 
     @pytest.mark.parametrize("field", ["title_terms", "query_terms"])
     def test_log_refuses_event_terms_not_a_list(self, tmp_path, field):
         # a string would add one vocabulary term per character
-        good = simple_record(behaviors=[event(5), event(6)]).to_dict()
-        bad = json.loads(json.dumps(good))
-        bad["behavior_items"][1][field] = "abc"
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        path = self.two_event_log(tmp_path / "logs.jsonl", field, "abc")
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
         title, query = (("'abc'", "['a']") if field == "title_terms" else ("['a']", "'abc'"))
         assert str(exc.value) == (
-            f"{path}, line 2: an event's title_terms and query_terms must be lists of strings, "
+            f"{path}, line 3: an event's title_terms and query_terms must be lists of strings, "
             f"got {title} and {query}"
         )
 
@@ -767,182 +846,209 @@ class TestSerialization:
     )
     def test_log_refuses_a_record_timestamp_not_an_integer(self, tmp_path, value, message):
         # int() used to read 5.7 as 5, "12" as 12 and true as 1
-        good = simple_record().to_dict()
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'timestamp': value})}\n")
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [], [vars(rec.ad)],
+                         [row(rec), {**row(rec), "timestamp": value}])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: {message}"
+        assert str(exc.value) == f"{path}, line 4: {message}"
 
     @pytest.mark.parametrize("value", [7, None, ["u1"]])
     def test_log_refuses_a_user_id_not_a_string(self, tmp_path, value):
-        good = simple_record().to_dict()
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'user_id': value})}\n")
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [], [vars(rec.ad)],
+                         [row(rec), {**row(rec), "user_id": value}])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: user_id must be a string, got {value!r}"
+        assert str(exc.value) == f"{path}, line 4: user_id must be a string, got {value!r}"
 
     @pytest.mark.parametrize("value", [20240101, None])
     def test_log_refuses_a_day_not_a_string(self, tmp_path, value):
         # a day of another type used to land silently in no split
-        good = simple_record().to_dict()
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'day': value})}\n")
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [], [vars(rec.ad)],
+                         [row(rec), {**row(rec), "day": value}])
         with pytest.raises(ValueError) as exc:
             read_log_records(path)
-        assert str(exc.value) == f"{path}, line 2: day must be a string, got {value!r}"
+        assert str(exc.value) == f"{path}, line 4: day must be a string, got {value!r}"
 
 
-def plain_read(path):
-    """The log read without reuse: ``LogRecord.from_dict`` of each line's JSON."""
-    records = []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.strip():
-            try:
-                records.append(LogRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}, line {number}: {what}") from None
-    return records
+HEADER_MESSAGE = (
+    'not the log header {"ads": A, "events": E, "format_version": 2}; re-run gen-data'
+)
 
 
-def outcome(read, path):
-    """A read's error text, or its records as JSON lines, which tell 1, 1.0
-    and true apart."""
-    try:
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in read(path)]
-    except ValueError as exc:
-        return str(exc)
+class TestLogFormat:
+    """Format 2: a header, each event and ad once, then records naming them by number."""
 
-
-DROP = object()
-
-
-def with_field(payload, where, value):
-    """A copy of a record's JSON object with one field set (or dropped, for
-    ``DROP``); ``where`` is a key path such as ``("ad", "cost")``."""
-    copy = json.loads(json.dumps(payload))
-    inner = copy
-    for key in where[:-1]:
-        inner = inner[key]
-    if value is DROP:
-        del inner[where[-1]]
-    else:
-        inner[where[-1]] = value
-    return copy
-
-
-# twin values of one field: equal to Python (1 == 1.0 == True), or a list
-# and its lone string, or a kept type that the reader must not merge
-TWINS = {
-    "event-timestamp": (("behavior_items", 0, "timestamp"), [1, True, 1.0]),
-    "event-timestamp-same-hash": (("behavior_items", 0, "timestamp"), [-1, -2]),  # both hash to -2
-    "event-title-terms": (("behavior_items", 0, "title_terms"), [["ab"], "ab"]),
-    "event-terms-not-strings": (("behavior_items", 0, "query_terms"), [[1], [True], [1.0]]),
-    "event-item-id": (("behavior_items", 0, "item_id"), ["1", 1, True]),
-    "ad-cost": (("ad", "cost"), [1, 1.0, True]),
-    "ad-signed-zero-cost": (("ad", "cost"), [0.0, -0.0, 0]),
-    "ad-title-terms": (("ad", "title_terms"), [["ab"], "ab"]),
-    "ad-terms-not-strings": (("ad", "title_terms"), [[1], [True]]),
-}
-TWIN_CASES = [
-    pytest.param(where, first, second, id=f"{name}-{i}-{j}")
-    for name, (where, values) in TWINS.items()
-    for i, first in enumerate(values)
-    for j, second in enumerate(values)
-    if i != j
-]
-
-
-class TestReadReuse:
-    """Reused events and ads never change what a record reads as."""
-
-    def base(self):
-        return simple_record(behaviors=[event(5, terms=("ab",)), event(6)]).to_dict()
-
-    @pytest.mark.parametrize("where, first, second", TWIN_CASES)
-    def test_twin_lines_read_as_a_fresh_parse_reads_them(self, tmp_path, where, first, second):
+    def test_layout(self, tmp_path):
+        shared, later = event(5), event(7, item="i2")
+        first = simple_record(ts=10, behaviors=[shared])
+        second = simple_record(ts=20, behaviors=[shared, later])
+        second.ad = first.ad
         path = tmp_path / "logs.jsonl"
-        lines = [json.dumps(with_field(self.base(), where, v), sort_keys=True)
-                 for v in (first, second, first)]
-        path.write_text("\n".join(lines) + "\n")
-        expected = outcome(plain_read, path)
-        assert outcome(read_log_records, path) == expected
-        if isinstance(expected, list):  # each line keeps its own values and types
-            assert expected == lines
+        write_log_records([first, second], path)
+        expected = [
+            {"ads": 1, "events": 2, "format_version": 2},
+            vars(shared), vars(later), vars(first.ad),
+            row(first, [0]), row(second, [0, 1]),
+        ]
+        assert path.read_text().splitlines() == [json.dumps(v, sort_keys=True) for v in expected]
 
-    @pytest.mark.parametrize("where", [("behavior_items", 0), ("ad",)], ids=["event", "ad"])
-    @pytest.mark.parametrize("change", ["extra", "missing"])
-    def test_an_extra_or_missing_key_fails_as_before(self, tmp_path, where, change):
-        good = self.base()
-        key = where + (("extra",) if change == "extra" else ("title_terms",))
-        bad = with_field(good, key, 1 if change == "extra" else DROP)
-        path = tmp_path / "logs.jsonl"
-        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
-        expected = outcome(plain_read, path)
-        assert isinstance(expected, str) and expected.startswith(f"{path}, line 2: ")
-        assert outcome(read_log_records, path) == expected
-
-    def test_a_check_fires_on_the_first_and_a_later_occurrence(self, tmp_path):
-        good, bad = self.base(), with_field(self.base(), ("behavior_items", 1, "timestamp"), "6")
-        path = tmp_path / "logs.jsonl"
-        for lines, number in (([bad, good], 1), ([good, good, bad], 3)):
-            path.write_text("".join(json.dumps(p) + "\n" for p in lines))
-            with pytest.raises(ValueError) as exc:
-                read_log_records(path)
-            assert str(exc.value) == (
-                f"{path}, line {number}: an event's timestamp must be an integer, got '6'"
-            )
+    def test_a_format_1_log_is_refused(self, tmp_path):
+        rec = simple_record(behaviors=[event(5)])
+        lines = [record_dict(rec), record_dict(rec)]  # one object per record, no header
+        path = write_log(tmp_path / "logs.jsonl", records=lines[1:], header=lines[0])
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 1: {HEADER_MESSAGE}"
 
     @pytest.mark.parametrize(
-        "kwargs", [REFERENCE_CONFIGS[n] for n in ("seed7-defaults", "37-items-5-categories",
-                                                  "seed0-short")],
+        "header",
+        [
+            vars(event(5)),
+            {"ads": 1, "events": 0, "format_version": 2, "records": 1},
+            {"ads": 1, "events": 0, "format_version": 1},
+            [1, 0, 2],
+        ],
+        ids=["missing", "extra-key", "version-1", "not-an-object"],
     )
-    def test_generated_logs_read_as_a_plain_parse_reads_them(self, tmp_path, kwargs):
-        records, _, _ = generate_synthetic(GeneratorConfig(**kwargs))
-        path = tmp_path / "logs.jsonl"
-        write_log_records(records, path)
-        plain = plain_read(path)
-        assert read_log_records(path) == plain
-        assert outcome(read_log_records, path) == outcome(plain_read, path)
+    def test_a_missing_or_other_header_is_refused(self, tmp_path, header):
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [], [vars(rec.ad)], [row(rec)], header)
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 1: {HEADER_MESSAGE}"
 
-    def test_equal_events_and_ads_come_back_as_one_object(self, tmp_path):
-        shared = event(5)
-        path = tmp_path / "logs.jsonl"
-        write_log_records(
-            [simple_record(ts=10, behaviors=[shared]),
-             simple_record(ts=20, behaviors=[event(5), event(7)])], path,
+    def test_an_empty_file_is_refused(self, tmp_path):
+        path = write_log(tmp_path / "logs.jsonl", header=NO_HEADER)
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 1: the log header is missing; re-run gen-data"
+
+    @pytest.mark.parametrize("name", ["events", "ads"])
+    @pytest.mark.parametrize("count", [-1, 1.0, "1", True, None])
+    def test_a_count_not_a_non_negative_integer_is_refused(self, tmp_path, name, count):
+        header = {"ads": 0, "events": 0, "format_version": 2, name: count}
+        path = write_log(tmp_path / "logs.jsonl", header=header)
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == (
+            f"{path}, line 1: the header's counts must be non-negative integers, got {header}"
         )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("behavior_items", [0, True], "behavior_items must be a list of event numbers "
+                                          "from 0 to 1, got [0, True]"),
+            ("behavior_items", [-1], "behavior_items must be a list of event numbers "
+                                     "from 0 to 1, got [-1]"),
+            ("behavior_items", [1, 2], "behavior_items must be a list of event numbers "
+                                       "from 0 to 1, got [1, 2]"),
+            ("behavior_items", [1.0], "behavior_items must be a list of event numbers "
+                                      "from 0 to 1, got [1.0]"),
+            ("behavior_items", "01", "behavior_items must be a list of event numbers "
+                                     "from 0 to 1, got '01'"),
+            ("ad", False, "ad must be an ad number from 0 to 0, got False"),
+            ("ad", -1, "ad must be an ad number from 0 to 0, got -1"),
+            ("ad", 1, "ad must be an ad number from 0 to 0, got 1"),
+            ("ad", "0", "ad must be an ad number from 0 to 0, got '0'"),
+        ],
+        ids=["event-bool", "event-negative", "event-too-large", "event-float", "event-string",
+             "ad-bool", "ad-negative", "ad-too-large", "ad-string"],
+    )
+    def test_a_number_that_names_no_line_is_refused(self, tmp_path, field, value, message):
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [vars(event(5)), vars(event(6))],
+                         [vars(rec.ad)], [row(rec, [0, 1]), {**row(rec), field: value}])
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line 6: {message}"
+
+    @pytest.mark.parametrize(
+        "events, ads, line, message",
+        [
+            (1, 0, 3, "the file ends after 1 of 2 events and 0 of 1 ads"),
+            (2, 0, 4, "the file ends after 2 of 2 events and 0 of 1 ads"),
+        ],
+        ids=["event-section", "ad-section"],
+    )
+    def test_a_file_cut_inside_a_section_is_refused(self, tmp_path, events, ads, line, message):
+        header = {"ads": 1, "events": 2, "format_version": 2}
+        all_events = [vars(event(5)), vars(event(6))]
+        path = write_log(tmp_path / "logs.jsonl", all_events[:events],
+                         [vars(simple_record().ad)][:ads], header=header)
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        assert str(exc.value) == f"{path}, line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            ("event", "extra", "BehaviorEvent.__init__() got an unexpected keyword argument "
+                               "'extra'"),
+            ("event", "missing", "BehaviorEvent.__init__() missing 1 required positional "
+                                 "argument: 'title_terms'"),
+            ("ad", "extra", "AdDescriptor.__init__() got an unexpected keyword argument 'extra'"),
+            ("ad", "missing", "AdDescriptor.__init__() missing 1 required positional "
+                              "argument: 'title_terms'"),
+        ],
+    )
+    def test_an_extra_or_missing_key_is_refused(self, tmp_path, kind, change, message):
+        rec = simple_record()
+        events, ads = [dict(vars(event(5)))], [dict(vars(rec.ad))]
+        bad = (events if kind == "event" else ads)[0]
+        if change == "extra":
+            bad["extra"] = 1
+        else:
+            del bad["title_terms"]
+        path = write_log(tmp_path / "logs.jsonl", events, ads, [row(rec, [0])])
+        with pytest.raises(ValueError) as exc:
+            read_log_records(path)
+        line = 2 if kind == "event" else 3
+        assert str(exc.value) == f"{path}, line {line}: {message}"
+
+    def test_records_that_name_the_same_number_share_one_object(self, tmp_path):
+        rec = simple_record()
+        path = write_log(tmp_path / "logs.jsonl", [vars(event(5)), vars(event(5))],
+                         [vars(rec.ad)], [row(rec, [0]), row(rec, [0, 1])])
         first, second = read_log_records(path)
         assert second.behavior_items[0] is first.behavior_items[0]
         assert second.behavior_items[1] is not first.behavior_items[0]
+        assert second.behavior_items[1] == first.behavior_items[0]
         assert second.ad is first.ad
 
-    def test_vocab_and_instances_match_unshared_records(self, tmp_path):
+    def test_vocab_and_instances_match_the_generated_records(self, tmp_path):
         records, _, _ = generate_synthetic(GeneratorConfig(seed=4, n_users=30, days=2))
         path = tmp_path / "logs.jsonl"
         write_log_records(records, path)
-        shared, plain = read_log_records(path), plain_read(path)
-        vocab = build_vocab(plain, top_k=40)
-        assert build_vocab(shared, top_k=40)._maps == vocab._maps
-        assert list(make_instances(shared, vocab, m=6)) == list(make_instances(plain, vocab, m=6))
+        read = read_log_records(path)
+        vocab = build_vocab(records, top_k=40)
+        assert build_vocab(read, top_k=40)._maps == vocab._maps
+        assert list(make_instances(read, vocab, m=6)) == list(make_instances(records, vocab, m=6))
 
 
-class TestWriteLog:
-    """Each line of the log writer is ``json.dumps(record.to_dict(), sort_keys=True)``."""
+class TestLogRoundTrip:
+    """A written log reads back as the records written, and writing those
+    again gives the same bytes."""
 
-    def lines_match(self, records, path):
+    def round_trip(self, records, path):
         write_log_records(records, path)
-        expected = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
-        assert path.read_text().splitlines() == expected
-        write_jsonl(records, path.with_suffix(".plain"))
-        assert path.read_bytes() == path.with_suffix(".plain").read_bytes()
+        read = read_log_records(path)
+        assert read == records
+        again = path.with_suffix(".again")
+        write_log_records(read, again)
+        assert again.read_bytes() == path.read_bytes()
+        header = json.loads(path.read_text().partition("\n")[0])
+        events = {id(ev) for rec in records for ev in rec.behavior_items}
+        assert header == {"ads": len({id(rec.ad) for rec in records}), "events": len(events),
+                          "format_version": 2}
 
     @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS.values(), ids=REFERENCE_CONFIGS)
     def test_generated_logs(self, tmp_path, kwargs):
         records, _, _ = generate_synthetic(GeneratorConfig(**kwargs))
-        self.lines_match(records, tmp_path / "logs.jsonl")
+        self.round_trip(records, tmp_path / "logs.jsonl")
 
     def test_hand_made_records(self, tmp_path):
         odd = 'q"uo\\te é ☃ \n'
@@ -951,4 +1057,5 @@ class TestWriteLog:
         int_cost.ad = AdDescriptor(odd, "s\"1", "b1", [odd], [odd], 2)
         float_cost = simple_record(ts=20, behaviors=[shared, event(4)], day=odd)
         empty = simple_record(ts=30, behaviors=[])
-        self.lines_match([int_cost, float_cost, empty, float_cost], tmp_path / "logs.jsonl")
+        self.round_trip([int_cost, float_cost, empty, float_cost], tmp_path / "logs.jsonl")
+        assert type(read_log_records(tmp_path / "logs.jsonl")[0].ad.cost) is int
