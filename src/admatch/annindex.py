@@ -7,7 +7,10 @@ and scores codes against a per-query lookup table (asymmetric distance
 computation), optionally re-ranking an overfetched candidate set with
 exact dot products. k-means runs a whole array at a time in numpy's own
 summation order, so index files are byte-identical to earlier builds with
-the same numpy and BLAS.
+the same numpy and BLAS. Lloyd's passes stop once a pass repeats the
+previous pass's assignment, since every later pass would repeat it too
+(``_lloyd``); ``pq_train`` reports the passes each subspace ran. Training
+and encoding refuse a NaN or infinite element, naming its row.
 
 Codes are stored subspace-major, [M x n] (files hold the transpose); the
 ADC scan takes one ``take`` per subspace and adds each row's M terms in
@@ -180,18 +183,30 @@ def _nearest(
 def _lloyd(
     rows: np.ndarray, cols: np.ndarray, k: int, iterations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float]]:
-    """k-means++ seeding, then Lloyd passes over one subspace's [n, sub] rows
-    (``cols`` is their transpose), a whole array at a time. A pass moves each
-    non-empty cluster to its members' ``mean(axis=0)``: the clusters with c
-    members are summed as one [clusters, c, sub] array, which numpy adds in
-    that mean's order. Empty clusters keep their previous centroid, so the
-    mean quantization error never increases."""
+    """k-means++ seeding, then at most ``iterations`` Lloyd passes over one
+    subspace's [n, sub] rows (``cols`` is their transpose), a whole array at
+    a time; returns the centers and each pass's mean quantization error. A
+    pass moves each non-empty cluster to its members' ``mean(axis=0)``: the
+    clusters with c members are summed as one [clusters, c, sub] array, which
+    numpy adds in that mean's order. Empty clusters keep their previous
+    centroid, so the mean quantization error never increases.
+
+    The passes stop at the first one whose assignment equals the previous
+    pass's. That stop is exact: the centers were built from that same
+    assignment, and an update from it rebuilds them bit for bit (the same
+    members in the same stable-sort order give the same sums, and empty
+    clusters keep theirs), so every later pass would repeat this one, its
+    error included."""
     centers = _kmeans_pp_init(cols, k, rng)
     rows_sq = _row_sums(np.square(cols))
     errors: list[float] = []
+    previous = None
     for _ in range(iterations):
         assign, nearest_d2 = _nearest(rows, rows_sq, centers, (centers * centers).sum(axis=1))
         errors.append(float(np.maximum(nearest_d2, 0.0).mean()))
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        previous = assign
         counts = np.bincount(assign, minlength=k)
         first = np.cumsum(counts) - counts
         grouped = rows[np.argsort(assign, kind="stable")]
@@ -204,7 +219,16 @@ def _lloyd(
 @dataclass
 class PqTrainResult:
     codebooks: PqCodebooks
-    error_history: np.ndarray  # [M x iterations] mean squared error, per Lloyd pass
+    # [M x iterations] mean squared error per Lloyd pass; a subspace that
+    # stopped early repeats its last pass's error to the end
+    error_history: np.ndarray
+    passes: np.ndarray  # [M] Lloyd passes each subspace ran, at most ``iterations``
+
+
+def _first_non_finite(vectors: np.ndarray) -> int | None:
+    """The first row of ``vectors`` (along axis 0) holding a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(vectors).reshape(len(vectors), -1).all(axis=1))
+    return int(bad[0]) if len(bad) else None
 
 
 def pq_train(
@@ -218,6 +242,9 @@ def pq_train(
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise ValueError("training vectors must be a 2-d array")
+    bad = _first_non_finite(vectors)
+    if bad is not None:
+        raise PqTrainingError(f"training vector {bad} is non-finite")
     n, d = vectors.shape
     sizes = {"n_subspaces": n_subspaces, "n_centroids": n_centroids, "iterations": iterations}
     for name, value in sizes.items():
@@ -240,17 +267,24 @@ def pq_train(
     cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
     centroids = np.empty((n_subspaces, n_centroids, sub), dtype=np.float32)
     history = np.empty((n_subspaces, iterations), dtype=np.float64)
+    passes = np.empty(n_subspaces, dtype=np.int64)
     for m in range(n_subspaces):
         centers, errors = _lloyd(rows[m], cols[m], n_centroids, iterations, rng)
         centroids[m] = centers.astype(np.float32)
-        history[m] = errors
-    return PqTrainResult(PqCodebooks(centroids), history)
+        passes[m] = len(errors)
+        history[m, : len(errors)] = errors
+        history[m, len(errors) :] = errors[-1]
+    return PqTrainResult(PqCodebooks(centroids), history, passes)
 
 
 def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
     """Nearest-centroid codes per subspace, [n x M] uint8 (the transpose of [M x n])."""
     shape = (len(vectors), codebooks.n_subspaces, codebooks.sub_dim)
-    rows = np.asarray(vectors, dtype=np.float64).reshape(shape).transpose(1, 0, 2)
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(shape)
+    bad = _first_non_finite(vectors)
+    if bad is not None:
+        raise DegenerateVectorError(f"vector {bad} is non-finite")
+    rows = vectors.transpose(1, 0, 2)
     rows_sq = (rows * rows).sum(axis=2)
     codes = np.empty((codebooks.n_subspaces, rows.shape[1]), dtype=np.uint8)
     for m, centers in enumerate(codebooks.table):

@@ -295,11 +295,13 @@ def _cmd_build_index(args) -> int:
         seed=args.seed,
     )
     logger.info(
-        "trained PQ codebooks: final quantization error %.6f",
+        "trained PQ codebooks: final quantization error %.6f, Lloyd passes per subspace %s",
         float(result.error_history[:, -1].mean()),
+        result.passes.tolist(),
     )
     index.save(args.out)
-    summary = {"entries": len(index), "pq": index.codebooks is not None, "dim": index.dim}
+    summary = {"entries": len(index), "pq": index.codebooks is not None, "dim": index.dim,
+               "lloyd_passes": int(result.passes.max())}
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -445,7 +447,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
     p.add_argument("--pq-m", type=int, default=annindex.PQ_SUBSPACES)
     p.add_argument("--pq-k", type=int, default=annindex.PQ_CENTROIDS)
-    p.add_argument("--pq-iterations", type=int, default=annindex.PQ_ITERATIONS)
+    p.add_argument(
+        "--pq-iterations", type=int, default=annindex.PQ_ITERATIONS,
+        help="at most this many Lloyd passes per subspace; a subspace stops at "
+        "the first pass that repeats the previous pass's assignment",
+    )
     p.add_argument("--seed", type=int, default=annindex.PQ_SEED)
 
     p = sub("add-ad", _cmd_add_ad, "encode one ad and add it to an index")

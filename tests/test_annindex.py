@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,53 @@ class TestPqTraining:
         b = pq_train(data, 2, 16, 10, seed=5)
         np.testing.assert_array_equal(a.codebooks.centroids, b.codebooks.centroids)
 
+    @staticmethod
+    def counted_passes(monkeypatch, data, k, iterations):
+        """``pq_train``'s result and its ``_nearest`` calls per subspace."""
+        calls = Counter()
+        nearest = annindex._nearest
+
+        def counted(rows, *args):
+            calls[rows.ctypes.data] += 1  # each subspace has its own rows
+            return nearest(rows, *args)
+
+        monkeypatch.setattr(annindex, "_nearest", counted)
+        result = pq_train(data, 2, k, iterations, seed=1)
+        return result, list(calls.values())
+
+    def test_passes_stop_once_an_assignment_repeats(self, monkeypatch):
+        # k == n: each point is its own center after one pass, which the
+        # next pass's assignment repeats
+        data = np.random.default_rng(30).normal(size=(40, 8))
+        result, calls = self.counted_passes(monkeypatch, data, 40, 10)
+        assert calls == result.passes.tolist()
+        assert (result.passes < 10).all()
+        for errors, passes in zip(result.error_history, result.passes):
+            assert (errors[passes - 1 :] == errors[passes - 1]).all()
+
+    def test_passes_run_to_the_limit_before_convergence(self, monkeypatch):
+        data = np.random.default_rng(31).normal(size=(2000, 8))
+        result, calls = self.counted_passes(monkeypatch, data, 16, 3)
+        assert calls == result.passes.tolist() == [3, 3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_training_vector_rejected(self, bad):
+        data = np.random.default_rng(32).normal(size=(64, 8))
+        data[5, 3] = bad
+        with pytest.raises(PqTrainingError, match="^training vector 5 is non-finite$"):
+            pq_train(data, n_subspaces=2, n_centroids=4, iterations=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vector_not_encoded(self, bad):
+        data = np.random.default_rng(33).normal(size=(64, 8))
+        codebooks = pq_train(data, n_subspaces=2, n_centroids=4, iterations=3).codebooks
+        data[2] = np.nan
+        data[7, 0] = bad
+        with pytest.raises(DegenerateVectorError, match="^vector 2 is non-finite$"):
+            pq_encode(codebooks, data)
+        with pytest.raises(DegenerateVectorError, match="^vector 0 is non-finite$"):
+            pq_encode(codebooks, data[7:8])
+
 
 class TestPqMatchesReference:
     """The array-at-a-time build reproduces ``reference_pq_train`` and
@@ -554,7 +602,8 @@ class TestPqMatchesReference:
     @pytest.mark.parametrize("sub", [1, 3, 5, 8, 12, 16, 32])
     def test_codebooks_errors_and_codes(self, sub, seed):
         for data, k in self.training_sets(sub, seed):
-            for iterations in (1, 5):
+            # 25 passes: stopped subspaces must match the reference's full run
+            for iterations in (1, 5, 25):
                 centroids, history = reference_pq_train(data, 2, k, iterations, seed)
                 got = pq_train(data, 2, k, iterations, seed)
                 assert got.codebooks.centroids.tobytes() == centroids.tobytes()

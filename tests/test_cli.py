@@ -119,6 +119,7 @@ class TestRecipe:
             "--pq-iterations", "8", "--seed", "5",
         )
         assert code == 0 and last_json(out)["pq"] is True
+        assert 1 <= last_json(out)["lloyd_passes"] <= 8
 
         code, out, _ = run_cli(
             capsys, "precompute-ad-parts", "--checkpoint", str(root / "model.ckpt"),
@@ -338,21 +339,24 @@ def test_build_index_bytes_do_not_depend_on_blas_threads(tmp_path):
     # numpy loads its BLAS, so each setting needs a fresh interpreter
     write_vectors(tmp_path / "vectors.idx", 1300, 64)
     src = str(Path(admatch.__file__).resolve().parents[1])
-    built = []
+    built, summaries = [], []
     for threads in ("1", "2"):
         env = {
             **os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path]),
             "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
         }
         out = tmp_path / f"index{threads}.idx"
-        subprocess.run(
+        done = subprocess.run(
             [sys.executable, "-m", "admatch", "build-index",
              "--vectors", str(tmp_path / "vectors.idx"), "--out", str(out),
              "--pq-m", "8", "--pq-iterations", "3", "--seed", "3"],
-            env=env, capture_output=True, timeout=300, check=True,
+            env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         built.append(out.read_bytes())
+        summaries.append(last_json(done.stdout))
     assert built[0] == built[1]
+    # the pass count is as deterministic as the bytes
+    assert summaries[0] == summaries[1]
 
 
 # exact, PQ with a covering pool, PQ with a smaller pool, PQ without re-rank
