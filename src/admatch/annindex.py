@@ -171,8 +171,9 @@ def _nearest(
     """Each row's nearest center and its squared distance to it, given the
     squared norms of the rows and of the [k, sub] C-ordered centers."""
     # one product for all rows, against ``centers.T`` as always: BLAS picks
-    # its kernel, and so its rounding, by operand layout and shape
-    g = rows @ centers.T
+    # its kernel, and so its rounding, by operand layout and shape. A single
+    # row goes as a two-row block, whose first row has a block's bits.
+    g = rows @ centers.T if len(rows) != 1 else (np.repeat(rows, 2, axis=0) @ centers.T)[:1]
     g *= -2.0  # (||x||^2 - 2 x.c) + ||c||^2 in place, as a - b == a + (-b)
     g += rows_sq[:, None]
     g += centers_sq

@@ -23,14 +23,16 @@ from .annindex import AnnIndex
 from .data import (
     DatasetSplit,
     GeneratorConfig,
+    LogRecord,
     PlantedOracle,
     Vocabulary,
     build_vocab,
     generate_synthetic,
-    make_instances,
+    instance_batch,
     read_ad_json,
     read_ads,
     read_log_records,
+    request_columns,
     split_by_day,
     write_ads,
     write_log_records,
@@ -46,11 +48,9 @@ from .evaluation import (
 )
 from .model import (
     ACTIVATIONS,
-    PAD_BEHAVIOR,
     VARIANTS,
     EncoderConfig,
     MatchingModel,
-    QueryRequest,
     VocabularyError,
 )
 from .pipeline import (
@@ -134,7 +134,7 @@ def _load_model(args: argparse.Namespace) -> tuple[MatchingModel, Vocabulary]:
 def _load_split_instances(args: argparse.Namespace, vocab: Vocabulary, m: int):
     records = read_log_records(args.logs)
     sets = split_by_day(records, _config(DatasetSplit, args))
-    return tuple(list(make_instances(recs, vocab, m)) for recs in sets)
+    return tuple(instance_batch(recs, vocab, m) for recs in sets)
 
 
 def _training_inputs(args: argparse.Namespace):
@@ -324,13 +324,11 @@ def _cmd_add_ad(args) -> int:
 def _cmd_search(args) -> int:
     index = AnnIndex.load(args.index)
     model, vocab = _load_model(args)
-    terms = args.query.split()
-    request = QueryRequest(
-        query_term_ids=vocab.ids_for("term_id", terms),
-        profile_ids=(),
-        behaviors=(PAD_BEHAVIOR,) * model.config.behavior_window,
-    )
-    unit = annindex.normalize(model.qu_forward([request]).data[0])
+    # a bare query: no behavior history, so every window slot is the pad
+    query = LogRecord(user_id="", timestamp=0, query_terms=args.query.split(),
+                      behavior_items=[], ad=None, clicked=0, day="")
+    request = request_columns([query], vocab, model.config.behavior_window)
+    unit = annindex.normalize(model.qu_forward(request).data[0])
     if args.exact:
         hits = index.exact_topk(unit, args.k)
     else:

@@ -31,15 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import (
-    PAD_BEHAVIOR,
-    AdItem,
-    BehaviorItem,
-    EncoderConfig,
-    ImpressionInstance,
-    QueryRequest,
-    SPACES,
-)
+from .model import SPACES, AdColumns, EncoderConfig, InstanceBatch, RequestColumns
 
 
 class EmptyCorpusError(ValueError):
@@ -365,26 +357,20 @@ def _space_counts(records: Sequence[LogRecord]) -> dict[str, Counter]:
     return counts
 
 
-def build_vocab(
-    records: Sequence[LogRecord], top_k: int | Mapping[str, int]
-) -> Vocabulary:
+def build_vocab(records: Sequence[LogRecord], top_k: int) -> Vocabulary:
     """Keep the top-k most frequent tokens per space; ties break by token.
 
     Tokens cut by truncation (and anything unseen) map to id 0 later.
     """
     if not records:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
-    if isinstance(top_k, int):
-        limits = {space: top_k for space in SPACES}
-    else:
-        limits = {space: int(top_k.get(space, 0)) for space in SPACES}
-    if any(v < 1 for v in limits.values()):
-        raise ValueError("top_k must be at least 1 for every space")
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     counts = _space_counts(records)
     maps: dict[str, dict[str, int]] = {}
     for space in SPACES:
         ranked = sorted(counts[space].items(), key=lambda kv: (-kv[1], kv[0]))
-        kept = ranked[: limits[space]]
+        kept = ranked[:top_k]
         maps[space] = {token: i + 1 for i, (token, _) in enumerate(kept)}
     return Vocabulary(maps)
 
@@ -393,63 +379,103 @@ def build_vocab(
 # instance assembly
 
 
-def ad_item_from_descriptor(ad: AdDescriptor, vocab: Vocabulary) -> AdItem:
-    return AdItem(
-        item_id=vocab.id_for("item_id", ad.item_id),
-        shop_id=vocab.id_for("shop_id", ad.shop_id),
-        brand_id=vocab.id_for("brand_id", ad.brand_id),
-        title_term_ids=vocab.ids_for("term_id", ad.title_terms),
-    )
+def _padded(lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """[len(lists) x L] ids, each list left-aligned and zero-padded to the
+    longest one's length L."""
+    n = len(lists)
+    width = max(map(len, lists), default=0)
+    flat = np.fromiter(chain.from_iterable(lists), np.intp)
+    if flat.size == n * width:  # every list is full: nothing to pad
+        return flat.reshape(n, width)
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=n)
+    out = np.zeros((n, width), dtype=np.intp)
+    out[np.arange(width) < lengths[:, None]] = flat
+    return out
 
 
-def request_from_record(
-    record: LogRecord, vocab: Vocabulary, m: int, mapped: dict | None = None
-) -> QueryRequest:
-    """Map a record to model inputs: latest m prior behaviors, left-padded.
-
-    Behaviors at or after the impression timestamp are excluded so no
-    instance can see the future. ``mapped`` keeps each event's
-    ``BehaviorItem`` across calls, by event id: the caller keeps those
-    events alive while it passes the map.
+def request_columns(records: Sequence[LogRecord], vocab: Vocabulary, m: int) -> RequestColumns:
+    """The query-tower inputs of ``records``: the query terms, no profile
+    ids, and a window of each record's latest m behaviors before its
+    timestamp, so no request can see the future. A window runs oldest to
+    newest and is left-padded with id 0. Each distinct event is mapped once.
     """
-    prior = [ev for ev in record.behavior_items if ev.timestamp < record.timestamp]
-    prior.sort(key=lambda ev: ev.timestamp)
-    mapped = {} if mapped is None else mapped
-    items = []
-    for ev in prior[-m:]:
-        item = mapped.get(id(ev))
-        if item is None:
-            item = mapped[id(ev)] = BehaviorItem(
-                vocab.id_for("item_id", ev.item_id), vocab.id_for("shop_id", ev.shop_id),
-                vocab.id_for("brand_id", ev.brand_id), vocab.ids_for("term_id", ev.title_terms),
-                vocab.ids_for("term_id", ev.query_terms),
-            )
-        items.append(item)
-    behaviors = (PAD_BEHAVIOR,) * (m - len(items)) + tuple(items)
-    return QueryRequest(
-        query_term_ids=vocab.ids_for("term_id", record.query_terms),
-        profile_ids=(),
-        behaviors=behaviors,
+    if m < 1:
+        raise ValueError(f"behavior window m must be >= 1, got {m}")
+    rows: dict[int, int] = {}  # id(event) -> its row in ``events``; row 0 is the pad
+    events: list[BehaviorEvent] = []
+    windows = []
+    for rec in records:
+        prior = [ev for ev in rec.behavior_items if ev.timestamp < rec.timestamp]
+        prior.sort(key=lambda ev: ev.timestamp)
+        window = [0] * max(m - len(prior), 0)
+        for ev in prior[-m:]:
+            row = rows.get(id(ev))
+            if row is None:
+                row = rows[id(ev)] = len(events) + 1
+                events.append(ev)
+            window.append(row)
+        windows.append(window)
+    slots = np.array(windows, dtype=np.intp).reshape(len(records), m)
+
+    def ids(space: str) -> np.ndarray:
+        table = [0] + [vocab.id_for(space, getattr(ev, space)) for ev in events]
+        return np.array(table, dtype=np.intp)[slots]
+
+    def terms(field: str) -> np.ndarray:
+        lists = [vocab.ids_for("term_id", getattr(ev, field)) for ev in events]
+        return _padded([(), *lists])[slots]
+
+    return RequestColumns(
+        query_terms=_padded([vocab.ids_for("term_id", rec.query_terms) for rec in records]),
+        profile_ids=np.zeros((len(records), 0), dtype=np.intp),
+        item_ids=ids("item_id"),
+        shop_ids=ids("shop_id"),
+        brand_ids=ids("brand_id"),
+        title_terms=terms("title_terms"),
+        source_query_terms=terms("query_terms"),
     )
+
+
+def ad_columns(ads: Sequence[AdDescriptor], vocab: Vocabulary) -> AdColumns:
+    """The ad-tower inputs of ``ads``, one row per ad."""
+
+    def ids(space: str) -> np.ndarray:
+        return np.array([vocab.id_for(space, getattr(ad, space)) for ad in ads], dtype=np.intp)
+
+    title_terms = _padded([vocab.ids_for("term_id", ad.title_terms) for ad in ads])
+    return AdColumns(ids("item_id"), ids("shop_id"), ids("brand_id"), title_terms)
+
+
+def instance_batch(records: Sequence[LogRecord], vocab: Vocabulary, m: int) -> InstanceBatch:
+    """Labeled training instances, one row per record; each distinct event
+    and ad is mapped once."""
+    ads = {id(rec.ad): rec.ad for rec in records}  # records share their ads
+    rows = {key: row for row, key in enumerate(ads)}
+    ad_rows = np.array([rows[id(rec.ad)] for rec in records], dtype=np.intp)
+    return InstanceBatch(
+        requests=request_columns(records, vocab, m),
+        ads=ad_columns(list(ads.values()), vocab)[ad_rows],
+        labels=np.array([rec.clicked for rec in records], dtype=np.float64),
+    )
+
+
+# one-row call forms that perfbench calls; the program calls the three functions above
+
+
+def request_from_record(record: LogRecord, vocab: Vocabulary, m: int) -> RequestColumns:
+    return request_columns([record], vocab, m)
+
+
+def ad_item_from_descriptor(ad: AdDescriptor, vocab: Vocabulary) -> AdColumns:
+    return ad_columns([ad], vocab)
 
 
 def make_instances(
-    records: Iterable[LogRecord],
-    vocab: Vocabulary,
-    m: int = EncoderConfig.behavior_window,
-) -> Iterator[ImpressionInstance]:
-    """Labeled training instances, one per record; each distinct event and ad is mapped once."""
-    if m < 1:
-        raise ValueError(f"behavior window m must be >= 1, got {m}")
-    events, ads, held = {}, {}, []  # held keeps every record, so no id is reused
-    for record in records:
-        held.append(record)
-        ad = ads.get(id(record.ad))
-        if ad is None:
-            ad = ads[id(record.ad)] = ad_item_from_descriptor(record.ad, vocab)
-        yield ImpressionInstance(
-            request=request_from_record(record, vocab, m, events), ad=ad, label=int(record.clicked)
-        )
+    records: Sequence[LogRecord], vocab: Vocabulary, m: int = EncoderConfig.behavior_window
+) -> Iterator[InstanceBatch]:
+    """``instance_batch``'s rows, one one-row batch per record."""
+    batch = instance_batch(records, vocab, m)
+    return (batch[i : i + 1] for i in range(len(batch)))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EncoderConfig, ImpressionInstance, InstanceBatch, MatchingModel, VARIANTS
+from .model import EncoderConfig, InstanceBatch, MatchingModel, VARIANTS
 
 
 class UndefinedAucError(ValueError):
@@ -74,7 +74,7 @@ def prediction_stats(values) -> PredictionStats:
 
 def head_aucs(
     model: MatchingModel,
-    instances: Sequence[ImpressionInstance] | InstanceBatch,
+    instances: InstanceBatch | Sequence[InstanceBatch],
     mode: str = "JOINT",
     gamma: float | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, float | None]]:
@@ -97,9 +97,9 @@ def _train_and_score(
     encoder_config: EncoderConfig,
     train_config,
     vocab_sizes: Mapping[str, int],
-    train_instances: Sequence[ImpressionInstance],
-    val_instances: Sequence[ImpressionInstance],
-    test_instances: Sequence[ImpressionInstance],
+    train_instances: InstanceBatch,
+    val_instances: InstanceBatch,
+    test_instances: InstanceBatch,
 ) -> tuple[dict[str, np.ndarray], dict[str, float | None]]:
     """Train a model seeded by ``train_config`` and score it on the test
     set: ``head_aucs`` under the mode it trained."""
@@ -112,7 +112,7 @@ def _train_and_score(
 
 def model_aucs(
     model: MatchingModel,
-    instances: Sequence[ImpressionInstance],
+    instances: InstanceBatch | Sequence[InstanceBatch],
     gamma: float | None = None,
 ) -> dict[str, float]:
     """Test AUC of both heads on a labeled instance set."""
@@ -132,9 +132,9 @@ class GammaSweepRow:
 
 
 def gamma_sweep(
-    train_instances: Sequence[ImpressionInstance],
-    val_instances: Sequence[ImpressionInstance],
-    test_instances: Sequence[ImpressionInstance],
+    train_instances: InstanceBatch,
+    val_instances: InstanceBatch,
+    test_instances: InstanceBatch,
     vocab_sizes: Mapping[str, int],
     encoder_config: EncoderConfig,
     train_config,
@@ -219,9 +219,9 @@ class AblationReport:
 
 
 def ablation_suite(
-    train_instances: Sequence[ImpressionInstance],
-    val_instances: Sequence[ImpressionInstance],
-    test_instances: Sequence[ImpressionInstance],
+    train_instances: InstanceBatch,
+    val_instances: InstanceBatch,
+    test_instances: InstanceBatch,
     vocab_sizes: Mapping[str, int],
     encoder_config: EncoderConfig,
     train_config,

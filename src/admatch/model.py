@@ -10,17 +10,18 @@ train with binary cross-entropy, optionally blended into one joint loss.
 side is precomputed per ad, and only the query side runs per request.
 
 The towers read columnar id arrays (``RequestColumns``, ``AdColumns``,
-``InstanceBatch``), packed from the input dataclasses with every id
-validated once; the behavior encoder works on the whole window at once.
+``InstanceBatch``), which ``admatch.data`` builds from log records and
+ad descriptors; every id is checked where the columns enter the model.
+The behavior encoder works on the whole window at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +29,6 @@ from . import artifact, autodiff as ad
 from .autodiff import ParamStore, Tensor
 
 SPACES = ("item_id", "shop_id", "brand_id", "term_id", "profile_id")
-
-# the single-valued id spaces of a behavior or an ad, in packing order
-_ITEM_SHOP_BRAND = ("item_id", "shop_id", "brand_id")
 
 VARIANTS = (
     "DNN",
@@ -55,70 +53,65 @@ class VocabularyError(ValueError):
     """An id, or a checkpoint's table sizes, do not fit a vocabulary."""
 
 
-@dataclass(frozen=True)
-class BehaviorItem:
-    """One past behavior: the item plus the query that led to it."""
-
-    item_id: int
-    shop_id: int
-    brand_id: int
-    title_term_ids: tuple[int, ...] = ()
-    query_term_ids: tuple[int, ...] = ()
-
-
-PAD_BEHAVIOR = BehaviorItem(0, 0, 0, (), ())
-
-
-@dataclass(frozen=True)
-class AdItem:
-    """An ad candidate's id features (no source-query feature)."""
-
-    item_id: int
-    shop_id: int
-    brand_id: int
-    title_term_ids: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """Query terms, profile ids, and a fixed-length behavior window.
-
-    Behaviors are time-ordered oldest to newest and left-padded with
-    ``PAD_BEHAVIOR`` so the most recent behavior sits in the last slot.
-    """
-
-    query_term_ids: tuple[int, ...]
-    profile_ids: tuple[int, ...]
-    behaviors: tuple[BehaviorItem, ...]
-
-
-@dataclass(frozen=True)
-class ImpressionInstance:
-    """One labeled training example: request, ad, click label."""
-
-    request: QueryRequest
-    ad: AdItem
-    label: int
+def _join_rows(parts: list):
+    """The parts' rows in order, each array's trailing axes zero-padded to
+    the widest part's (0 is the pad id)."""
+    if isinstance(parts[0], _Columns):
+        return type(parts[0]).join(parts)
+    trailing = {p.shape[1:] for p in parts}
+    if len(trailing) == 1:
+        return np.concatenate(parts)
+    widths = tuple(map(max, *trailing))
+    out = np.zeros((sum(map(len, parts)), *widths), dtype=parts[0].dtype)
+    lo = 0
+    for p in parts:
+        out[(slice(lo, lo + len(p)), *map(slice, p.shape[1:]))] = p
+        lo += len(p)
+    return out
 
 
 class _Columns:
     """Equal-length columns; indexing selects the same rows from each."""
 
+    # id column -> (its space, its name in a VocabularyError)
+    ID_SPACES: ClassVar[dict[str, tuple[str, str]]] = {}
+
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
     def __getitem__(self, rows):
-        picked = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
-        return type(self)(**picked)
+        return type(self)(**{name: column[rows] for name, column in vars(self).items()})
+
+    @classmethod
+    def join(cls, parts):
+        """``parts`` when it is one column set, else its elements' rows
+        concatenated; a one-element list gives its element."""
+        if isinstance(parts, cls):
+            return parts
+        if not parts:
+            raise ValueError(f"no {cls.__name__} to join")
+        if len(parts) == 1:
+            return parts[0]
+        return cls(**{name: _join_rows(list(map(attrgetter(name), parts))) for name in vars(parts[0])})
 
 
 @dataclass(frozen=True, eq=False)
 class RequestColumns(_Columns):
-    """Query-tower inputs of B requests as validated id arrays.
+    """Query-tower inputs of B requests as id arrays.
 
-    Id lists are zero-padded to the longest list in the pack (id 0 is
-    the pad id); the window arrays are [B x m], oldest step first.
+    Id lists are zero-padded to the longest list in the set (id 0 is the
+    pad id); the window arrays are [B x m], oldest step first.
     """
+
+    ID_SPACES: ClassVar = {
+        "query_terms": ("term_id", "query_term_ids"),
+        "profile_ids": ("profile_id", "profile_ids"),
+        "item_ids": ("item_id", "behavior item_id"),
+        "shop_ids": ("shop_id", "behavior shop_id"),
+        "brand_ids": ("brand_id", "behavior brand_id"),
+        "title_terms": ("term_id", "behavior title_term_ids"),
+        "source_query_terms": ("term_id", "behavior query_term_ids"),
+    }
 
     query_terms: np.ndarray  # [B x Lq]
     profile_ids: np.ndarray  # [B x Lp]
@@ -131,7 +124,14 @@ class RequestColumns(_Columns):
 
 @dataclass(frozen=True, eq=False)
 class AdColumns(_Columns):
-    """Ad-tower inputs of B ads as validated id arrays."""
+    """Ad-tower inputs of B ads as id arrays."""
+
+    ID_SPACES: ClassVar = {
+        "item_ids": ("item_id", "ad item_id"),
+        "shop_ids": ("shop_id", "ad shop_id"),
+        "brand_ids": ("brand_id", "ad brand_id"),
+        "title_terms": ("term_id", "ad title_term_ids"),
+    }
 
     item_ids: np.ndarray  # [B]
     shop_ids: np.ndarray  # [B]
@@ -141,10 +141,10 @@ class AdColumns(_Columns):
 
 @dataclass(frozen=True, eq=False)
 class InstanceBatch(_Columns):
-    """Labeled instances in columnar form; made by ``MatchingModel.pack``.
+    """Labeled instances in columnar form.
 
-    Training packs its instance list once and indexes mini-batches out
-    of it, so no step rebuilds arrays from Python objects.
+    Training packs its batch once and indexes mini-batches out of it, so
+    no step rebuilds arrays from Python objects.
     """
 
     requests: RequestColumns
@@ -270,9 +270,6 @@ class MatchingModel:
             raise ValueError(f"vocab_sizes missing spaces {missing}")
         self.config = config
         self.vocab_sizes = {s: int(vocab_sizes[s]) for s in SPACES}
-        self._item_shop_brand_sizes = np.array(
-            [[self.vocab_sizes[s]] for s in _ITEM_SHOP_BRAND], dtype=np.uintp
-        )
         if any(v < 1 for v in self.vocab_sizes.values()):
             raise ValueError("every space needs at least the pad row")
         self.params = ParamStore()
@@ -355,7 +352,7 @@ class MatchingModel:
         return (f"{prefix}1/W", f"{prefix}1/b", f"{prefix}2/W", f"{prefix}2/b")
 
     # ------------------------------------------------------------------
-    # packing: Python objects -> validated columnar id arrays
+    # the door: columns in, every id checked against its vocabulary
 
     def _vocab_error(
         self, space: str, column: str, ids: np.ndarray
@@ -367,112 +364,34 @@ class MatchingModel:
             f"in column '{column}'"
         )
 
-    def _item_shop_brand_ids(
-        self, owner: str, items: Sequence[BehaviorItem] | Sequence[AdItem]
-    ) -> np.ndarray:
-        """Checked [3 x n] item, shop and brand ids of behaviors or ads."""
-        ids = np.array(
-            [
-                [it.item_id for it in items],
-                [it.shop_id for it in items],
-                [it.brand_id for it in items],
-            ],
-            dtype=np.intp,
-        ).reshape(3, len(items))
-        # viewed unsigned, a negative id is larger than any vocabulary size
-        bad = (ids.view(np.uintp) >= self._item_shop_brand_sizes).any(axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            space = _ITEM_SHOP_BRAND[row]
-            raise self._vocab_error(space, f"{owner} {space}", ids[row])
-        return ids
+    def _checked(self, columns: _Columns) -> _Columns:
+        for name, (space, column) in columns.ID_SPACES.items():
+            ids = getattr(columns, name)
+            if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_sizes[space]):
+                raise self._vocab_error(space, column, ids)
+        return columns
 
-    def _padded_ids(
-        self, space: str, column: str, lists: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """[len(lists) x L] checked ids, each list left-aligned and padded
-        with the pad id 0 to the longest one's length L."""
-        n = len(lists)
-        width = max(map(len, lists), default=0)
-        flat = np.fromiter(chain.from_iterable(lists), np.intp)
-        if flat.size and flat.view(np.uintp).max() >= self.vocab_sizes[space]:
-            raise self._vocab_error(space, column, flat)
-        if flat.size == n * width:  # every list is full: nothing to pad
-            return flat.reshape(n, width)
-        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=n)
-        out = np.zeros((n, width), dtype=np.intp)
-        out[np.arange(width) < lengths[:, None]] = flat
-        return out
-
-    def _pack_requests(
-        self, requests: Sequence[QueryRequest] | RequestColumns
-    ) -> RequestColumns:
-        if isinstance(requests, RequestColumns):
-            return requests
+    def _requests(self, requests: RequestColumns | Sequence[RequestColumns]) -> RequestColumns:
+        req = RequestColumns.join(requests)
         m = self.config.behavior_window
-        for r in requests:
-            if len(r.behaviors) != m:
-                raise ValueError(
-                    f"request has {len(r.behaviors)} behavior slots, expected {m}"
-                )
-        n = len(requests)
-        behaviors = [b for r in requests for b in r.behaviors]
-        items, shops, brands = self._item_shop_brand_ids("behavior", behaviors)
+        if req.item_ids.shape[1] != m:
+            raise ValueError(f"request has {req.item_ids.shape[1]} behavior slots, expected {m}")
+        return self._checked(req)
 
-        def window_lists(column: str, lists) -> np.ndarray:
-            ids = self._padded_ids("term_id", column, lists)
-            return ids.reshape(n, m, ids.shape[1])
-
-        return RequestColumns(
-            query_terms=self._padded_ids(
-                "term_id", "query_term_ids", [r.query_term_ids for r in requests]
-            ),
-            profile_ids=self._padded_ids(
-                "profile_id", "profile_ids", [r.profile_ids for r in requests]
-            ),
-            item_ids=items.reshape(n, m),
-            shop_ids=shops.reshape(n, m),
-            brand_ids=brands.reshape(n, m),
-            title_terms=window_lists(
-                "behavior title_term_ids", [b.title_term_ids for b in behaviors]
-            ),
-            source_query_terms=window_lists(
-                "behavior query_term_ids", [b.query_term_ids for b in behaviors]
-            ),
-        )
-
-    def _pack_ads(self, ads: Sequence[AdItem] | AdColumns) -> AdColumns:
-        if isinstance(ads, AdColumns):
-            return ads
-        items, shops, brands = self._item_shop_brand_ids("ad", ads)
-        return AdColumns(
-            item_ids=items,
-            shop_ids=shops,
-            brand_ids=brands,
-            title_terms=self._padded_ids(
-                "term_id", "ad title_term_ids", [a.title_term_ids for a in ads]
-            ),
-        )
-
-    def pack(
-        self, instances: Sequence[ImpressionInstance] | InstanceBatch
-    ) -> InstanceBatch:
-        """Columnar batch of instances, every id and label validated once.
+    def pack(self, instances: InstanceBatch | Sequence[InstanceBatch]) -> InstanceBatch:
+        """One batch of instances, joined from a list of batches if given
+        one, with every id and label checked.
 
         Raises VocabularyError naming the space and column of an id
-        outside its vocabulary. A packed batch is returned unchanged, so
-        every entry point below accepts either form.
+        outside its vocabulary. A batch whose ids and labels hold is
+        returned as it is.
         """
-        if isinstance(instances, InstanceBatch):
-            return instances
-        labels = np.array([i.label for i in instances], dtype=np.float64)
-        if labels.size:
-            _check_labels(labels)
-        return InstanceBatch(
-            requests=self._pack_requests([i.request for i in instances]),
-            ads=self._pack_ads([i.ad for i in instances]),
-            labels=labels,
-        )
+        batch = InstanceBatch.join(instances)
+        self._requests(batch.requests)
+        self._checked(batch.ads)
+        if len(batch):
+            _check_labels(batch.labels)
+        return batch
 
     # ------------------------------------------------------------------
     # behavior-sequence encoders
@@ -601,11 +520,12 @@ class MatchingModel:
         w1, b1, w2, b2 = (self.params[n] for n in self.tower_param_names(side))
         return self._act(self._act(x @ w1 + b1) @ w2 + b2)
 
-    def qu_forward(self, requests: Sequence[QueryRequest] | RequestColumns) -> Tensor:
-        """Query-tower outputs V_qu, shape [batch x d]."""
-        if not len(requests):
+    def qu_forward(self, requests: RequestColumns | Sequence[RequestColumns]) -> Tensor:
+        """Query-tower outputs V_qu, shape [batch x d], of one column set
+        or of a list of them joined."""
+        req = self._requests(requests)
+        if not len(req):
             raise ValueError("empty request batch")
-        req = self._pack_requests(requests)
         query_emb = self._query_embedding(req)
         profile_emb = ad.segment_sum(self.params["emb/profile_id"], req.profile_ids)
         h = self._encode_behaviors(req, query_emb)
@@ -613,11 +533,13 @@ class MatchingModel:
         x = self._act(x @ self.params["qu_proj/W"] + self.params["qu_proj/b"])
         return self._tower(x, "qu")
 
-    def ad_forward(self, ads: Sequence[AdItem] | AdColumns) -> Tensor:
-        """Ad-tower outputs V_a, shape [batch x d]."""
-        if not len(ads):
+    def ad_forward(self, ads: AdColumns | Sequence[AdColumns]) -> Tensor:
+        """Ad-tower outputs V_a, shape [batch x d], of one column set or of
+        a list of them joined."""
+        columns = self._checked(AdColumns.join(ads))
+        if not len(columns):
             raise ValueError("empty ad batch")
-        x = self._embed_ads(self._pack_ads(ads))
+        x = self._embed_ads(columns)
         x = self._act(x @ self.params["ad_proj/W"] + self.params["ad_proj/b"])
         return self._tower(x, "ad")
 
@@ -650,7 +572,7 @@ class MatchingModel:
         return _bce(self.prerank_prob(v_qu, v_a), labels)
 
     def towers_forward(
-        self, instances: Sequence[ImpressionInstance] | InstanceBatch
+        self, instances: InstanceBatch | Sequence[InstanceBatch]
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         """One shared forward pass up to both tower outputs."""
         if not len(instances):
@@ -660,7 +582,7 @@ class MatchingModel:
         v_a = self.ad_forward(batch.ads)
         return v_qu, v_a, batch.labels
 
-    def joint_loss(self, instances: Sequence[ImpressionInstance] | InstanceBatch) -> Tensor:
+    def joint_loss(self, instances: InstanceBatch | Sequence[InstanceBatch]) -> Tensor:
         """alpha * retrieval loss + (1 - alpha) * pre-rank loss, one forward."""
         a = self.config.alpha
         v_qu, v_a, labels = self.towers_forward(instances)
@@ -669,7 +591,7 @@ class MatchingModel:
         return ad.add(ad.mul(c_v, a), ad.mul(c_r, 1.0 - a))
 
     def loss_for_mode(
-        self, instances: Sequence[ImpressionInstance] | InstanceBatch, mode: str
+        self, instances: InstanceBatch | Sequence[InstanceBatch], mode: str
     ) -> Tensor:
         """The training loss of ``mode``, at the config's alpha and gamma."""
         if mode == "JOINT":
@@ -686,10 +608,10 @@ class MatchingModel:
 
     def predict(
         self,
-        instances: Sequence[ImpressionInstance] | InstanceBatch,
+        instances: InstanceBatch | Sequence[InstanceBatch],
         gamma: float | None = None,
     ) -> dict[str, np.ndarray]:
-        """Tape-free scores for both heads over a list of instances."""
+        """Tape-free scores for both heads over a batch of instances."""
         batch = self.pack(instances)
         retrieval: list[np.ndarray] = []
         prerank: list[np.ndarray] = []

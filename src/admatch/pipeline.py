@@ -38,8 +38,8 @@ from .data import (
     LogRecord,
     PlantedOracle,
     Vocabulary,
-    ad_item_from_descriptor,
-    request_from_record,
+    ad_columns,
+    request_columns,
 )
 from .annindex import (
     EXACT_FALLBACK_WARNING,
@@ -116,8 +116,7 @@ def compute_ad_vectors(
     ids = [ad.item_id for ad in ads]
     rows = []
     for lo in range(0, len(ads), INFERENCE_CHUNK):
-        items = [ad_item_from_descriptor(a, vocab) for a in ads[lo : lo + INFERENCE_CHUNK]]
-        rows.append(model.ad_forward(items).data)
+        rows.append(model.ad_forward(ad_columns(ads[lo : lo + INFERENCE_CHUNK], vocab)).data)
     matrix = np.concatenate(rows, axis=0) if rows else np.zeros((0, model.config.d))
     return ids, matrix
 
@@ -481,7 +480,6 @@ def simulate(
     )
 
     m = model.config.behavior_window
-    mapped: dict = {}  # each distinct event's BehaviorItem, for request_from_record
     rng = np.random.default_rng(config.seed)
     split_dev = 0.0
     keyword_rows: dict[str, np.ndarray] = {}
@@ -496,7 +494,7 @@ def simulate(
     blocks: list[tuple[np.ndarray, ...]] = []
     for lo in range(0, len(records), INFERENCE_CHUNK):
         block = records[lo : lo + INFERENCE_CHUNK]
-        v_qu = model.qu_forward([request_from_record(r, vocab, m, mapped) for r in block]).data
+        v_qu = model.qu_forward(request_columns(block, vocab, m)).data
         # retrieval, one request at a time: each served request's rows in
         # catalog order, with their path bits and vector-path scores
         served, candidates = [], []

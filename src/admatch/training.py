@@ -3,7 +3,7 @@
 Training is bitwise reproducible: batch order is a seeded shuffle, one
 optimizer step runs per batch, and the best-validation checkpoint is
 restored at the end. Reserved pad embedding rows are pinned to zero
-through every step. The instance lists are packed into columnar batches
+through every step. The instances are packed into one columnar batch
 once per call; each step slices its mini-batch out of the packed store.
 """
 
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape
-from .model import ImpressionInstance, InstanceBatch, MatchingModel
+from .model import InstanceBatch, MatchingModel
 
 MODES = ("JOINT", "SINGLE_RETRIEVAL", "SINGLE_PRERANK")
 
@@ -130,8 +130,8 @@ def _validation_aucs(
 
 def train(
     model: MatchingModel,
-    train_instances: Sequence[ImpressionInstance] | InstanceBatch,
-    val_instances: Sequence[ImpressionInstance] | InstanceBatch,
+    train_instances: InstanceBatch | Sequence[InstanceBatch],
+    val_instances: InstanceBatch | Sequence[InstanceBatch],
     config: TrainConfig,
 ) -> TrainResult:
     """Run seeded mini-batch training and restore the best checkpoint.

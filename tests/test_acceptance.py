@@ -27,7 +27,7 @@ from admatch.data import (
     GeneratorConfig,
     build_vocab,
     generate_synthetic,
-    make_instances,
+    instance_batch,
     split_by_day,
 )
 from admatch.evaluation import auc, gamma_sweep, model_aucs
@@ -62,9 +62,9 @@ def _instances_for(gen: GeneratorConfig, m: int = 6):
         "oracle": oracle,
         "vocab": vocab,
         "test_records": test_recs,
-        "train": list(make_instances(train_recs, vocab, m)),
-        "validation": list(make_instances(val_recs, vocab, m)),
-        "test": list(make_instances(test_recs, vocab, m)),
+        "train": instance_batch(train_recs, vocab, m),
+        "validation": instance_batch(val_recs, vocab, m),
+        "test": instance_batch(test_recs, vocab, m),
     }
 
 
@@ -119,7 +119,7 @@ def test_criterion_1_gradient_matrix():
     )
     records, _, _ = generate_synthetic(gen)
     vocab = build_vocab(records, top_k=1000)
-    batch = list(make_instances(records, vocab, m=2))[:4]
+    batch = instance_batch(records[:4], vocab, m=2)
     assert len(batch) == 4
     config = EncoderConfig(
         behavior_window=2,

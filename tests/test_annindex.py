@@ -623,6 +623,29 @@ class TestPqMatchesReference:
             assert got.tobytes() == x.sum(axis=1).tobytes(), width
 
 
+class TestOneRowEncodesAsItsBlock:
+    """A row's nearest-centroid distances do not depend on the rows encoded
+    with it: alone, as ``add`` encodes it, a row gets its row of the block
+    product that codes the catalog. numpy hands a one-row product to another
+    BLAS kernel; the vectors are non-dyadic, so its other rounding shows."""
+
+    @pytest.mark.parametrize(("n", "subspaces", "k"), [(600, 16, 256), (300, 8, 64)])
+    def test_each_row_alone_gets_its_row_of_the_block(self, n, subspaces, k):
+        rng = np.random.default_rng(n + k)
+        vectors = random_unit(rng, n, 128)
+        codebooks = pq_train(vectors, subspaces, k, 2, seed=1).codebooks
+        # pq_encode's layout: [M, n, sub] views of the [n, d] rows
+        rows = vectors.reshape(n, subspaces, -1).transpose(1, 0, 2)
+        rows_sq = (rows * rows).sum(axis=2)
+        for m in range(subspaces):
+            table, table_sq = codebooks.table[m], codebooks.table_sq[m]
+            codes, dists = annindex._nearest(rows[m], rows_sq[m], table, table_sq)
+            for i in rng.choice(n, size=40, replace=False).tolist():
+                one = annindex._nearest(rows[m][i : i + 1], rows_sq[m][i : i + 1], table, table_sq)
+                assert one[0][0] == codes[i]
+                assert one[1].tobytes() == dists[i : i + 1].tobytes(), (m, i)
+
+
 class TestAdcMatchesReference:
     """The subspace-major scan gives ``reference_adc``'s bits, and the pool
     is the set of ``reference_top_rows``'s rows."""

@@ -1,5 +1,6 @@
 """Log schema, vocabulary, instance assembly, splits, and the generator."""
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -23,16 +24,18 @@ from admatch.data import (
     LogRecord,
     PlantedOracle,
     Vocabulary,
+    ad_columns,
     build_vocab,
     generate_synthetic,
+    instance_batch,
     make_instances,
     read_ads,
     read_log_records,
+    request_columns,
     split_by_day,
     write_ads,
     write_log_records,
 )
-from admatch.model import PAD_BEHAVIOR
 
 
 def simple_record(
@@ -173,24 +176,45 @@ class TestBuildVocab:
         assert str(exc.value) == message.replace("PATH", str(path))
 
 
-class TestMakeInstances:
+def column_arrays(columns, prefix=""):
+    """Every array of a column set, by dotted field name."""
+    arrays = {}
+    for f in dataclasses.fields(columns):
+        value = getattr(columns, f.name)
+        if dataclasses.is_dataclass(value):
+            arrays.update(column_arrays(value, f"{prefix}{f.name}."))
+        else:
+            arrays[prefix + f.name] = value
+    return arrays
+
+
+def assert_same_columns(a, b):
+    left, right = column_arrays(a), column_arrays(b)
+    assert left.keys() == right.keys()
+    for name, array in left.items():
+        assert array.dtype == right[name].dtype and array.shape == right[name].shape, name
+        assert np.array_equal(array, right[name]), name
+
+
+class TestInstanceBatch:
     def test_left_padding(self):
         rec = simple_record(
             ts=100, behaviors=[event(10), event(20)]
         )
         vocab = build_vocab([rec], top_k=50)
-        inst = next(make_instances([rec], vocab, m=6))
-        behaviors = inst.request.behaviors
-        assert len(behaviors) == 6
-        assert behaviors[:4] == (PAD_BEHAVIOR,) * 4
-        assert behaviors[4].item_id != 0 and behaviors[5].item_id != 0
+        req = request_columns([rec], vocab, m=6)
+        assert req.item_ids.shape == (1, 6)
+        for ids in (req.item_ids, req.shop_ids, req.brand_ids):
+            assert ids[0, :4].tolist() == [0] * 4
+        assert not req.title_terms[0, :4].any() and not req.source_query_terms[0, :4].any()
+        assert req.item_ids[0, 4] != 0 and req.item_ids[0, 5] != 0
 
     def test_click_label(self):
         rec = simple_record(clicked=1)
         vocab = build_vocab([rec], top_k=50)
-        assert next(make_instances([rec], vocab)).label == 1
+        assert instance_batch([rec], vocab, 6).labels.tolist() == [1.0]
         rec2 = simple_record(clicked=0)
-        assert next(make_instances([rec2], vocab)).label == 0
+        assert instance_batch([rec2], vocab, 6).labels.tolist() == [0.0]
 
     def test_future_behavior_excluded(self):
         rec = simple_record(
@@ -198,9 +222,8 @@ class TestMakeInstances:
                                event(150, item="future")]
         )
         vocab = build_vocab([rec], top_k=50)
-        inst = next(make_instances([rec], vocab, m=3))
+        got_items = request_columns([rec], vocab, m=3).item_ids[0].tolist()
         past_id = vocab.id_for("item_id", "past")
-        got_items = [b.item_id for b in inst.request.behaviors]
         assert got_items[-1] == past_id
         assert vocab.id_for("item_id", "future") not in got_items
         assert vocab.id_for("item_id", "now") not in got_items
@@ -210,27 +233,40 @@ class TestMakeInstances:
             ts=1000, behaviors=[event(10 * i, item=f"i{i}") for i in range(1, 9)]
         )
         vocab = build_vocab([rec], top_k=50)
-        inst = next(make_instances([rec], vocab, m=3))
-        items = [b.item_id for b in inst.request.behaviors]
+        items = request_columns([rec], vocab, m=3).item_ids[0].tolist()
         expected = [vocab.id_for("item_id", f"i{i}") for i in (6, 7, 8)]
         assert items == expected
 
     def test_zero_history_all_pad(self):
         rec = simple_record(behaviors=[])
         vocab = build_vocab([rec], top_k=50)
-        inst = next(make_instances([rec], vocab, m=4))
-        assert inst.request.behaviors == (PAD_BEHAVIOR,) * 4
+        req = request_columns([rec], vocab, m=4)
+        assert req.item_ids.tolist() == req.shop_ids.tolist() == req.brand_ids.tolist() == [[0] * 4]
+        assert req.title_terms.shape == req.source_query_terms.shape == (1, 4, 0)
 
     def test_stream_reproducible(self):
         records, _, _ = generate_synthetic(GeneratorConfig(seed=2, n_users=4, days=2))
         vocab = build_vocab(records, top_k=100)
-        a = list(make_instances(records, vocab, m=6))
-        b = list(make_instances(records, vocab, m=6))
-        assert a == b
+        a = instance_batch(records, vocab, m=6)
+        b = instance_batch(records, vocab, m=6)
+        assert_same_columns(a, b)
+        # the one-row form perfbench takes is the batch, row by row
+        rows = list(make_instances(records, vocab, m=6))
+        assert len(rows) == len(a)
+        for i, row in enumerate(rows):
+            assert_same_columns(row, a[i : i + 1])
+
+    def test_each_row_holds_its_records_ad_and_label(self):
+        records, _, _ = generate_synthetic(GeneratorConfig(seed=2, n_users=4, days=2))
+        vocab = build_vocab(records, top_k=100)
+        batch = instance_batch(records, vocab, m=6)
+        assert batch.ads.item_ids.tolist() == [vocab.id_for("item_id", r.ad.item_id) for r in records]
+        assert_same_columns(batch.ads, ad_columns([r.ad for r in records], vocab))
+        assert batch.labels.tolist() == [float(r.clicked) for r in records]
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            next(make_instances([simple_record()], build_vocab([simple_record()], 5), m=0))
+            instance_batch([simple_record()], build_vocab([simple_record()], 5), m=0)
 
 
 @pytest.fixture(scope="module")
@@ -1026,7 +1062,7 @@ class TestLogFormat:
         read = read_log_records(path)
         vocab = build_vocab(records, top_k=40)
         assert build_vocab(read, top_k=40)._maps == vocab._maps
-        assert list(make_instances(read, vocab, m=6)) == list(make_instances(records, vocab, m=6))
+        assert_same_columns(instance_batch(read, vocab, m=6), instance_batch(records, vocab, m=6))
 
 
 class TestLogRoundTrip:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from admatch.data import DatasetSplit, GeneratorConfig, build_vocab, generate_synthetic, make_instances, split_by_day
+from admatch.data import DatasetSplit, GeneratorConfig, build_vocab, generate_synthetic, instance_batch, split_by_day
 from admatch.evaluation import (
     GammaSweepRow,
     PredictionStats,
@@ -125,9 +125,9 @@ def small_data():
     split = DatasetSplit(("2024-01-01", "2024-01-02", "2024-01-03"), "2024-01-04")
     train_recs, val_recs, test_recs = split_by_day(records, split)
     return (
-        list(make_instances(train_recs, vocab, m=6)),
-        list(make_instances(val_recs, vocab, m=6)),
-        list(make_instances(test_recs, vocab, m=6)),
+        instance_batch(train_recs, vocab, m=6),
+        instance_batch(val_recs, vocab, m=6),
+        instance_batch(test_recs, vocab, m=6),
         vocab.sizes,
     )
 
@@ -144,7 +144,7 @@ class TestGammaSweep:
         model = MatchingModel(replace(SMALL_ENCODER, gamma=6.0), sizes, seed=3)
         result = train(model, tr, va, tcfg)
         preds = result.model.predict(te, gamma=6.0)["retrieval"]
-        labels = np.array([i.label for i in te])
+        labels = te.labels
         assert rows[0].auc == auc(preds, labels)
         assert rows[0].stats == prediction_stats(preds)
 

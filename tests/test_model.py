@@ -13,15 +13,13 @@ from admatch import model as model_module
 from admatch.artifact import ArtifactError
 from admatch.autodiff import Tape, Tensor, grad_check
 from admatch.model import (
-    PAD_BEHAVIOR,
     VARIANTS,
-    AdItem,
-    BehaviorItem,
+    AdColumns,
     EncoderConfig,
-    ImpressionInstance,
+    InstanceBatch,
     MatchingModel,
-    QueryRequest,
     PrerankScorer,
+    RequestColumns,
     VocabularyError,
 )
 
@@ -50,62 +48,69 @@ def tiny_config(**overrides) -> EncoderConfig:
     return EncoderConfig(**base)
 
 
-def make_request(rng, m=3) -> QueryRequest:
-    def behavior():
-        return BehaviorItem(
-            item_id=int(rng.integers(1, VOCAB["item_id"])),
-            shop_id=int(rng.integers(1, VOCAB["shop_id"])),
-            brand_id=int(rng.integers(1, VOCAB["brand_id"])),
-            title_term_ids=tuple(
-                int(t) for t in rng.integers(1, VOCAB["term_id"], size=2)
-            ),
-            query_term_ids=(int(rng.integers(1, VOCAB["term_id"])),),
-        )
-
+def make_request(rng, m=3) -> RequestColumns:
+    """A random one-row request: 1 to m behaviors after the pad slots, each
+    with two title terms and one source-query term."""
     n_real = int(rng.integers(1, m + 1))
-    behaviors = (PAD_BEHAVIOR,) * (m - n_real) + tuple(
-        behavior() for _ in range(n_real)
-    )
-    return QueryRequest(
-        query_term_ids=tuple(
-            int(t) for t in rng.integers(1, VOCAB["term_id"], size=2)
-        ),
-        profile_ids=(int(rng.integers(1, VOCAB["profile_id"])),),
-        behaviors=behaviors,
-    )
-
-
-def make_ad(rng) -> AdItem:
-    return AdItem(
-        item_id=int(rng.integers(1, VOCAB["item_id"])),
-        shop_id=int(rng.integers(1, VOCAB["shop_id"])),
-        brand_id=int(rng.integers(1, VOCAB["brand_id"])),
-        title_term_ids=tuple(
-            int(t) for t in rng.integers(1, VOCAB["term_id"], size=2)
-        ),
+    items, shops, brands = (np.zeros((1, m), dtype=np.intp) for _ in range(3))
+    titles = np.zeros((1, m, 2), dtype=np.intp)
+    queries = np.zeros((1, m, 1), dtype=np.intp)
+    for t in range(m - n_real, m):
+        items[0, t] = rng.integers(1, VOCAB["item_id"])
+        shops[0, t] = rng.integers(1, VOCAB["shop_id"])
+        brands[0, t] = rng.integers(1, VOCAB["brand_id"])
+        titles[0, t] = rng.integers(1, VOCAB["term_id"], size=2)
+        queries[0, t] = rng.integers(1, VOCAB["term_id"])
+    return RequestColumns(
+        query_terms=rng.integers(1, VOCAB["term_id"], size=(1, 2)),
+        profile_ids=rng.integers(1, VOCAB["profile_id"], size=(1, 1)),
+        item_ids=items,
+        shop_ids=shops,
+        brand_ids=brands,
+        title_terms=titles,
+        source_query_terms=queries,
     )
 
 
-def make_batch(rng, n, m=3):
+def make_ad(rng) -> AdColumns:
+    """A random one-row ad with two title terms."""
+    ids = [rng.integers(1, VOCAB[space], size=1) for space in ("item_id", "shop_id", "brand_id")]
+    return AdColumns(*ids, title_terms=rng.integers(1, VOCAB["term_id"], size=(1, 2)))
+
+
+def make_rows(rng, n, m=3) -> list[InstanceBatch]:
     return [
-        ImpressionInstance(make_request(rng, m), make_ad(rng), int(rng.integers(0, 2)))
+        InstanceBatch(make_request(rng, m), make_ad(rng), np.array([float(rng.integers(0, 2))]))
         for _ in range(n)
     ]
 
 
-def embed_item(model, item):
-    """One item's embedding row through the towers' packing and embedding
-    path; a behavior fills every slot of a request's window."""
-    if isinstance(item, BehaviorItem):
-        req = QueryRequest((), (), (item,) * model.config.behavior_window)
-        return model._embed_behaviors(model._pack_requests([req])).data[-1]
-    return model._embed_ads(model._pack_ads([item])).data[0]
+def make_batch(rng, n, m=3) -> InstanceBatch:
+    return InstanceBatch.join(make_rows(rng, n, m))
+
+
+def repeated_behavior(item, shop, brand, titles, queries, m=3, query=(), profile=()):
+    """A one-row request whose every window slot holds the same behavior."""
+    return RequestColumns(
+        query_terms=np.array([query], dtype=np.intp).reshape(1, -1),
+        profile_ids=np.array([profile], dtype=np.intp).reshape(1, -1),
+        item_ids=np.full((1, m), item),
+        shop_ids=np.full((1, m), shop),
+        brand_ids=np.full((1, m), brand),
+        title_terms=np.tile(np.array(titles, dtype=np.intp), (1, m, 1)),
+        source_query_terms=np.tile(np.array(queries, dtype=np.intp), (1, m, 1)),
+    )
+
+
+def slot_embeddings(model, req):
+    """The embedding row of each window slot of a one-row request, oldest first."""
+    return model._embed_behaviors(req, time_major=False).data
 
 
 def encode_behaviors(model, requests):
-    """Behavior encodings h, one row per request, packed and encoded as
+    """Behavior encodings h, one row per request, entered and encoded as
     the query tower does it."""
-    req = model._pack_requests(requests)
+    req = model._requests(requests)
     return model._encode_behaviors(req, model._query_embedding(req))
 
 
@@ -113,20 +118,20 @@ class TestEmbedItem:
     def test_title_terms_summed(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
         table = model.params["emb/term_id"].data
-        item = AdItem(item_id=1, shop_id=1, brand_id=1, title_term_ids=(2, 5))
-        out = embed_item(model, item)
+        ads = AdColumns(np.array([1]), np.array([1]), np.array([1]), np.array([[2, 5]]))
+        out = model._embed_ads(ads).data[0]
         title_slot = out[4 + 3 + 3 : 4 + 3 + 3 + 4]
         np.testing.assert_allclose(title_slot, table[2] + table[5], atol=0)
 
     def test_all_pad_behavior_is_zero(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
-        out = embed_item(model, PAD_BEHAVIOR)
+        out = slot_embeddings(model, repeated_behavior(0, 0, 0, [[]], [[]]))
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_random_item_matches_row_sum_oracle(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=2)
         rng = np.random.default_rng(0)
-        item = BehaviorItem(3, 2, 4, (1, 1, 6), (7, 2))
+        req = repeated_behavior(3, 2, 4, [[1, 1, 6]], [[7, 2]])
         p = model.params
         expected = np.concatenate(
             [
@@ -139,13 +144,14 @@ class TestEmbedItem:
                 p["emb/term_id"].data[7] + p["emb/term_id"].data[2],
             ]
         )
-        np.testing.assert_allclose(embed_item(model, item), expected, atol=0)
+        for row in slot_embeddings(model, req):
+            np.testing.assert_allclose(row, expected, atol=0)
 
     def test_out_of_range_id_names_space(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=1)
-        bad = AdItem(item_id=99, shop_id=1, brand_id=1, title_term_ids=())
+        bad = AdColumns(np.array([99]), np.array([1]), np.array([1]), np.zeros((1, 0), np.intp))
         with pytest.raises(VocabularyError, match="item_id"):
-            embed_item(model, bad)
+            model.ad_forward(bad)
 
     def test_pad_rows_zero_after_init(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=3)
@@ -167,15 +173,16 @@ def gru_oracle(p, xs, hidden):
     return states
 
 
-def embed_oracle(p, b):
+def embed_oracle(p, req, t):
+    """Slot t's embedding in a one-row request; pad term ids add nothing."""
     term = p["emb/term_id"]
-    title = sum((term[t] for t in b.title_term_ids), np.zeros(term.shape[1]))
-    query = sum((term[t] for t in b.query_term_ids), np.zeros(term.shape[1]))
+    title = sum((term[i] for i in req.title_terms[0, t] if i), np.zeros(term.shape[1]))
+    query = sum((term[i] for i in req.source_query_terms[0, t] if i), np.zeros(term.shape[1]))
     return np.concatenate(
         [
-            p["emb/item_id"][b.item_id],
-            p["emb/shop_id"][b.shop_id],
-            p["emb/brand_id"][b.brand_id],
+            p["emb/item_id"][req.item_ids[0, t]],
+            p["emb/shop_id"][req.shop_ids[0, t]],
+            p["emb/brand_id"][req.brand_ids[0, t]],
             title,
             query,
         ]
@@ -188,16 +195,15 @@ class TestEncoders:
         rng = np.random.default_rng(5)
         req = make_request(rng)
         h = encode_behaviors(model, [req]).data[0]
-        embeds = [embed_item(model, b) for b in req.behaviors]
+        embeds = slot_embeddings(model, req)
         np.testing.assert_allclose(h, np.mean(embeds, axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["DNN", "ATTENTION_DNN"])
     def test_identical_behaviors_reduce_to_single_encoding(self, variant):
         model = MatchingModel(tiny_config(variant=variant), VOCAB, seed=6)
-        b = BehaviorItem(2, 1, 3, (4, 5), (1,))
-        req = QueryRequest((2, 3), (1,), (b, b, b))
+        req = repeated_behavior(2, 1, 3, [[4, 5]], [[1]], query=(2, 3), profile=(1,))
         h = encode_behaviors(model, [req]).data[0]
-        np.testing.assert_allclose(h, embed_item(model, b), atol=1e-12)
+        np.testing.assert_allclose(h, slot_embeddings(model, req)[-1], atol=1e-12)
 
     def test_gru_matches_hand_unrolled_oracle(self):
         cfg = tiny_config(variant="GRU_RNN", behavior_window=2)
@@ -205,7 +211,7 @@ class TestEncoders:
         rng = np.random.default_rng(8)
         req = make_request(rng, m=2)
         arrays = {name: e.value.data for name, e in model.params.items()}
-        xs = [embed_oracle(arrays, b) for b in req.behaviors]
+        xs = [embed_oracle(arrays, req, t) for t in range(2)]
         expected = gru_oracle(arrays, xs, cfg.gru_hidden)[-1]
         got = encode_behaviors(model, [req]).data[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -216,10 +222,10 @@ class TestEncoders:
         rng = np.random.default_rng(10)
         req = make_request(rng, m=2)
         p = {name: e.value.data for name, e in model.params.items()}
-        xs = [embed_oracle(p, b) for b in req.behaviors]
+        xs = [embed_oracle(p, req, t) for t in range(2)]
         states = gru_oracle(p, xs, cfg.gru_hidden)
         term = p["emb/term_id"]
-        q_emb = sum((term[t] for t in req.query_term_ids), np.zeros(term.shape[1]))
+        q_emb = sum((term[t] for t in req.query_terms[0]), np.zeros(term.shape[1]))
         logits = []
         for s in states:
             hid = np.tanh(np.concatenate([s, q_emb]) @ p["attn/W1"] + p["attn/b1"])
@@ -252,9 +258,11 @@ class TestEncoders:
 
     def test_wrong_window_length_rejected(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=13)
-        req = QueryRequest((1,), (), (PAD_BEHAVIOR,))
+        req = repeated_behavior(0, 0, 0, [[]], [[]], m=1, query=(1,))
         with pytest.raises(ValueError, match="behavior slots"):
             encode_behaviors(model, [req])
+        with pytest.raises(ValueError, match="behavior slots"):
+            model.qu_forward(req)
 
 
 class TestAttention:
@@ -279,7 +287,7 @@ class TestAttention:
     def test_attentive_output_is_convex_combination(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=18)
         rng = np.random.default_rng(19)
-        reqs = model._pack_requests([make_request(rng) for _ in range(3)])
+        reqs = model._requests([make_request(rng) for _ in range(3)])
         q = model._query_embedding(reqs)
         states = model._gru_states(model._embed_behaviors(reqs), len(reqs))
         h = model._attentive_sum(ad.concat(states, axis=0), q).data
@@ -324,9 +332,9 @@ class TestTowers:
         model.params["tower2/W"].data[...] = 0.0
         model.params["tower2/b"].data[...] = -1.0  # relu kills everything
         rng = np.random.default_rng(26)
-        inst = make_batch(rng, 1)[0]
-        v_qu = model.qu_forward([inst.request])
-        v_a = model.ad_forward([inst.ad])
+        inst = make_batch(rng, 1)
+        v_qu = model.qu_forward(inst.requests)
+        v_a = model.ad_forward(inst.ads)
         assert not v_qu.data.any() and not v_a.data.any()
         assert model.retrieval_prob(v_qu, v_a).data[0] == 0.5
 
@@ -528,17 +536,18 @@ class TestPrerankSplit:
 class TestSharedEmbeddings:
     def test_gradients_from_both_towers_hit_one_term_table(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=39)
-        req = QueryRequest(
-            query_term_ids=(1,),
-            profile_ids=(),
-            behaviors=(
-                PAD_BEHAVIOR,
-                PAD_BEHAVIOR,
-                BehaviorItem(1, 1, 1, title_term_ids=(6,), query_term_ids=()),
-            ),
+        # two pad slots, then a behavior titled with term 6
+        req = RequestColumns(
+            query_terms=np.array([[1]]),
+            profile_ids=np.zeros((1, 0), np.intp),
+            item_ids=np.array([[0, 0, 1]]),
+            shop_ids=np.array([[0, 0, 1]]),
+            brand_ids=np.array([[0, 0, 1]]),
+            title_terms=np.array([[[0], [0], [6]]]),
+            source_query_terms=np.zeros((1, 3, 0), np.intp),
         )
-        ad_item = AdItem(2, 2, 2, title_term_ids=(5,))
-        batch = [ImpressionInstance(req, ad_item, 1)]
+        ad_item = AdColumns(np.array([2]), np.array([2]), np.array([2]), np.array([[5]]))
+        batch = InstanceBatch(req, ad_item, np.array([1.0]))
         model.params.zero_grads()
         with Tape() as tape:
             tape.backward(model.joint_loss(batch))
@@ -581,58 +590,50 @@ def test_joint_loss_grad_check_other_variants(variant):
     assert err < 1e-4
 
 
-def _with_request(inst, **changes):
-    request = dataclasses.replace(inst.request, **changes)
-    return dataclasses.replace(inst, request=request)
-
-
-def _with_behavior(inst, **changes):
-    behaviors = list(inst.request.behaviors)
-    behaviors[-1] = dataclasses.replace(behaviors[-1], **changes)
-    return _with_request(inst, behaviors=tuple(behaviors))
-
-
-def _with_ad(inst, **changes):
-    return dataclasses.replace(inst, ad=dataclasses.replace(inst.ad, **changes))
-
-
-# (space the bad id belongs to, instance edit putting it in one column)
+# column -> (its space, where in a 3-row batch a bad id goes: side, array, cell)
 BAD_ID_COLUMNS = {
-    "query_term_ids": ("term_id", lambda i, b: _with_request(i, query_term_ids=(1, b))),
-    "profile_ids": ("profile_id", lambda i, b: _with_request(i, profile_ids=(b,))),
-    "behavior item_id": ("item_id", lambda i, b: _with_behavior(i, item_id=b)),
-    "behavior shop_id": ("shop_id", lambda i, b: _with_behavior(i, shop_id=b)),
-    "behavior brand_id": ("brand_id", lambda i, b: _with_behavior(i, brand_id=b)),
-    "behavior title_term_ids": (
-        "term_id", lambda i, b: _with_behavior(i, title_term_ids=(b,))
-    ),
-    "behavior query_term_ids": (
-        "term_id", lambda i, b: _with_behavior(i, query_term_ids=(2, b))
-    ),
-    "ad item_id": ("item_id", lambda i, b: _with_ad(i, item_id=b)),
-    "ad shop_id": ("shop_id", lambda i, b: _with_ad(i, shop_id=b)),
-    "ad brand_id": ("brand_id", lambda i, b: _with_ad(i, brand_id=b)),
-    "ad title_term_ids": ("term_id", lambda i, b: _with_ad(i, title_term_ids=(b, 1))),
+    "query_term_ids": ("term_id", "requests", "query_terms", (1, 1)),
+    "profile_ids": ("profile_id", "requests", "profile_ids", (1, 0)),
+    "behavior item_id": ("item_id", "requests", "item_ids", (1, -1)),
+    "behavior shop_id": ("shop_id", "requests", "shop_ids", (1, -1)),
+    "behavior brand_id": ("brand_id", "requests", "brand_ids", (1, -1)),
+    "behavior title_term_ids": ("term_id", "requests", "title_terms", (1, -1, 0)),
+    "behavior query_term_ids": ("term_id", "requests", "source_query_terms", (1, -1, 0)),
+    "ad item_id": ("item_id", "ads", "item_ids", (1,)),
+    "ad shop_id": ("shop_id", "ads", "shop_ids", (1,)),
+    "ad brand_id": ("brand_id", "ads", "brand_ids", (1,)),
+    "ad title_term_ids": ("term_id", "ads", "title_terms", (1, 0)),
 }
+
+
+def with_id(batch, side, name, cell, value):
+    """``batch`` with ``value`` at ``cell`` of one id array, the rest shared."""
+    columns = getattr(batch, side)
+    ids = getattr(columns, name).copy()
+    ids[cell] = value
+    return dataclasses.replace(batch, **{side: dataclasses.replace(columns, **{name: ids})})
 
 
 class TestPacking:
     @pytest.mark.parametrize("column", list(BAD_ID_COLUMNS))
-    def test_out_of_range_id_names_space_at_packing(self, column):
+    def test_out_of_range_id_names_space_at_every_door(self, column):
         model = MatchingModel(tiny_config(), VOCAB, seed=48)
-        space, edit = BAD_ID_COLUMNS[column]
+        space, side, name, cell = BAD_ID_COLUMNS[column]
         rng = np.random.default_rng(49)
         good = make_batch(rng, 3)
         model.pack(good)
+        door = model.qu_forward if side == "requests" else model.ad_forward
         for bad in (VOCAB[space], -1):
-            batch = good[:1] + [edit(good[1], bad)] + good[2:]
+            batch = with_id(good, side, name, cell, bad)
             with pytest.raises(VocabularyError, match=f"'{space}'.*'{column}'"):
                 model.pack(batch)
+            with pytest.raises(VocabularyError, match=f"'{space}'.*'{column}'"):
+                door(getattr(batch, side))
 
-    def test_sliced_batch_loss_equals_packing_the_slice(self):
+    def test_sliced_batch_loss_equals_joining_the_rows(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=50)
         rng = np.random.default_rng(51)
-        instances = make_batch(rng, 12)
+        instances = make_rows(rng, 12)
         store = model.pack(instances)
         for rows in ([7, 2, 11], [0], list(range(12))[::-1], [5, 5, 3]):
             sliced = model.joint_loss(store[np.array(rows)]).item()
@@ -643,12 +644,34 @@ class TestPacking:
         model = MatchingModel(tiny_config(), VOCAB, seed=52)
         store = model.pack(make_batch(np.random.default_rng(53), 4))
         assert model.pack(store) is store
+        assert model.pack([store]) is store
+
+    def test_joined_rows_are_padded_to_the_widest(self):
+        model = MatchingModel(tiny_config(), VOCAB, seed=56)
+        short = repeated_behavior(1, 2, 3, [[4]], [[]], query=(5,))
+        wide = repeated_behavior(2, 1, 1, [[6, 7]], [[8]], query=(3, 2), profile=(1,))
+        joined = RequestColumns.join([short, wide])
+        np.testing.assert_array_equal(joined.query_terms, [[5, 0], [3, 2]])
+        np.testing.assert_array_equal(joined.profile_ids, [[0], [1]])
+        np.testing.assert_array_equal(joined.title_terms[:, 0], [[4, 0], [6, 7]])
+        np.testing.assert_array_equal(joined.source_query_terms[:, 0], [[0], [8]])
+        padded = RequestColumns(
+            query_terms=np.array([[5, 0], [3, 2]]),
+            profile_ids=np.array([[0], [1]]),
+            item_ids=np.array([[1] * 3, [2] * 3]),
+            shop_ids=np.array([[2] * 3, [1] * 3]),
+            brand_ids=np.array([[3] * 3, [1] * 3]),
+            title_terms=np.array([[[4, 0]] * 3, [[6, 7]] * 3]),
+            source_query_terms=np.array([[[0]] * 3, [[8]] * 3]),
+        )
+        got = model.qu_forward([short, wide]).data
+        assert got.tobytes() == model.qu_forward(padded).data.tobytes()
 
     def test_bad_label_rejected_at_packing(self):
         model = MatchingModel(tiny_config(), VOCAB, seed=54)
-        inst = make_batch(np.random.default_rng(55), 2)
+        inst = make_rows(np.random.default_rng(55), 2)
         with pytest.raises(ValueError, match="labels"):
-            model.pack([inst[0], dataclasses.replace(inst[1], label=2)])
+            model.pack([inst[0], dataclasses.replace(inst[1], labels=np.array([2.0]))])
 
 
 class TestCheckpoint:

@@ -11,6 +11,11 @@ follows attribute chains that start at a name the file imports from
 admatch (``pipeline.retrieve(...)``, ``model.MatchingModel.load(...)``);
 calls on instances, such as ``st.index.pq_search(...)``, start at a
 local value and are out of its reach.
+
+The workloads also pass the model lists of one-row column sets, from
+``request_from_record``, ``ad_item_from_descriptor`` and
+``make_instances``, where the program passes one built batch. The last
+tests pin that the two shapes give the same bits.
 """
 
 import ast
@@ -19,6 +24,11 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
+
+from admatch import data, evaluation, training
+from admatch.model import EncoderConfig, MatchingModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -133,3 +143,62 @@ def test_every_admatch_call_binds():
         "training.TrainConfig",
         "pipeline.PipelineConfig",
     } <= checked
+
+
+# ----------------------------------------------------------------------
+# the input shapes the workloads pass
+
+ENCODER = EncoderConfig(
+    item_dim=6, shop_dim=3, brand_dim=3, term_dim=6, profile_dim=3, gru_hidden=8,
+    attention_hidden=8, tower_dims=(12, 10), prerank_hidden=8,
+)
+
+
+@pytest.fixture(scope="module")
+def world():
+    records, ads, _ = data.generate_synthetic(
+        data.GeneratorConfig(seed=19, n_users=40, days=4, impressions_per_user_day=5,
+                             n_items=120, n_categories=5)
+    )
+    vocab = data.build_vocab(records, 5000)
+    splits = data.split_by_day(
+        records, data.DatasetSplit(("2024-01-01", "2024-01-02", "2024-01-03"), "2024-01-04")
+    )
+    return records, ads, vocab, splits, MatchingModel(ENCODER, vocab.sizes, seed=19)
+
+
+def test_a_list_of_one_row_requests_encodes_as_their_block(world):
+    records, _, vocab, _, model = world
+    m = ENCODER.behavior_window
+    rows = [data.request_from_record(r, vocab, m) for r in records[:50]]
+    block = data.request_columns(records[:50], vocab, m)
+    assert model.qu_forward(rows).data.tobytes() == model.qu_forward(block).data.tobytes()
+
+
+def test_a_list_of_one_row_ads_encodes_as_their_block(world):
+    _, ads, vocab, _, model = world
+    rows = [data.ad_item_from_descriptor(ad, vocab) for ad in ads[:30]]
+    block = data.ad_columns(ads[:30], vocab)
+    assert model.ad_forward(rows).data.tobytes() == model.ad_forward(block).data.tobytes()
+
+
+def test_training_and_scoring_on_the_rows_equal_the_batch(world, tmp_path):
+    _, _, vocab, splits, _ = world
+    m = ENCODER.behavior_window
+    shapes = {
+        "rows": [list(data.make_instances(part, vocab, m)) for part in splits],
+        "batch": [data.instance_batch(part, vocab, m) for part in splits],
+    }
+    assert len(shapes["rows"][0]) == len(shapes["batch"][0]) > 64
+    outs = {}
+    for shape, (tr, va, te) in shapes.items():
+        model = MatchingModel(ENCODER, vocab.sizes, seed=7)
+        config = training.TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=7)
+        result = training.train(model, tr, va, config)
+        result.model.save(tmp_path / f"{shape}.ckpt")
+        outs[shape] = (
+            result.history,
+            (tmp_path / f"{shape}.ckpt").read_bytes(),
+            evaluation.model_aucs(result.model, te),
+        )
+    assert outs["rows"] == outs["batch"]

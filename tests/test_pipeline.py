@@ -11,10 +11,10 @@ from admatch.annindex import normalize
 from admatch.autodiff import Tensor
 from admatch.data import (
     GeneratorConfig,
-    ad_item_from_descriptor,
+    ad_columns,
     build_vocab,
     generate_synthetic,
-    request_from_record,
+    request_columns,
 )
 from admatch import model as model_module
 from admatch import pipeline
@@ -130,8 +130,8 @@ class TestRetrieve:
         long_tail = next(
             r for r in records if not bidx.lookup(" ".join(r.query_terms))
         )
-        request = request_from_record(long_tail, vocab, ENCODER.behavior_window)
-        v_qu = model.qu_forward([request]).data[0]
+        request = request_columns([long_tail], vocab, ENCODER.behavior_window)
+        v_qu = model.qu_forward(request).data[0]
         got = retrieve(" ".join(long_tail.query_terms), v_qu, bidx, ann, 25)
         assert len(got) > 0
         assert all(c.paths == {"vector"} for c in got.values())
@@ -171,8 +171,8 @@ class TestPrerank:
 
     def test_returns_all_when_n_large_sorted(self, world):
         records, ads, vocab, model, ann, scorer, parts, rows, ads_by_id = self._setup(world)
-        request = request_from_record(records[0], vocab, ENCODER.behavior_window)
-        v_qu = model.qu_forward([request]).data[0]
+        request = request_columns(records[:1], vocab, ENCODER.behavior_window)
+        v_qu = model.qu_forward(request).data[0]
         candidates = retrieve("", v_qu / np.linalg.norm(v_qu), None, ann, 40, paths=("vector",))
         got = prerank(candidates, v_qu, scorer, rows, parts, model, ads_by_id, vocab, 1000)
         assert len(got) == len(candidates)
@@ -185,8 +185,8 @@ class TestPrerank:
         rng = np.random.default_rng(0)
         worst = 0.0
         for rec in records[:8]:
-            request = request_from_record(rec, vocab, ENCODER.behavior_window)
-            v_qu = model.qu_forward([request]).data[0]
+            request = request_columns([rec], vocab, ENCODER.behavior_window)
+            v_qu = model.qu_forward(request).data[0]
             candidates = {a: Candidate(a, {"vector"}) for a in ids}
             prerank(candidates, v_qu, scorer, rows, parts, model, ads_by_id, vocab, 10)
             split = np.array([candidates[a].prerank_score for a in ids])
@@ -196,8 +196,8 @@ class TestPrerank:
 
     def test_q_part_computed_once_per_request(self, world):
         records, ads, vocab, model, ann, scorer, parts, rows, ads_by_id = self._setup(world)
-        request = request_from_record(records[0], vocab, ENCODER.behavior_window)
-        v_qu = model.qu_forward([request]).data[0]
+        request = request_columns(records[:1], vocab, ENCODER.behavior_window)
+        v_qu = model.qu_forward(request).data[0]
         candidates = {a.item_id: Candidate(a.item_id, {"vector"}) for a in ads}
         before = scorer.q_part_count
         prerank(candidates, v_qu, scorer, rows, parts, model, ads_by_id, vocab, 5)
@@ -205,8 +205,8 @@ class TestPrerank:
 
     def test_missing_part_falls_back_with_warning(self, world, caplog):
         records, ads, vocab, model, ann, scorer, parts, rows, ads_by_id = self._setup(world)
-        request = request_from_record(records[0], vocab, ENCODER.behavior_window)
-        v_qu = model.qu_forward([request]).data[0]
+        request = request_columns(records[:1], vocab, ENCODER.behavior_window)
+        v_qu = model.qu_forward(request).data[0]
         victims = [ads[i].item_id for i in (3, 9, 11)]
         rows = {a: i for a, i in rows.items() if a not in victims}
         served = victims + [ads[i].item_id for i in (4, 20)]
@@ -307,7 +307,7 @@ class TestExport:
 
     def test_normalized_dot_equals_raw_cosine(self, small_world):
         model, ads, vocab = small_world
-        raw = model.ad_forward([ad_item_from_descriptor(a, vocab) for a in ads[:10]]).data
+        raw = model.ad_forward(ad_columns(ads[:10], vocab)).data
         index = build_exact_index(model, ads[:10], vocab)
         rng = np.random.default_rng(0)
         q = rng.normal(size=model.config.d)
@@ -431,7 +431,9 @@ class TestSimulate:
         encode = model.qu_forward
         monkeypatch.setattr(
             model, "qu_forward",
-            lambda requests: Tensor(np.concatenate([encode([r]).data for r in requests])),
+            lambda requests: Tensor(np.concatenate(
+                [encode(requests[i : i + 1]).data for i in range(len(requests))]
+            )),
         )
         cfg = PipelineConfig(top_n=40, k_vector=60, seed=9)
 
@@ -548,8 +550,7 @@ def reference_simulate(records, model, vocab, ann_index, ads, oracle, config, ad
     part_ids, parts = (vector_ids, scorer.a_part(vectors)) if ad_parts is None else ad_parts
     part_rows = {ad_id: i for i, ad_id in enumerate(part_ids)}
     vector_rows = {ad_id: i for i, ad_id in enumerate(vector_ids)}
-    requests = [request_from_record(r, vocab, model.config.behavior_window) for r in records]
-    v_qu_all = model.qu_forward(requests).data
+    v_qu_all = model.qu_forward(request_columns(records, vocab, model.config.behavior_window)).data
     rng = np.random.default_rng(config.seed)
     presents = clicks = 0
     cost_total = split_dev = 0.0

@@ -12,7 +12,7 @@ from admatch.data import (
     GeneratorConfig,
     build_vocab,
     generate_synthetic,
-    make_instances,
+    instance_batch,
     split_by_day,
 )
 from admatch.evaluation import auc
@@ -52,9 +52,9 @@ def planted_instances(seed=31, users=80, days=4, per_day=6, categories=6, top_k=
     split = DatasetSplit(("2024-01-01", "2024-01-02", "2024-01-03"), "2024-01-04")
     train_recs, val_recs, test_recs = split_by_day(records, split)
     return (
-        list(make_instances(train_recs, vocab, m=6)),
-        list(make_instances(val_recs, vocab, m=6)),
-        list(make_instances(test_recs, vocab, m=6)),
+        instance_batch(train_recs, vocab, m=6),
+        instance_batch(val_recs, vocab, m=6),
+        instance_batch(test_recs, vocab, m=6),
         vocab.sizes,
     )
 
@@ -105,7 +105,7 @@ class TestTrainLoop:
     def test_one_step_reduces_single_instance_loss(self, small_sets):
         tr, _, _, sizes = small_sets
         model = MatchingModel(SMALL_ENCODER, sizes, seed=7)
-        inst = [tr[0]]
+        inst = tr[:1]
         before = model.joint_loss(inst).item()
         cfg = TrainConfig(batch_size=1, max_epochs=1, learning_rate=1e-3, seed=0)
         optimizer = Adam(model.params, cfg.learning_rate)
@@ -136,7 +136,7 @@ class TestTrainLoop:
         assert [s.epoch for s in result.history] == [1, 2, 3]
         assert 1 <= result.best_epoch <= 3
         best = result.history[result.best_epoch - 1]
-        labels = np.array([i.label for i in va])
+        labels = va.labels
         preds = result.model.predict(va)
         assert auc(preds["prerank"], labels) == best.val_auc_prerank
         assert auc(preds["retrieval"], labels) == best.val_auc_retrieval
@@ -163,7 +163,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("mode", ["JOINT", "SINGLE_RETRIEVAL", "SINGLE_PRERANK"])
     def test_single_class_validation_keeps_latest_parameters(self, small_sets, mode):
         tr, va, _, sizes = small_sets
-        negatives = [i for i in va if i.label == 0][:64]
+        negatives = va[np.flatnonzero(va.labels == 0)[:64]]
         model = MatchingModel(SMALL_ENCODER, sizes, seed=12)
         cfg = TrainConfig(batch_size=128, max_epochs=2, patience=1, mode=mode, seed=12)
         result = train(model, tr[:256], negatives, cfg)
@@ -174,10 +174,10 @@ class TestTrainLoop:
         assert result.best_epoch == 2
 
     def test_empty_training_set_rejected(self, small_sets):
-        _, va, _, sizes = small_sets
+        tr, va, _, sizes = small_sets
         model = MatchingModel(SMALL_ENCODER, sizes, seed=9)
         with pytest.raises(ValueError):
-            train(model, [], va, TrainConfig())
+            train(model, tr[:0], va, TrainConfig())
 
     def test_pad_rows_zero_after_training(self, small_sets):
         tr, va, _, sizes = small_sets
@@ -263,7 +263,7 @@ class TestPlantedSignal:
         model = MatchingModel(SMALL_ENCODER, sizes, seed=42)
         cfg = TrainConfig(batch_size=128, max_epochs=3, patience=5, seed=42)
         result = train(model, tr, va, cfg)
-        labels = np.array([i.label for i in te])
+        labels = te.labels
         preds = result.model.predict(te)
         score = auc(preds["retrieval"], labels)
         assert abs(score - 0.5) < 0.06
