@@ -41,18 +41,20 @@ never score codes against another snapshot's codebooks. Writers are not
 synchronized with each other: callers that write from several threads
 must serialize the writes.
 
-Storage is append-only. A snapshot's vectors and codes are views of the
-first n rows of buffers with spare rows past n ([capacity x d] float32,
-[M x capacity] uint8), and the writer keeps an id-to-row map for the last
-snapshot it published, the tip. Adding new ids to the tip writes rows n
-onward in place and publishes a snapshot that views them; no published
-snapshot sees those rows, so readers never observe a half-applied add,
-and an insert's cost does not grow with the index. A write copies the
-rows into new buffers, with about n/8 spare rows, when it replaces a
-stored id (older snapshots still read that row), when the buffers are
-full, or when the snapshot it extends is not the tip (after ``load`` or
-``train_pq``, or a snapshot set from outside); that first write also
-builds the id-to-row map, once.
+Storage is append-only. A snapshot's ids, vectors and codes are views of
+the first n rows of buffers with spare rows past n ([capacity] object ids,
+[capacity x d] float32, [M x capacity] uint8), and the writer keeps an
+id-to-row map for the last snapshot it published, the tip. Adding new ids
+to the tip writes rows n onward in place and publishes a snapshot that
+views them; no published snapshot sees those rows, so readers never
+observe a half-applied add, and an insert's cost does not grow with the
+index: ``pq_encode`` codes one row in one stacked product over every
+subspace, and nothing copies the stored rows or ids. A write copies the
+rows into new buffers, with about n/8 spare rows, when the buffers are
+full, when it replaces a stored id (vectors and codes only: older
+snapshots still read that row), or when the snapshot it extends is not
+the tip (after ``load`` or ``train_pq``, or a snapshot set from outside);
+that first write also builds the id-to-row map, once.
 
 The index stores the vectors it is given and knows nothing of the model
 (``pipeline.build_exact_index`` encodes a catalog into it); index files
@@ -168,17 +170,24 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 def _nearest(
     rows: np.ndarray, rows_sq: np.ndarray, centers: np.ndarray, centers_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest center and its squared distance to it, given the
-    squared norms of the rows and of the [k, sub] C-ordered centers."""
-    # one product for all rows, against ``centers.T`` as always: BLAS picks
-    # its kernel, and so its rounding, by operand layout and shape. A single
-    # row goes as a two-row block, whose first row has a block's bits.
-    g = rows @ centers.T if len(rows) != 1 else (np.repeat(rows, 2, axis=0) @ centers.T)[:1]
+    """Each row's nearest center, [S, n], and its squared distances to every
+    center, [S, n, k], for S subspaces at once: [S, n, sub] rows against
+    [S, k, sub] C-ordered centers, given their squared norms, [S, n] and
+    [S, k]."""
+    # one matmul over the subspaces, whose slice s is the product of rows[s]
+    # and ``centers[s].T`` as always: BLAS picks its kernel, and so its
+    # rounding, by operand layout and shape. A single row goes as a two-row
+    # block, whose first row has a block's bits (copied out: the in-place
+    # steps below run faster on a contiguous array than on a strided view).
+    centers_t = centers.transpose(0, 2, 1)
+    if rows.shape[1] == 1:
+        g = np.matmul(rows.repeat(2, axis=1), centers_t)[:, :1].copy()
+    else:
+        g = np.matmul(rows, centers_t)
     g *= -2.0  # (||x||^2 - 2 x.c) + ||c||^2 in place, as a - b == a + (-b)
-    g += rows_sq[:, None]
-    g += centers_sq
-    assign = np.argmin(g, axis=1)
-    return assign, g[np.arange(len(g)), assign]
+    g += rows_sq[:, :, None]
+    g += centers_sq[:, None, :]
+    return g.argmin(axis=2), g
 
 
 def _lloyd(
@@ -203,7 +212,10 @@ def _lloyd(
     errors: list[float] = []
     previous = None
     for _ in range(iterations):
-        assign, nearest_d2 = _nearest(rows, rows_sq, centers, (centers * centers).sum(axis=1))
+        centers_sq = (centers * centers).sum(axis=1)[None]
+        (assign,), (g,) = _nearest(rows[None], rows_sq[None], centers[None], centers_sq)
+        nearest_d2 = g[np.arange(len(g)), assign]
+        del g  # the [n, k] distances, freed before the next pass makes its own
         errors.append(float(np.maximum(nearest_d2, 0.0).mean()))
         if previous is not None and np.array_equal(assign, previous):
             break
@@ -228,8 +240,9 @@ class PqTrainResult:
 
 def _first_non_finite(vectors: np.ndarray) -> int | None:
     """The first row of ``vectors`` (along axis 0) holding a NaN or an infinity."""
-    bad = np.flatnonzero(~np.isfinite(vectors).reshape(len(vectors), -1).all(axis=1))
-    return int(bad[0]) if len(bad) else None
+    if np.isfinite(vectors).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(vectors).reshape(len(vectors), -1).all(axis=1))[0])
 
 
 def pq_train(
@@ -278,8 +291,18 @@ def pq_train(
     return PqTrainResult(PqCodebooks(centroids), history, passes)
 
 
+# the most bytes of [S, n, k] float64 distances one stacked product of
+# ``pq_encode`` makes: S subspaces go together when n rows allow it. A row
+# alone takes every subspace in one product under any cap from 256 KiB to
+# 16 MiB; at 100 and 600 rows, 4 MiB groups ran 25-30% slower than 1 MiB
+# ones (M 16, K 256, a 2 MiB L2 per core).
+_ENCODE_BLOCK_BYTES = 1 << 20
+
+
 def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
-    """Nearest-centroid codes per subspace, [n x M] uint8 (the transpose of [M x n])."""
+    """Nearest-centroid codes per subspace, [n x M] uint8 (the transpose of
+    [M x n]). Subspaces go through ``_nearest`` in groups whose distances fit
+    ``_ENCODE_BLOCK_BYTES``: all M for one row, one at a time for thousands."""
     shape = (len(vectors), codebooks.n_subspaces, codebooks.sub_dim)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(shape)
     bad = _first_non_finite(vectors)
@@ -288,8 +311,13 @@ def pq_encode(codebooks: PqCodebooks, vectors: np.ndarray) -> np.ndarray:
     rows = vectors.transpose(1, 0, 2)
     rows_sq = (rows * rows).sum(axis=2)
     codes = np.empty((codebooks.n_subspaces, rows.shape[1]), dtype=np.uint8)
-    for m, centers in enumerate(codebooks.table):
-        codes[m] = _nearest(rows[m], rows_sq[m], centers, codebooks.table_sq[m])[0]
+    # a single row's product is a two-row one
+    group = max(1, _ENCODE_BLOCK_BYTES // (8 * max(rows.shape[1], 2) * codebooks.n_centroids))
+    for lo in range(0, codebooks.n_subspaces, group):
+        part = slice(lo, lo + group)
+        codes[part] = _nearest(
+            rows[part], rows_sq[part], codebooks.table[part], codebooks.table_sq[part]
+        )[0]
     return codes.T
 
 
@@ -317,12 +345,49 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+class _Ids(Sequence[str]):
+    """A snapshot's ids, in row order: a read-only view of the first n entries
+    of an id buffer that writes only past n, so the view never changes. It
+    compares equal to the tuple of its ids, and ``+`` gives a tuple."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, buffer: np.ndarray, n: int) -> None:
+        self.array = buffer[:n]  # [n] object, read-only
+        self.array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        return tuple(self.array[i].tolist()) if isinstance(i, slice) else self.array[i]
+
+    def __iter__(self):
+        return iter(self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Ids):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class _Snapshot:
-    ids: tuple[str, ...]
+    ids: _Ids  # given any other sequence of ids, holds them as an ``_Ids``
     vectors: np.ndarray  # [n x d] float32 unit rows
     codes: np.ndarray | None  # [M x n] uint8, subspace-major, when PQ is trained
     codebooks: PqCodebooks | None = None  # the codebooks ``codes`` were encoded with
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ids, _Ids):
+            ids = np.fromiter(self.ids, object, len(self.ids))
+            object.__setattr__(self, "ids", _Ids(ids, len(ids)))
 
     @property
     def size(self) -> int:
@@ -337,19 +402,22 @@ _MIN_SPARE_ROWS = 16
 @dataclass
 class _Storage:
     """The writer's buffers behind ``tip``, the last snapshot it published:
-    ``tip.vectors`` and ``tip.codes`` view their first ``tip.size`` rows, and
-    ``row_of`` maps the tip's ids to their rows. The rows past ``tip.size``
-    belong to no snapshot, so a write may fill them in place."""
+    ``tip.ids``, ``tip.vectors`` and ``tip.codes`` view their first
+    ``tip.size`` rows, and ``row_of`` maps the tip's ids to their rows. The
+    rows past ``tip.size`` belong to no snapshot, so a write may fill them in
+    place."""
 
     tip: _Snapshot
+    ids: np.ndarray  # [capacity] object
     vectors: np.ndarray  # [capacity x d] float32
     codes: np.ndarray | None  # [M x capacity] uint8
     row_of: dict[str, int]
 
     @classmethod
     def of(cls, snap: _Snapshot) -> "_Storage":
-        """Storage with no spare rows, so the next write copies."""
-        return cls(snap, snap.vectors, snap.codes, dict(zip(snap.ids, range(snap.size))))
+        """Storage with no spare rows, so the next write of a new id copies."""
+        row_of = dict(zip(snap.ids, range(snap.size)))
+        return cls(snap, snap.ids.array, snap.vectors, snap.codes, row_of)
 
 
 def _with_room(buffer: np.ndarray, axis: int, n: int, end: int, copy: bool) -> np.ndarray:
@@ -457,12 +525,13 @@ def _adc(lookup: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return _row_sums(terms)
 
 
-def _by_id(ids: Sequence[str], rows: np.ndarray, picks: Iterable[int]) -> list[int]:
-    """``picks`` (positions in ``rows``) in ascending id order: the one tie rule."""
-    return sorted(picks, key=lambda p: ids[rows[p]])
+def _by_id(names: list[str], picks: Iterable[int]) -> list[int]:
+    """``picks`` (positions in ``names``, the ids of the rows they pick, taken
+    with one gather) in ascending id order: the one tie rule."""
+    return sorted(picks, key=names.__getitem__)
 
 
-def _chosen(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+def _chosen(ids: _Ids, rows: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best of ``rows`` (scored ``scores``), unordered: all
     above the k-th score, then the smallest ids tied with it."""
     if k >= len(scores):
@@ -472,13 +541,14 @@ def _chosen(ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int) ->
     tied = scores == kth
     if np.count_nonzero(tied) > 1:  # the k-th score is shared: keep the smallest ids
         above = top[~tied[top]]
-        at_cut = _by_id(ids, rows, np.flatnonzero(tied).tolist())[: k - len(above)]
-        top = np.concatenate((above, np.array(at_cut, dtype=np.intp)))
+        at = np.flatnonzero(tied)
+        at_cut = at[_by_id(ids.array[rows[at]].tolist(), range(len(at)))][: k - len(above)]
+        top = np.concatenate((above, at_cut))
     return top
 
 
 def _top_rows(
-    ids: Sequence[str], rows: np.ndarray, scores: np.ndarray, k: int
+    ids: _Ids, rows: np.ndarray, scores: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k best of ``rows`` (scored ``scores``) and their scores, in rank
     order: descending score, exact ties (at the cut too) by ascending id."""
@@ -491,23 +561,24 @@ def _top_rows(
     if tied.any():
         # a run of equal scores spans ranks edges[2i] .. edges[2i + 1]
         edges = np.flatnonzero(np.diff(np.concatenate(([0], tied.view(np.int8), [0]))))
-        for lo, hi in zip(edges[0::2], edges[1::2] + 1):
-            keep[lo:hi] = _by_id(ids, rows, keep[lo:hi].tolist())
+        names, ranked = ids.array[rows[keep]].tolist(), keep.tolist()
+        for lo, hi in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+            ranked[lo:hi] = [ranked[i] for i in _by_id(names, range(lo, hi))]
+        keep = np.array(ranked, dtype=np.intp)
     return rows[keep], ranked_scores
 
 
 class RowHits(NamedTuple):
     """A search result on the integer rows of one snapshot."""
 
-    ids: tuple[str, ...]  # the searched snapshot's ids; ``rows`` index this tuple
+    ids: _Ids  # the searched snapshot's ids, a read-only Sequence[str]; ``rows`` index it
     rows: np.ndarray
     scores: np.ndarray
     pq: bool  # False when the snapshot had no codebooks and the search was exact
 
 
 def _hits(hits: RowHits) -> list[tuple[str, float]]:
-    ids = hits.ids
-    return [(ids[r], s) for r, s in zip(hits.rows.tolist(), hits.scores.tolist())]
+    return list(zip(hits.ids.array[hits.rows].tolist(), hits.scores.tolist()))
 
 
 class AnnIndex:
@@ -537,15 +608,19 @@ class AnnIndex:
         """The PQ codebooks of the current snapshot, or None before training."""
         return self._snap.codebooks
 
-    def ids(self) -> tuple[str, ...]:
+    def ids(self) -> Sequence[str]:
+        """The current snapshot's ids in row order, read-only: later writes
+        publish a new snapshot and leave this sequence as it is."""
         return self._snap.ids
 
     def add(self, ad_id: str, vector: np.ndarray) -> None:
         """Normalize, store, and (when PQ is trained) encode one vector.
 
         A duplicate ad id replaces the stored entry with a warning. A new
-        id is written into spare rows behind the current snapshot, so its
-        cost does not grow with the index; a replacement copies the index.
+        id, its vector and its codes are written into spare rows behind the
+        current snapshot, so its cost does not grow with the index (the
+        buffers grow by a copy about once every n/8 new ids); a replacement
+        copies the vectors and codes.
         Publication is a single snapshot swap, so readers never observe
         a half-applied add.
         """
@@ -587,21 +662,21 @@ class AnnIndex:
             dtype=np.intp,
             count=len(batch),
         )
+        ids = _with_room(storage.ids, 0, n, end, False)  # a replacement keeps every id
+        if new_ids:  # even an empty write fails on the read-only view ``_Storage.of`` holds
+            ids[n:end] = new_ids
         # rows below n are read by published snapshots: a replacement copies them
         vectors = _with_room(storage.vectors, 0, n, end, replaces)
-        vectors[rows] = np.stack(list(batch.values()))
-        codes = storage.codes
+        units = np.array(list(batch.values()))  # [len(batch) x d] float32
+        vectors[rows] = units
+        codes = tip_codes = storage.codes
         if codes is not None:
             codes = _with_room(codes, 1, n, end, replaces)
-            codes[:, rows] = pq_encode(snap.codebooks, vectors[rows].astype(np.float64)).T
+            codes[:, rows] = pq_encode(snap.codebooks, units.astype(np.float64)).T
+            tip_codes = codes[:, :end]
         row_of.update(new_rows)
-        tip = replace(
-            snap,
-            ids=snap.ids + new_ids,
-            vectors=vectors[:end],
-            codes=None if codes is None else codes[:, :end],
-        )
-        self._storage = _Storage(tip, vectors, codes, row_of)
+        tip = _Snapshot(_Ids(ids, end), vectors[:end], tip_codes, snap.codebooks)
+        self._storage = _Storage(tip, ids, vectors, codes, row_of)
         self._snap = tip
 
     # ------------------------------------------------------------------
@@ -719,7 +794,7 @@ class AnnIndex:
             if count and int(codes.max()) >= k_cent:
                 raise frame.error(f"PQ code {codes.max()} is out of range for {k_cent} centroids")
         vectors = frame.array("<f4", (count, dim))
-        ids = tuple(frame.ids(count))
+        ids = frame.ids(count)
         frame.done()
         if len(set(ids)) < count:
             (repeat, _), = Counter(ids).most_common(1)

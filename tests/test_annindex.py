@@ -442,6 +442,31 @@ class TestAppendOnlyStorage:
         np.testing.assert_array_equal(second.vectors[-2], kept)
         assert not np.array_equal(third.vectors[-2], kept)
 
+    def test_one_row_appends_with_room_do_not_copy_the_ids(self):
+        rng = np.random.default_rng(34)
+        index = filled_index(rng, 40, 8)
+        index.train_pq(n_subspaces=2, n_centroids=8, iterations=5, seed=3)
+        index.add("first", random_unit(rng, 1, 8)[0])  # copies into buffers with spare rows
+        buffer = index._storage.ids
+        query = random_unit(rng, 1, 8)[0]
+        snaps, names, found = [], [], []
+        for i in range(len(buffer) - len(index)):
+            index.add(f"late{i:03d}", random_unit(rng, 1, 8)[0])
+            assert index._storage.ids is buffer
+            hits = index.search_rows(query, 3)
+            assert index.search_rows(query, 3).ids is hits.ids is index._snap.ids
+            snaps.append(index._snap)
+            names.append(tuple(index.ids()))
+            found.append(hits.ids)
+        assert len(snaps) >= 16 and len({id(ids) for ids in found}) == len(found)
+        index.add("grown", random_unit(rng, 1, 8)[0])
+        assert index._storage.ids is not buffer
+        index.add("first", random_unit(rng, 1, 8)[0])
+        for snap, ids in zip(snaps, names):
+            assert snap.ids == ids and tuple(snap.ids) == ids and snap.ids[-1] == ids[-1]
+            assert np.shares_memory(snap.ids.array, buffer)
+        assert index.ids() == names[-1] + ("grown",)
+
     def test_extending_an_older_snapshot_copies(self, caplog):
         rng = np.random.default_rng(33)
         index = filled_index(rng, 20, 8)
@@ -612,6 +637,27 @@ class TestPqMatchesReference:
                     want = reference_pq_encode(centroids, rows)
                     assert pq_encode(got.codebooks, rows).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(("n_subspaces", "n_centroids"), [(16, 256), (8, 64)])
+    def test_codes_in_every_group_of_subspaces(self, monkeypatch, n_subspaces, n_centroids):
+        # pq_encode stacks as many subspaces as its distance cap allows: all
+        # of them for a few rows, fewer at 100 rows (16 x 256) or at 600 (8 x
+        # 64), and one at a time for 1,061 rows
+        rng = np.random.default_rng(n_subspaces * n_centroids)
+        data = rng.normal(size=(1061, 128)) * 10.0 ** rng.integers(-3, 4, size=128)
+        centroids = pq_train(data, n_subspaces, n_centroids, 2, seed=5).codebooks.centroids
+        groups, nearest = [], annindex._nearest
+
+        def counted(rows, *rest):
+            groups.append(len(rows))
+            return nearest(rows, *rest)
+
+        monkeypatch.setattr(annindex, "_nearest", counted)
+        for n in (1, 2, 3, 100, 600, 1061):
+            rows = data[rng.permutation(1061)[:n]]
+            want = reference_pq_encode(centroids, rows)
+            assert pq_encode(PqCodebooks(centroids), rows).tobytes() == want.tobytes(), n
+        assert max(groups) == n_subspaces and min(groups) == 1 and len(set(groups)) >= 3
+
     def test_row_sums_add_in_numpys_order(self):
         # 4, 8, 16 and 32 terms are the subspace counts a subspace-major ADC
         # scan would sum; above 128 numpy splits the row in halves
@@ -637,13 +683,16 @@ class TestOneRowEncodesAsItsBlock:
         # pq_encode's layout: [M, n, sub] views of the [n, d] rows
         rows = vectors.reshape(n, subspaces, -1).transpose(1, 0, 2)
         rows_sq = (rows * rows).sum(axis=2)
+        table, table_sq = codebooks.table, codebooks.table_sq
         for m in range(subspaces):
-            table, table_sq = codebooks.table[m], codebooks.table_sq[m]
-            codes, dists = annindex._nearest(rows[m], rows_sq[m], table, table_sq)
+            # the block one subspace at a time; the row alone with every
+            # subspace in one stacked product, as ``add`` encodes it
+            s = slice(m, m + 1)
+            (codes,), (dists,) = annindex._nearest(rows[s], rows_sq[s], table[s], table_sq[s])
             for i in rng.choice(n, size=40, replace=False).tolist():
-                one = annindex._nearest(rows[m][i : i + 1], rows_sq[m][i : i + 1], table, table_sq)
-                assert one[0][0] == codes[i]
-                assert one[1].tobytes() == dists[i : i + 1].tobytes(), (m, i)
+                one = annindex._nearest(rows[:, i : i + 1], rows_sq[:, i : i + 1], table, table_sq)
+                assert one[0][m, 0] == codes[i]
+                assert one[1][m].tobytes() == dists[i : i + 1].tobytes(), (m, i)
 
 
 class TestAdcMatchesReference:

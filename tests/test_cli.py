@@ -14,7 +14,7 @@ import pytest
 
 import admatch
 from admatch import cli
-from admatch.annindex import AnnIndex
+from admatch.annindex import AnnIndex, normalize, pq_encode
 from admatch.cli import main
 from admatch.data import GeneratorConfig
 from admatch.model import EncoderConfig
@@ -359,7 +359,8 @@ def test_build_index_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert summaries[0] == summaries[1]
 
 
-# exact, PQ with a covering pool, PQ with a smaller pool, PQ without re-rank
+# exact, PQ with a covering pool, PQ with a smaller pool, PQ without re-rank;
+# then 20 one-row adds, and the tip's [n x M] codes and its ids
 SEARCH_GRID = """
 import sys
 import numpy as np
@@ -369,6 +370,10 @@ for q in np.random.default_rng(5).normal(size=(8, index.dim)):
     for factor, rerank, pq in ((10, True, False), (30, True, True), (4, True, True), (4, False, True)):
         hits = index.search_rows(q, 50, factor, rerank, pq)
         sys.stdout.buffer.write(hits.rows.tobytes() + hits.scores.tobytes())
+for i, v in enumerate(np.random.default_rng(6).normal(size=(20, index.dim))):
+    index.add(f"new{i:02d}", v)
+sys.stdout.buffer.write(np.ascontiguousarray(index._snap.codes.T).tobytes())
+sys.stdout.buffer.write(" ".join(index.ids()).encode())
 """
 
 
@@ -391,7 +396,17 @@ def test_search_does_not_depend_on_blas_threads(tmp_path):
             env=env, capture_output=True, timeout=300, check=True,
         )
         found.append(proc.stdout)
-    assert len(found[0]) == 8 * 4 * 50 * 16 and found[0] == found[1]
+    searched, tip = 8 * 4 * 50 * 16, 1320 * 8
+    names = " ".join([*index.ids(), *(f"new{i:02d}" for i in range(20))]).encode()
+    assert len(found[0]) == searched + tip + len(names) and found[0] == found[1]
+    assert found[0][searched + tip :] == names
+    codes = np.frombuffer(found[0][searched : searched + tip], np.uint8).reshape(1320, 8)
+    np.testing.assert_array_equal(codes[:1300], index._snap.codes.T)
+    # each one-row add coded its row as a block of the 20 rows would
+    added_vectors = np.random.default_rng(6).normal(size=(20, 64))
+    units = np.array([normalize(v).astype(np.float32) for v in added_vectors], dtype=np.float64)
+    block = pq_encode(index.codebooks, units)
+    np.testing.assert_array_equal(codes[1300:], block)
 
 
 class TestLogLevel:
